@@ -3,8 +3,10 @@ the experiments, emitting machine-readable JSON reports.
 
 Exit codes: 0 all guarantee checks passed, 1 a guarantee failed, 2 an
 algorithm precondition failed, 3 a search-size cap was exceeded, 4 file or
-format trouble. Reports are byte-identical across runs of the same command
-and seed except for the wall_time_s field.
+format trouble, 5 an internal error (any other exception, reported on one
+line of stderr; a bug, never an input condition). Reports are
+byte-identical across runs of the same command and seed except for the
+wall_time_s field, which covers the whole command from the input read.
 
 All randomness flows from the single --seed flag: generators consume it
 directly; multi-part experiments derive substreams by fixed offsets
@@ -175,9 +177,9 @@ def _run_extract(args, g: Graph):
 
 
 def _cmd_extract(args, argv: list) -> int:
+    start = time.perf_counter()
     g = _load_graph(args.graph)
     report = _report_skeleton(args, argv)
-    start = time.perf_counter()
     result, bounds, params = _run_extract(args, g)
     report.update({
         "algorithm": args.algorithm,
@@ -192,6 +194,8 @@ def _cmd_extract(args, argv: list) -> int:
 
 
 def _experiment_point_prob(args) -> dict:
+    if args.t < 1:
+        raise PreconditionError("--t must be at least 1")
     rng = np.random.Generator(np.random.PCG64(args.seed))
     lo, hi = 1 / 16, 9 / 16
     rhos = lo + (hi - lo) * rng.random(args.t)
@@ -230,6 +234,8 @@ def _experiment_regular_prob(args) -> dict:
 def _experiment_gnpbar_scan(args) -> dict:
     from .instances import sample_gnp_bar
 
+    if args.samples < 1:
+        raise PreconditionError("--samples must be at least 1")
     if args.n > args.size_cap:
         raise SizeCapError(
             f"scan instances of {args.n} vertices exceed the cap "
@@ -339,6 +345,10 @@ def main(argv: Optional[list] = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:  # noqa: BLE001 - the exit-code boundary
+        print(f"internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -1,6 +1,13 @@
 """Edge-version extraction: bipartite halving, nested tight sets with
-pairwise edge-disjoint perfect matchings, and the cascade pipeline that
-turns them into a 5-nearly regular subgraph with many edges.
+pairwise edge-disjoint perfect matchings, the cascade pipeline that turns
+them into a 5-nearly regular subgraph with many edges, and the ceil(m/n)
+matching guarantee.
+
+Every matching here comes from one exact augmenting-path search,
+Edmonds' blossom algorithm, run iteratively with no size cap: the
+ceil(m/n) matching is a maximum matching of the whole graph, and each
+cascade round matches its candidates in ascending id on the bipartite
+residual graph, where no blossom ever forms.
 
 A tight set is a subset S of the candidate side with |N(S)| <= |S| in the
 residual graph. Inclusion-minimal tight sets are what carry a perfect
@@ -15,6 +22,7 @@ would break the perfect-matching step downstream.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -35,8 +43,6 @@ from .graph import (
     require_bounds,
 )
 from .peeling import peel_below, prop21_refine
-
-EXACT_MATCHING_CAP = 22  # bitmask-DP fallback refuses larger components
 
 
 @dataclass(frozen=True)
@@ -94,42 +100,104 @@ def bipartite_half(g: Graph) -> Bipartition:
     return Bipartition(side_a, side_b, kept)
 
 
-def _adjacency_from_edges(edges: Iterable) -> dict:
-    adj: dict = {}
-    for u, v in edges:
-        adj[u] = adj.get(u, 0) | (1 << v)
-        adj[v] = adj.get(v, 0) | (1 << u)
-    return adj
+_INNER, _OUTER = 1, 2  # search-tree labels; 0 means not yet reached
 
 
-def _mask(vertices: Iterable) -> int:
-    out = 0
-    for v in vertices:
-        out |= 1 << v
-    return out
+def _max_matching(nbrs: list) -> list:
+    """Maximum matching of the graph on vertices 0..k-1 whose ascending
+    neighbour lists are ``nbrs``; returns each vertex's mate, -1 if none.
+
+    A greedy pass seeds the matching: each free vertex, in ascending id,
+    takes its lowest-id free neighbour. Then each still-free vertex, in
+    ascending id, roots one augmenting-path search. A vertex with no
+    augmenting path never gains one through later augmentations, so one
+    pass over the roots leaves a maximum matching.
+    """
+    mate = [-1] * len(nbrs)
+    for v, row in enumerate(nbrs):
+        if mate[v] < 0:
+            u = next((u for u in row if mate[u] < 0), -1)
+            if u >= 0:
+                mate[v], mate[u] = u, v
+    for root in range(len(nbrs)):
+        if mate[root] < 0:
+            _augment_from(root, nbrs, mate)
+    return mate
 
 
-def _kuhn(adj: dict, lefts: list, right_mask: int) -> tuple:
-    """Deterministic augmenting-path maximum matching from the left side.
-    Returns (match_left, match_right) dicts."""
-    match_l: dict = {}
-    match_r: dict = {}
+def _augment_from(root: int, nbrs: list, mate: list) -> bool:
+    """Edmonds' blossom search from the free vertex ``root``: a FIFO
+    breadth-first search that scans neighbours in list order and shrinks
+    each odd cycle it closes (a blossom) into the cycle's base. Flips the
+    first augmenting path found into ``mate`` and returns whether there was
+    one. Every loop is iterative, so path length is no limit."""
+    k = len(nbrs)
+    label = [0] * k
+    link = [-1] * k  # edge an augmenting path would use to enter the vertex
+    base = list(range(k))  # union-find forest: blossom each vertex lies in
+    seen = [0] * k
+    stamp = 0
+    queue = deque([root])
+    label[root] = _OUTER
 
-    def try_augment(a: int, visited: set) -> bool:
-        for b in bit_indices(adj.get(a, 0) & right_mask):
-            if b in visited:
+    def find(v: int) -> int:
+        top = v
+        while base[top] != top:
+            top = base[top]
+        while base[v] != top:
+            base[v], v = top, base[v]
+        return top
+
+    def common_base(a: int, b: int) -> int:
+        # Walk both tree paths toward the root, alternating, until one
+        # reaches a blossom base the other has already passed.
+        nonlocal stamp
+        stamp += 1
+        a, b = find(a), find(b)
+        while True:
+            if a >= 0:
+                if seen[a] == stamp:
+                    return a
+                seen[a] = stamp
+                a = find(link[mate[a]]) if mate[a] >= 0 else -1
+            a, b = b, a
+
+    def shrink(a: int, b: int, top: int) -> None:
+        # Merge the path from outer vertex a up to the base ``top`` into
+        # one blossom; its inner vertices become outer and are searched.
+        while find(a) != top:
+            link[a] = b
+            b = mate[a]
+            if label[b] == _INNER:
+                label[b] = _OUTER
+                queue.append(b)
+            if find(a) == a:
+                base[a] = top
+            if find(b) == b:
+                base[b] = top
+            a = link[b]
+
+    while queue:
+        v = queue.popleft()
+        for u in nbrs[v]:
+            if label[u] == _INNER or find(u) == find(v):
                 continue
-            visited.add(b)
-            owner = match_r.get(b)
-            if owner is None or try_augment(owner, visited):
-                match_l[a] = b
-                match_r[b] = a
+            if label[u] == _OUTER:
+                top = common_base(v, u)
+                shrink(v, u, top)
+                shrink(u, v, top)
+                continue
+            label[u], link[u] = _INNER, v
+            if mate[u] < 0:
+                while u >= 0:
+                    w = link[u]
+                    after = mate[w]
+                    mate[u], mate[w] = w, u
+                    u = after
                 return True
-        return False
-
-    for a in lefts:
-        try_augment(a, set())
-    return match_l, match_r
+            label[mate[u]] = _OUTER
+            queue.append(mate[u])
+    return False
 
 
 def _strongly_connected(nodes: list, succ: dict) -> list:
@@ -184,44 +252,53 @@ def _strongly_connected(nodes: list, succ: dict) -> list:
 def min_tight_set(bp: Bipartition, residual_edges: Iterable,
                   candidates: Optional[frozenset] = None) -> tuple:
     """Inclusion-minimal nonempty S within the candidate side satisfying
-    |N(S)| <= |S| in the residual graph; returns (S, N(S)).
+    |N(S)| <= |S| in the residual graph; returns (S, N(S), M_S) with M_S a
+    perfect matching of S onto N(S) made of residual edges.
 
     Requires the candidate set itself to be tight and free of isolated
-    vertices. Ties between minimal sets resolve to the one containing the
-    smallest vertex id.
+    vertices. Ties resolve toward low ids: if some candidate cannot be
+    matched together with all lower ones, S is drawn from the lower
+    candidates that the first such candidate competes with; among the
+    minimal sets found, S is the one containing the smallest vertex id.
     """
     cand = sorted(candidates if candidates is not None else bp.side_a)
     if not cand:
         raise PreconditionError("empty candidate set")
-    adj = _adjacency_from_edges(residual_edges)
-    b_mask = _mask(bp.side_b)
-    nbhd_all = 0
+    cand_set = set(cand)
+    nbrs: list = [[] for _ in range(1 + max(bp.side_a | bp.side_b))]
+    for u, v in residual_edges:
+        a, b = (u, v) if u in cand_set else (v, u)
+        if a in cand_set and b in bp.side_b:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    for row in nbrs:
+        row.sort()
     for a in cand:
-        na = adj.get(a, 0) & b_mask
-        if na == 0:
+        if not nbrs[a]:
             raise PreconditionError(f"candidate {a} has no residual edge")
-        nbhd_all |= na
-    if nbhd_all.bit_count() > len(cand):
+    if len({b for a in cand for b in nbrs[a]}) > len(cand):
         raise PreconditionError("candidate set is not tight")
-    match_l, match_r = _kuhn(adj, cand, b_mask)
-    universe = list(cand)
-    unmatched = [a for a in cand if a not in match_l]
-    if unmatched:
+    # Match the candidates one at a time in ascending id. Which candidate
+    # first fails to join the lower ones depends only on the graph, not on
+    # the paths the search picks, so neither does the tight set below.
+    mate = [-1] * len(nbrs)
+    a0 = next((a for a in cand if not _augment_from(a, nbrs, mate)), None)
+    universe = cand
+    if a0 is not None:
         # Shrink to the matched part of the alternating-reachability set of
-        # the lowest unmatched vertex; its neighbourhood equals its partner
-        # set, which is what the orientation step below needs.
-        a0 = min(unmatched)
+        # a0; its neighbourhood equals its partner set, which is what the
+        # orientation step below needs.
         reach_a = {a0}
         reach_b: set = set()
         frontier = [a0]
         while frontier:
             a = frontier.pop()
-            for b in bit_indices(adj.get(a, 0) & b_mask):
+            for b in nbrs[a]:
                 if b in reach_b:
                     continue
                 reach_b.add(b)
-                owner = match_r.get(b)
-                if owner is None:
+                owner = mate[b]
+                if owner < 0:
                     raise HallViolationError(
                         "augmenting path escaped a maximum matching")
                 if owner not in reach_a:
@@ -233,11 +310,7 @@ def min_tight_set(bp: Bipartition, residual_edges: Iterable,
     node_set = set(universe)
     succ = {}
     for a in universe:
-        out = set()
-        for b in bit_indices(adj.get(a, 0) & b_mask):
-            owner = match_r[b]
-            if owner != a:
-                out.add(owner)
+        out = {mate[b] for b in nbrs[a]} - {a}
         if not out <= node_set:
             raise HallViolationError("orientation left the matched universe")
         succ[a] = sorted(out)
@@ -251,25 +324,11 @@ def min_tight_set(bp: Bipartition, residual_edges: Iterable,
         if all(comp_of[w] == idx for v in comp for w in succ[v]):
             sinks.append(comp)
     chosen = min(sinks, key=min)
-    neighbourhood = 0
-    for a in chosen:
-        neighbourhood |= adj.get(a, 0) & b_mask
-    return frozenset(chosen), frozenset(bit_indices(neighbourhood))
-
-
-def extract_perfect_matching(a_side: frozenset, b_side: frozenset,
-                             residual_edges: Iterable) -> frozenset:
-    """Perfect matching between the two sides of a minimal tight pair via
-    augmenting paths; anything short of perfect is an upstream bug."""
-    if not a_side:
-        return frozenset()
-    adj = _adjacency_from_edges(residual_edges)
-    b_mask = _mask(b_side)
-    match_l, _ = _kuhn(adj, sorted(a_side), b_mask)
-    if len(match_l) < len(a_side):
-        raise HallViolationError(
-            f"matching saturates {len(match_l)} of {len(a_side)} vertices")
-    return frozenset(normalize_edge(a, b) for a, b in match_l.items())
+    # A sink component's neighbours are all matched inside it, so the
+    # matching restricted to it is perfect onto N(S).
+    neighbourhood = frozenset(b for a in chosen for b in nbrs[a])
+    matching = frozenset(normalize_edge(a, mate[a]) for a in chosen)
+    return frozenset(chosen), neighbourhood, matching
 
 
 @dataclass
@@ -296,8 +355,8 @@ class CascadeState:
 
 
 def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
-    """Run ``rounds`` iterations of minimal-tight-set plus perfect-matching
-    extraction, deleting each matching from the residual graph.
+    """Run ``rounds`` iterations of minimal-tight-set extraction, deleting
+    each tight set's perfect matching from the residual graph.
 
     Needs minimum degree >= rounds over the kept bipartite graph: every
     matching lowers the degrees inside the surviving tight set by exactly
@@ -320,8 +379,7 @@ def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
     matchings: list = []
     current: Optional[frozenset] = None
     for _ in range(rounds):
-        s, t = min_tight_set(bp, residual, candidates=current)
-        matching = extract_perfect_matching(s, t, residual)
+        s, t, matching = min_tight_set(bp, residual, candidates=current)
         if current is not None and not s <= current:
             raise BoundViolationError("tight sets stopped nesting")
         if len(s) != len(t) or len(matching) != len(s):
@@ -418,86 +476,18 @@ def theorem41_with_state(g: Graph) -> tuple:
     return final, cascade
 
 
-def _greedy_maximal_matching(g: Graph) -> frozenset:
-    matched = 0
-    edges = []
-    for v in range(g.n):
-        if matched >> v & 1:
-            continue
-        for u in bit_indices(g.adj[v] & ~matched):
-            if u == v:
-                continue
-            edges.append((v, u) if v < u else (u, v))
-            matched |= (1 << v) | (1 << u)
-            break
-    return frozenset(edges)
-
-
-def _components(g: Graph) -> list:
-    seen = 0
-    comps = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        frontier = 1 << v
-        comp = 0
-        while frontier:
-            comp |= frontier
-            new = 0
-            for w in bit_indices(frontier):
-                new |= g.adj[w]
-            frontier = new & ~comp
-        comps.append(comp)
-        seen |= comp
-    return comps
-
-
-def _exact_max_matching(g: Graph, mask: int, memo: dict) -> list:
-    """Maximum matching inside ``mask`` by branch-on-lowest-vertex DP;
-    returns the edge list (deterministic lowest-id branching)."""
-    if mask == 0:
-        return []
-    cached = memo.get(mask)
-    if cached is not None:
-        return cached
-    v = (mask & -mask).bit_length() - 1
-    rest = mask & ~(1 << v)
-    best = _exact_max_matching(g, rest, memo)
-    for u in bit_indices(g.adj[v] & rest):
-        cand = _exact_max_matching(g, rest & ~(1 << u), memo)
-        if len(cand) + 1 > len(best):
-            best = [(v, u)] + cand
-    memo[mask] = best
-    return best
-
-
 def matching_lower_bound(g: Graph) -> frozenset:
-    """A matching of size at least ceil(m/n).
+    """A maximum matching of ``g``, which has at least ceil(m/n) edges:
+    by Vizing's theorem the edges split into Delta + 1 <= n matchings.
 
-    Greedy maximal matching and the bipartite-half maximum matching are
-    tried first; if both fall short of the guarantee (possible since neither
-    is a true maximum on general graphs), an exact search over small
-    components settles it.
+    Found exactly, for graphs of any size, by Edmonds' blossom algorithm;
+    the final size check only guards against a bug in it.
     """
     if g.n == 0 or g.m == 0:
         return frozenset()
     bound = -(-g.m // g.n)
-    greedy = _greedy_maximal_matching(g)
-    bp = bipartite_half(g)
-    adj = _adjacency_from_edges(bp.edges)
-    match_l, _ = _kuhn(adj, sorted(bp.side_a), _mask(bp.side_b))
-    half = frozenset(normalize_edge(a, b) for a, b in match_l.items())
-    best = max((greedy, half), key=len)
-    if len(best) < bound:
-        comps = _components(g)
-        if any(c.bit_count() > EXACT_MATCHING_CAP for c in comps):
-            raise BoundViolationError(
-                "heuristic matching fell short and a component is too large "
-                "for the exact fallback")
-        edges: list = []
-        for comp in comps:
-            edges.extend(_exact_max_matching(g, comp, {}))
-        best = frozenset(normalize_edge(u, v) for u, v in edges)
+    mate = _max_matching([list(g.neighbors(v)) for v in range(g.n)])
+    best = frozenset((v, u) for v, u in enumerate(mate) if v < u)
     if len(best) < bound:
         raise BoundViolationError(
             f"matching of {len(best)} edges misses the bound {bound}")

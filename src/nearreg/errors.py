@@ -3,7 +3,8 @@
 The CLI maps these onto its exit-code contract: precondition failures
 (including inputs that violate an assumed structural condition) exit 2,
 search-size caps exit 3, file/format problems exit 4, and a failed
-guarantee check exits 1.
+guarantee check exits 1. Any other exception is an internal error and
+exits 5.
 """
 
 from __future__ import annotations

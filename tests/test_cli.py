@@ -4,6 +4,8 @@ and byte-level determinism."""
 import json
 import re
 
+import pytest
+
 from nearreg.cli import main
 
 
@@ -67,6 +69,17 @@ def test_extract_thm41_k44(tmp_path, capsys):
     assert len(report["result"]["edges"]) >= 1
 
 
+@pytest.mark.parametrize("algorithm", ["matching", "thm41"])
+def test_extract_on_long_path(tmp_path, capsys, algorithm):
+    n = 2000
+    text = f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1))
+    path = write_graph(tmp_path, "path.el", text)
+    code, out, _ = run_cli(["extract", algorithm, path], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["bounds"] and all(b["pass"] for b in report["bounds"])
+
+
 def test_extract_prop21_precondition_exit(tmp_path, capsys):
     text = "10 9\n" + "".join(f"0 {v}\n" for v in range(1, 10))
     path = write_graph(tmp_path, "star.el", text)
@@ -125,6 +138,28 @@ def test_experiment_gnpbar_scan_and_cap(capsys):
     code, _, _ = run_cli(["experiment", "gnpbar-scan", "--n", "40",
                           "--samples", "1", "--seed", "5"], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "point-prob", "--t", "0"],
+    ["experiment", "gnpbar-scan", "--samples", "0"],
+])
+def test_experiment_rejects_empty_runs(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "precondition" in err
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys,
+                                                monkeypatch):
+    def boom(g):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("nearreg.cli.matching_lower_bound", boom)
+    path = write_graph(tmp_path, "k2.el", "2 1\n0 1\n")
+    code, out, err = run_cli(["extract", "matching", path], capsys)
+    assert code == 5 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_experiment_determinism(capsys):

@@ -13,7 +13,6 @@ from nearreg import (
     bipartite_half,
     complete_bipartite,
     degree_stats,
-    extract_perfect_matching,
     matching_cascade,
     matching_lower_bound,
     min_tight_set,
@@ -21,7 +20,7 @@ from nearreg import (
     star,
     theorem41,
 )
-from nearreg.edge_regular import _exact_max_matching
+from nearreg.edge_regular import _max_matching
 
 
 def complete(n):
@@ -69,6 +68,16 @@ def natural_bipartition(k, n):
                           g.edge_set())
 
 
+def assert_perfect_between(matching, s, t, edges):
+    """``matching`` uses only ``edges`` and pairs every vertex of ``s`` with
+    exactly one vertex of ``t`` and vice versa."""
+    assert matching <= set(edges)
+    ends_a = [a for e in matching for a in e if a in s]
+    ends_b = [b for e in matching for b in e if b in t]
+    assert sorted(ends_a) == sorted(s) and sorted(ends_b) == sorted(t)
+    assert len(matching) == len(s) == len(t)
+
+
 def brute_force_is_minimal_tight(s, t, edges, b_side):
     """Check |N(S)| <= |S| and that no proper nonempty subset is tight."""
     def nb(group):
@@ -88,16 +97,18 @@ def brute_force_is_minimal_tight(s, t, edges, b_side):
 
 def test_tight_set_on_full_k44():
     g, bp = natural_bipartition(4, 8)
-    s, t = min_tight_set(bp, bp.edges)
+    s, t, m = min_tight_set(bp, bp.edges)
     assert s == frozenset(range(4)) and t == frozenset(range(4, 8))
     assert brute_force_is_minimal_tight(s, t, bp.edges, bp.side_b)
+    assert_perfect_between(m, s, t, bp.edges)
 
 
 def test_tight_set_on_perfect_matching_sides():
     g = Graph.from_edges(6, [(0, 3), (1, 4), (2, 5)])
     bp = Bipartition(frozenset({0, 1, 2}), frozenset({3, 4, 5}), g.edge_set())
-    s, t = min_tight_set(bp, bp.edges)
+    s, t, m = min_tight_set(bp, bp.edges)
     assert s == frozenset({0}) and t == frozenset({3})
+    assert m == frozenset({(0, 3)})
 
 
 def test_tight_set_rejects_isolated_candidate():
@@ -115,10 +126,10 @@ def test_tight_set_minimality_beats_single_pass_greedy():
     g = Graph.from_edges(8, edges)
     bp = Bipartition(frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7}),
                      g.edge_set())
-    s, t = min_tight_set(bp, bp.edges)
+    s, t, m = min_tight_set(bp, bp.edges)
     assert s == frozenset({0, 1}) and t == frozenset({4, 6})
     assert brute_force_is_minimal_tight(s, t, bp.edges, bp.side_b)
-    extract_perfect_matching(s, t, bp.edges)
+    assert_perfect_between(m, s, t, bp.edges)
 
 
 def test_tight_set_hall_violating_stable_set():
@@ -129,10 +140,19 @@ def test_tight_set_hall_violating_stable_set():
     g = Graph.from_edges(12, edges)
     bp = Bipartition(frozenset(range(6)), frozenset(range(6, 12)),
                      g.edge_set())
-    s, t = min_tight_set(bp, bp.edges)
+    s, t, m = min_tight_set(bp, bp.edges)
     assert brute_force_is_minimal_tight(s, t, bp.edges, bp.side_b)
-    matching = extract_perfect_matching(s, t, bp.edges)
-    assert len(matching) == len(s)
+    assert_perfect_between(m, s, t, bp.edges)
+
+
+def test_tight_set_follows_first_unmatchable_candidate():
+    # Candidates 0, 1, 2 see {3, 4}, {3} and {4}: 0 and 1 can be matched
+    # together but not with 2, so S is drawn from {0, 1}. A greedy seed
+    # (0-3, 2-4) would leave 1 unmatched instead and lead to {2}.
+    edges = frozenset({(0, 3), (0, 4), (1, 3), (2, 4)})
+    bp = Bipartition(frozenset({0, 1, 2}), frozenset({3, 4}), edges)
+    assert min_tight_set(bp, edges) == (
+        frozenset({1}), frozenset({3}), frozenset({(1, 3)}))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -148,19 +168,24 @@ def test_tight_set_minimal_on_seeded_bipartite(seed):
     g = Graph.from_edges(ka + kb, sorted(set(edges)))
     bp = Bipartition(frozenset(range(ka)), frozenset(range(ka, ka + kb)),
                      g.edge_set())
-    s, t = min_tight_set(bp, bp.edges)
+    s, t, m = min_tight_set(bp, bp.edges)
     assert brute_force_is_minimal_tight(s, t, bp.edges, bp.side_b)
-    assert len(extract_perfect_matching(s, t, bp.edges)) == len(s)
+    assert_perfect_between(m, s, t, bp.edges)
 
 
-def test_extract_perfect_matching_examples():
-    g = Graph.from_edges(2, [(0, 1)])
-    assert extract_perfect_matching(frozenset({0}), frozenset({1}),
-                                    g.edge_set()) == frozenset({(0, 1)})
-    assert extract_perfect_matching(frozenset(), frozenset(), []) == frozenset()
+def test_tight_set_matching_examples():
+    edge = Bipartition(frozenset({0}), frozenset({1}), frozenset({(0, 1)}))
+    assert min_tight_set(edge, edge.edges) == (
+        frozenset({0}), frozenset({1}), frozenset({(0, 1)}))
+    with pytest.raises(PreconditionError):
+        min_tight_set(edge, edge.edges, candidates=frozenset())
     _, bp = natural_bipartition(4, 8)
-    m = extract_perfect_matching(bp.side_a, bp.side_b, bp.edges)
-    assert len(m) == 4
+    s, t, m = min_tight_set(bp, bp.edges)
+    assert_perfect_between(m, s, t, bp.edges)
+    # on a residual graph the matching avoids deleted edges
+    residual = bp.edges - {(0, 4), (1, 5), (2, 6), (3, 7)}
+    s, t, m = min_tight_set(bp, residual)
+    assert_perfect_between(m, s, t, residual)
 
 
 def test_cascade_on_k44_single_round():
@@ -275,10 +300,82 @@ def test_matching_lower_bound_seeded(seed):
         used |= {u, v}
 
 
+def max_matching_edges(g):
+    mate = _max_matching([list(g.neighbors(v)) for v in range(g.n)])
+    matched = [v for v in range(g.n) if mate[v] >= 0]
+    assert all(mate[mate[v]] == v and g.has_edge(v, mate[v]) for v in matched)
+    return len(matched) // 2
+
+
 def test_exact_max_matching_helper():
     c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    assert len(_exact_max_matching(c5, c5.full_mask(), {})) == 2
-    k4 = complete(4)
-    assert len(_exact_max_matching(k4, k4.full_mask(), {})) == 2
+    assert max_matching_edges(c5) == 2
+    assert max_matching_edges(complete(4)) == 2
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert len(_exact_max_matching(p4, p4.full_mask(), {})) == 2
+    assert max_matching_edges(p4) == 2
+
+
+def test_max_matching_grows_through_blossoms():
+    # The free ends 8 and 9 are joined through the triangles 1-2-3 and
+    # 4-5-6. The greedy seed matches 0-1, 2-3, 4-5 and 6-7. From either free
+    # end the search labels inner the triangle vertex it must leave by, so
+    # it finds the one augmenting path only by shrinking that triangle.
+    g = Graph.from_edges(10, [(0, 8), (0, 1), (1, 2), (1, 3), (2, 3),
+                              (2, 4), (4, 5), (4, 6), (5, 6), (6, 7),
+                              (7, 9)])
+    assert max_matching_edges(g) == 5
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_max_matching_matches_networkx(seed):
+    import random
+
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    for _ in range(100):
+        n = rng.randint(1, 30)
+        p = rng.choice((0.05, 0.1, 0.2, 0.4))
+        g = sample_gnp_uniform(n, p, rng.randrange(2**32))
+        ref = nx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(g.edges())
+        expected = len(nx.max_weight_matching(ref, maxcardinality=True))
+        assert max_matching_edges(g) == expected
+        assert len(matching_lower_bound(g)) == expected
+
+
+def path(n):
+    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def ladder(rungs):
+    edges = [(v, rungs + v) for v in range(rungs)]
+    edges += [(s + v, s + v + 1) for s in (0, rungs) for v in range(rungs - 1)]
+    return Graph.from_edges(2 * rungs, edges)
+
+
+def disjoint_cliques(copies, size):
+    return Graph.from_edges(copies * size, [
+        (c + a, c + b) for c in range(0, copies * size, size)
+        for a, b in combinations(range(size), 2)])
+
+
+ADVERSARIAL = {
+    "path": (lambda: path(2000), 1000),
+    "ladder": (lambda: ladder(500), 500),
+    "star": (lambda: star(1000), 1),
+    "cliques": (lambda: disjoint_cliques(40, 25), 480),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ADVERSARIAL))
+def test_adversarial_shapes(shape):
+    build, maximum = ADVERSARIAL[shape]
+    g = build()
+    edges = matching_lower_bound(g)
+    assert len(edges) == maximum
+    assert len({v for e in edges for v in e}) == 2 * maximum
+    assert all(g.has_edge(u, v) for u, v in edges)
+    res = theorem41(g)
+    assert res.bounds and all(b.passed for b in res.bounds)
+    assert all(g.has_edge(u, v) for u, v in res.edges)
