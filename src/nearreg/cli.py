@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .edge_regular import matching_lower_bound, theorem41_with_state
+from .edge_regular import matching_bound, matching_lower_bound, theorem41
 from .errors import (
     BoundViolationError,
     EdgeListError,
@@ -34,7 +34,6 @@ from .errors import (
     SizeCapError,
 )
 from .graph import (
-    BoundCheck,
     ExtractionResult,
     Graph,
     degree_stats,
@@ -62,6 +61,7 @@ from .regularize import (
     lemma25_extract,
     theorem12_pipeline,
     theorem13_pipeline,
+    turan_bound,
     turan_independent_set,
 )
 
@@ -154,24 +154,19 @@ def _run_extract(args, g: Graph):
         return res.to_json(), res.bounds, {
             "epsilon": args.epsilon, "exact_limit": args.exact_limit}
     if algo == "thm41":
-        res, cascade = theorem41_with_state(g)
+        res, cascade = theorem41(g)
         out = res.to_json()
         out["cascade"] = cascade.to_json()
         return out, res.bounds, {}
     if algo == "turan":
         members = turan_independent_set(g)
-        d = degree_stats(g).avg_deg
-        checks = (BoundCheck("Turan-size", float(g.n / (d + 1)) if g.n else 0.0,
-                             len(members), len(members) * (d + 1) >= g.n),)
-        res = ExtractionResult.from_induced(g, members, "Turan-greedy", checks)
+        res = ExtractionResult.from_induced(g, members, "Turan-greedy",
+                                            (turan_bound(g, members),))
         return res.to_json(), res.bounds, {}
     if algo == "matching":
         edges = matching_lower_bound(g)
-        bound = -(-g.m // g.n) if g.n else 0
-        checks = (BoundCheck("Matching-size", bound, len(edges),
-                             len(edges) >= bound),)
         res = ExtractionResult.from_edge_subgraph(
-            edges, "Matching-lower-bound", checks)
+            edges, "Matching-lower-bound", (matching_bound(g, edges),))
         return res.to_json(), res.bounds, {}
     raise PreconditionError(f"unknown algorithm {algo!r}")
 

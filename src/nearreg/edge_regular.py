@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -37,6 +37,7 @@ from .graph import (
     ExtractionResult,
     Graph,
     bit_indices,
+    check,
     degree_stats,
     induced,
     normalize_edge,
@@ -53,13 +54,6 @@ class Bipartition:
     side_a: frozenset
     side_b: frozenset
     edges: frozenset
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-    def to_json(self) -> dict:
-        return {"side_a": sorted(self.side_a), "side_b": sorted(self.side_b),
-                "kept_edges": len(self.edges)}
 
 
 def bipartite_half(g: Graph) -> Bipartition:
@@ -391,28 +385,16 @@ def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
     return CascadeState(bp, sets, matchings, frozenset(residual))
 
 
-def _largest_power_of_two_at_most(d: Fraction) -> int:
-    whole = int(d)
-    if whole < 1:
-        return 1
-    return 1 << (whole.bit_length() - 1)
-
-
-def theorem41(g: Graph) -> ExtractionResult:
+def theorem41(g: Graph) -> tuple:
     """Full edge-version pipeline: peel below half the average degree, take
     the bipartite half, cascade d'/4 matchings (d' the largest power of two
     at most the average degree d), then either return the first matching or
     refine the union of a geometric block of matchings.
 
-    The output is 5-nearly regular; the ceil(d^2/4096) edge guarantee is
+    Returns ``(result, cascade)``, the extraction and the cascade state. The
+    output is 5-nearly regular; the ceil(d^2/4096) edge guarantee is
     enforced when d >= 64 and reported best-effort below that.
     """
-    result, _state = theorem41_with_state(g)
-    return result
-
-
-def theorem41_with_state(g: Graph) -> tuple:
-    """As theorem41, but also returns the cascade state for reporting."""
     st = degree_stats(g)
     d = st.avg_deg
     if d <= 0:
@@ -422,7 +404,7 @@ def theorem41_with_state(g: Graph) -> tuple:
     survivors = sorted(trace.survivors(g.n))
     g1, host_of = induced(g, survivors)
     bp = bipartite_half(g1)
-    dprime = _largest_power_of_two_at_most(d)
+    dprime = 1 << max(int(d).bit_length() - 1, 0)  # at most d, or 1
     rounds = dprime // 4 if dprime >= 4 else 1
     cascade = matching_cascade(bp, rounds)
 
@@ -463,17 +445,15 @@ def theorem41_with_state(g: Graph) -> tuple:
     if not full_guarantee:
         tag += " no-guarantee"
     result = ExtractionResult.from_edge_subgraph(host_edges, tag)
-    edge_thr = math.ceil(float(d) * float(d) / 4096)
-    checks = [
-        BoundCheck("Thm4.1-ratio", 5.0, float(result.ratio),
-                   result.ratio <= 5, "upper"),
-        BoundCheck("Thm4.1-edges", edge_thr, len(host_edges),
-                   len(host_edges) >= edge_thr or not full_guarantee),
-    ]
-    require_bounds("theorem41", checks)
-    final = ExtractionResult(result.vertices, result.edges, result.stats,
-                             result.ratio, tag, tuple(checks))
-    return final, cascade
+    edge_thr = math.ceil(d * d / 4096)
+    if full_guarantee:
+        edges_check = check("Thm4.1-edges", len(host_edges), ">=", edge_thr)
+    else:  # d < 64: the edge count is reported, not guaranteed
+        edges_check = BoundCheck("Thm4.1-edges", edge_thr, len(host_edges),
+                                 True)
+    checks = require_bounds("theorem41", [
+        check("Thm4.1-ratio", result.ratio, "<=", Fraction(5)), edges_check])
+    return replace(result, bounds=checks), cascade
 
 
 def matching_lower_bound(g: Graph) -> frozenset:
@@ -485,10 +465,13 @@ def matching_lower_bound(g: Graph) -> frozenset:
     """
     if g.n == 0 or g.m == 0:
         return frozenset()
-    bound = -(-g.m // g.n)
     mate = _max_matching([list(g.neighbors(v)) for v in range(g.n)])
     best = frozenset((v, u) for v, u in enumerate(mate) if v < u)
-    if len(best) < bound:
-        raise BoundViolationError(
-            f"matching of {len(best)} edges misses the bound {bound}")
+    require_bounds("matching_lower_bound", [matching_bound(g, best)])
     return best
+
+
+def matching_bound(g: Graph, edges) -> BoundCheck:
+    """Ledger entry for the guarantee |edges| >= ceil(m/n)."""
+    return check("Matching-size", len(edges), ">=",
+                 -(-g.m // g.n) if g.n else 0)

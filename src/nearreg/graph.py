@@ -4,11 +4,16 @@ Graphs are immutable simple undirected graphs over dense ids 0..n-1.
 Adjacency is kept as one Python-int bitmask per vertex, which gives O(1)
 neighbourhood intersection at any n (the exhaustive searches rely on this).
 Average degree and density are carried as exact `Fraction`s so that peel
-thresholds never flip on float rounding.
+thresholds never flip on float rounding. Every ledger entry is evaluated by
+`check`, exactly for integer, `Fraction` and a + b*sqrt(e) (`Surd`)
+thresholds; only the five log/pow thresholds Prop2.2-size, Prop1.1-size,
+Lem2.3-rounds, Lem2.3-size and Thm1.2-size are floats, compared as they
+stand with no slack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -141,9 +146,8 @@ def degree_stats(g: Graph) -> DegreeStats:
     if g.n == 0:
         return DegreeStats(0, 0, Fraction(0), Fraction(0))
     degs = g.degrees()
-    avg = Fraction(2 * g.m, g.n)
     density = Fraction(g.m, comb(g.n, 2)) if g.n > 1 else Fraction(0)
-    return DegreeStats(max(degs), min(degs), avg, density)
+    return DegreeStats(max(degs), min(degs), Fraction(2 * g.m, g.n), density)
 
 
 def stats_for_members(adj: tuple, mask: int, edge_count: int, size: int) -> DegreeStats:
@@ -210,15 +214,67 @@ def nearly_regular_check(g: Graph, c: Union[int, float, Fraction]) -> bool:
     return st.max_deg <= cf * st.min_deg
 
 
+def ledger_ratio(max_deg: int, min_deg: int):
+    """`subgraph_ratio`, but infinite where that is undefined: fails a check."""
+    if min_deg == 0 < max_deg:
+        return math.inf
+    return subgraph_ratio(max_deg, min_deg)
+
+
+# Ledger entries whose thresholds are built from logs or non-integer powers;
+# they alone may carry float thresholds.
+FLOAT_BOUNDS = frozenset({"Prop2.2-size", "Prop1.1-size", "Lem2.3-rounds",
+                          "Lem2.3-size", "Thm1.2-size"})
+
+
+@dataclass(frozen=True)
+class Surd:
+    """The real number a + b*sqrt(e), for rationals a, b and e >= 0."""
+
+    a: Fraction
+    b: Fraction
+    e: Fraction
+
+    def __float__(self) -> float:
+        return float(self.a) + float(self.b) * math.sqrt(self.e)
+
+    def __ceil__(self) -> int:
+        k = math.ceil(float(self))  # then corrected by exact comparisons
+        while _sign_of_difference(k - 1, self) >= 0:
+            k -= 1
+        while _sign_of_difference(k, self) < 0:
+            k += 1
+        return k
+
+
+def _sign_of_difference(x, t) -> int:
+    """Exact sign of x - t. A `Surd` t is compared by squaring:
+    x - a - b*sqrt(e) has the sign of c = x - a when c and b*sqrt(e) differ
+    in sign, and otherwise that sign times the sign of c^2 - b^2*e."""
+    if not isinstance(t, Surd):
+        return (x > t) - (x < t)
+    c = x - t.a
+    sc = (c > 0) - (c < 0)
+    sr = (t.b > 0) - (t.b < 0) if t.e else 0
+    if sc != sr:
+        return sc if sc else -sr
+    r2 = t.b * t.b * t.e
+    return sc * ((c * c > r2) - (c * c < r2))
+
+
+def _json_number(x):
+    return x if isinstance(x, int) else float(x)
+
+
 @dataclass(frozen=True)
 class BoundCheck:
     """One evaluated guarantee: an id, the required threshold, the achieved
     value, and whether it passed. ``kind`` is 'lower' when achieved must be
-    >= threshold, 'upper' when it must be <=."""
+    >= threshold, 'upper' when it must be <=. Build entries with `check`."""
 
     bound_id: str
-    threshold: float
-    achieved: float
+    threshold: Union[int, Fraction, float, Surd]
+    achieved: Union[int, Fraction, float]
     passed: bool
     kind: str = "lower"
 
@@ -226,10 +282,24 @@ class BoundCheck:
         return {
             "id": self.bound_id,
             "kind": self.kind,
-            "threshold": self.threshold,
-            "achieved": self.achieved,
+            "threshold": _json_number(self.threshold),
+            "achieved": _json_number(self.achieved),
             "pass": self.passed,
         }
+
+
+def check(bound_id: str, achieved, op: str, threshold) -> BoundCheck:
+    """Evaluate ``achieved op threshold`` (op '<=' or '>='): exactly for
+    integer, `Fraction` and `Surd` thresholds; a float threshold only for an
+    id in `FLOAT_BOUNDS`, compared directly with no slack."""
+    if isinstance(threshold, float) and bound_id not in FLOAT_BOUNDS:
+        raise TypeError(f"{bound_id}: float threshold for an exact bound")
+    sign = _sign_of_difference(achieved, threshold)
+    if op == "<=":
+        return BoundCheck(bound_id, threshold, achieved, sign <= 0, "upper")
+    if op == ">=":
+        return BoundCheck(bound_id, threshold, achieved, sign >= 0, "lower")
+    raise ValueError(f"unknown comparison {op!r}")
 
 
 def require_bounds(op: str, checks: Iterable[BoundCheck]) -> tuple:

@@ -38,11 +38,6 @@ class OracleResult:
     witness: frozenset
     explored: int
 
-    def to_json(self) -> dict:
-        witness = sorted(self.witness)
-        return {"value": self.value, "witness": witness,
-                "explored": self.explored}
-
 
 @dataclass(frozen=True)
 class CalibrationConstants:
@@ -222,10 +217,6 @@ class PointProbEstimate:
     estimate: float
     exact: float
     trials: int
-
-    def to_json(self) -> dict:
-        return {"estimate": self.estimate, "exact": self.exact,
-                "trials": self.trials}
 
 
 def estimate_point_prob(rhos: Sequence[float], s: int, trials: int,

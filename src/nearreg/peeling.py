@@ -17,13 +17,14 @@ from typing import Optional, Union
 
 from .errors import PreconditionError
 from .graph import (
-    BoundCheck,
     ExtractionResult,
     Graph,
     as_fraction,
     bit_indices,
+    check,
     degree_stats,
     induced,
+    ledger_ratio,
     require_bounds,
     stats_for_members,
 )
@@ -120,25 +121,6 @@ def peel_below(g: Graph, threshold: Real) -> tuple:
     return sub, trace
 
 
-def _alive_stats(g: Graph, alive: int, edge_count: int):
-    return stats_for_members(g.adj, alive, edge_count, alive.bit_count())
-
-
-def prop21_checks(k: Fraction, alpha: Fraction, n0: int, d0: Fraction,
-                  kept_n: int, kept_m: int, max_deg: int, min_deg: int) -> list:
-    """Evaluate the three refine guarantees (ratio, vertex count, edge count)."""
-    ratio_ok = max_deg * alpha <= k * min_deg if min_deg > 0 else max_deg == 0
-    size_thr = (1 - 2 * alpha) / (k - 2 * alpha) * n0
-    edge_thr = (k - 2 * k * alpha) / (2 * k - 4 * alpha) * n0 * d0
-    return [
-        BoundCheck("Prop2.1-ratio", float(k / alpha),
-                   max_deg / min_deg if min_deg else 1.0, ratio_ok, "upper"),
-        BoundCheck("Prop2.1-size", float(size_thr), kept_n, kept_n >= size_thr),
-        BoundCheck("Prop2.1-edges", float(edge_thr), kept_m,
-                   kept_m >= edge_thr),
-    ]
-
-
 def prop21_refine(g: Graph, k: Real, alpha: Real) -> ExtractionResult:
     """Min-degree peel at alpha*avg_deg, yielding a (k/alpha)-nearly regular
     subgraph that keeps a guaranteed fraction of vertices and edges.
@@ -167,9 +149,15 @@ def prop21_refine(g: Graph, k: Real, alpha: Real) -> ExtractionResult:
         deg = g.degrees()
         alive, _ = _peel_min(g.adj, alive, deg, thr, 0, trace.steps)
         kept_m = g.m - sum(s.degree for s in trace.steps)
-    kept = _alive_stats(g, alive, kept_m)
-    checks = require_bounds("prop21_refine", prop21_checks(
-        kf, af, g.n, d0, alive.bit_count(), kept_m, kept.max_deg, kept.min_deg))
+    kept = stats_for_members(g.adj, alive, kept_m, alive.bit_count())
+    checks = require_bounds("prop21_refine", [
+        check("Prop2.1-ratio", ledger_ratio(kept.max_deg, kept.min_deg), "<=",
+              kf / af),
+        check("Prop2.1-size", alive.bit_count(), ">=",
+              (1 - 2 * af) / (kf - 2 * af) * g.n),
+        check("Prop2.1-edges", kept_m, ">=",
+              (kf - 2 * kf * af) / (2 * kf - 4 * af) * g.n * d0),
+    ])
     return ExtractionResult.from_induced(
         g, bit_indices(alive), f"Prop2.1(k={k},alpha={alpha})", checks)
 
@@ -203,7 +191,7 @@ def prop22_reduce(g: Graph, k: Real) -> tuple:
         before = len(trace.steps)
         alive = _peel_max(g.adj, alive, deg, thr, i, trace.steps)
         m_alive -= sum(s.degree for s in trace.steps[before:])
-    out_stats = _alive_stats(g, alive, m_alive)
+    out_stats = stats_for_members(g.adj, alive, m_alive, alive.bit_count())
     require_bounds("prop22_reduce",
                    prop22_bounds(g.n, kf, out_stats, alive.bit_count()))
     sub, _ = induced(g, bit_indices(alive))
@@ -215,11 +203,9 @@ def prop22_bounds(n0: int, k: Real, out_stats, n_out: int) -> list:
     kf = as_fraction(k)
     size_thr = n0 ** (1 + math.log2(1 - 1 / float(kf))) if n0 > 0 else 0.0
     return [
-        BoundCheck("Prop2.2-spread", float(kf * out_stats.avg_deg),
-                   out_stats.max_deg,
-                   out_stats.max_deg <= kf * out_stats.avg_deg, "upper"),
-        BoundCheck("Prop2.2-size", size_thr, n_out,
-                   n_out >= size_thr - 1e-9),
+        check("Prop2.2-spread", out_stats.max_deg, "<=",
+              kf * out_stats.avg_deg),
+        check("Prop2.2-size", n_out, ">=", size_thr),
     ]
 
 
@@ -249,10 +235,8 @@ def proposition11_pipeline(g: Graph, c: Real,
         size_thr = float((1 - 2 * af) / (k1 - 2 * af)) * \
             n0 ** (1 + math.log2(1 - 1 / float(k1)))
     checks = list(refined.bounds) + [
-        BoundCheck("Prop1.1-ratio", float(cf),
-                   float(refined.ratio), refined.ratio <= cf, "upper"),
-        BoundCheck("Prop1.1-size", size_thr, len(host_vertices),
-                   len(host_vertices) >= size_thr - 1e-9),
+        check("Prop1.1-ratio", refined.ratio, "<=", cf),
+        check("Prop1.1-size", len(host_vertices), ">=", size_thr),
     ]
     require_bounds("proposition11_pipeline", checks)
     return ExtractionResult(host_vertices, None, refined.stats, refined.ratio,

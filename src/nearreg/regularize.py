@@ -21,37 +21,37 @@ from .graph import (
     BoundCheck,
     ExtractionResult,
     Graph,
+    Surd,
     as_fraction,
     bit_indices,
+    check,
     degree_stats,
     induced,
+    ledger_ratio,
     require_bounds,
     stats_for_members,
 )
-from .peeling import PeelTrace, _peel_min
+from .peeling import _peel_min
 
 Real = Union[int, float, Fraction]
 
-HEURISTIC_MIN_DEGREE_SUFFIX = "min-degree-suffix"
 DEFAULT_EXACT_LIMIT = 24
 
 
 @dataclass(frozen=True)
 class BoostParams:
-    """Knobs of the density boost: the boost factor eps, the largest n the
-    exhaustive subset search is allowed, and the fallback finder."""
+    """Knobs of the density boost: the boost factor eps, and the largest n
+    for which the dense-subset search is exhaustive (above it a
+    min-degree-peel suffix scan is used, which certifies nothing)."""
 
     epsilon: float
     exact_limit: int = DEFAULT_EXACT_LIMIT
-    heuristic: str = HEURISTIC_MIN_DEGREE_SUFFIX
 
     def validate(self) -> None:
         if not 0 < self.epsilon < 1:
             raise PreconditionError("epsilon must lie in (0, 1)")
         if self.exact_limit < 1:
             raise PreconditionError("exact_limit must be >= 1")
-        if self.heuristic != HEURISTIC_MIN_DEGREE_SUFFIX:
-            raise PreconditionError(f"unknown heuristic {self.heuristic!r}")
 
 
 @dataclass(frozen=True)
@@ -81,14 +81,6 @@ class BoostOutcome:
             "vertices": sorted(self.vertices),
             "bounds": [c.to_json() for c in self.bounds],
         }
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 def _density(g: Graph) -> Fraction:
@@ -182,7 +174,7 @@ def find_dense_subset(g: Graph, eps: Real,
     target = p * (1 + eps_f)
     if target > 1:
         return None  # density cannot exceed 1: certified for any search mode
-    t_min = max(2, _ceil_frac(eps_f * n))
+    t_min = max(2, math.ceil(eps_f * n))
     num, den = target.numerator, target.denominator
     thr_num = [comb(t, 2) * num for t in range(n + 1)]
     if n <= params.exact_limit:
@@ -233,15 +225,12 @@ def density_boost(g: Graph, params: BoostParams) -> BoostOutcome:
         if new_density < prev_density * (1 + eps_f):
             raise AssertionError("boost round failed to raise density")
         prev_density = new_density
-    if p0 >= 1:
-        rounds_thr, rounds_ok = 0.0, rounds == 0
-    else:
-        rounds_thr = (2 / params.epsilon) * math.log(1 / float(p0))
-        rounds_ok = rounds < rounds_thr
-    size_thr = float(eps_f) ** rounds_thr * g.n if g.n else 0.0
+    # Density stays <= 1 and grows by (1+eps) a round, so
+    # rounds <= ln(1/p0) / ln(1+eps) <= (2/eps) * ln(1/p0).
+    rounds_thr = (2 / params.epsilon) * math.log(1 / float(p0))
     checks = require_bounds("density_boost", [
-        BoundCheck("Lem2.3-rounds", rounds_thr, rounds, rounds_ok, "upper"),
-        BoundCheck("Lem2.3-size", size_thr, cur.n, cur.n >= size_thr - 1e-9),
+        check("Lem2.3-rounds", rounds, "<=", rounds_thr),
+        check("Lem2.3-size", cur.n, ">=", float(eps_f) ** rounds_thr * g.n),
     ])
     return BoostOutcome(cur, prev_density, certified, rounds,
                         frozenset(vmap), checks)
@@ -252,7 +241,7 @@ def check_edge_boundary(g: Graph, u, eps: Real) -> bool:
     eps * n^2 * p * (1 + 2*sqrt(eps)). Requires |u| = floor(eps * n)."""
     eps_f = as_fraction(eps)
     members = frozenset(u)
-    expected = _floor_frac(eps_f * g.n)
+    expected = math.floor(eps_f * g.n)
     if len(members) != expected:
         raise PreconditionError(
             f"boundary check needs |u| = floor(eps*n) = {expected}, "
@@ -263,9 +252,9 @@ def check_edge_boundary(g: Graph, u, eps: Real) -> bool:
             raise PreconditionError(f"vertex {v} out of range")
         mask |= 1 << v
     crossing = g.count_edges_between(mask, g.full_mask() & ~mask)
-    p = float(_density(g))
-    bound = float(eps_f) * g.n * g.n * p * (1 + 2 * math.sqrt(float(eps_f)))
-    return crossing <= bound
+    scale = eps_f * g.n * g.n * _density(g)
+    return check("edge-boundary", crossing, "<=",
+                 Surd(scale, 2 * scale, eps_f)).passed
 
 
 def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:
@@ -277,7 +266,8 @@ def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:
     have the bounded-dense-subset property this extraction assumes. Otherwise
     the output is checked to keep (1 - eps - 2*sqrt(eps)) * n vertices with
     max degree <= (1 + 3*sqrt(eps)) * n * p, min degree >= (1 - 2*sqrt(eps))
-    * n * p, and degree ratio <= 1 + 6*sqrt(eps).
+    * n * p, and degree ratio <= 1 + 6*sqrt(eps). All of these are exact; as
+    degrees are integers, the peel runs below ceil(n*p*(1 - 2*sqrt(eps))).
     """
     eps_f = as_fraction(eps)
     if not 0 < eps_f < 1:
@@ -285,9 +275,8 @@ def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:
     if g.m < 1:
         raise PreconditionError("extraction needs positive density")
     n = g.n
-    p = float(_density(g))
-    se = math.sqrt(float(eps_f))
-    top_count = _floor_frac(eps_f * n)
+    np_ = n * _density(g)
+    top_count = math.floor(eps_f * n)
     by_degree = sorted(range(n), key=lambda v: (-g.degree(v), v))
     alive = g.full_mask()
     deg = g.degrees()
@@ -297,29 +286,24 @@ def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:
         deleted_edges += deg[v]
         for u in bit_indices(g.adj[v] & alive):
             deg[u] -= 1
-    thr = n * p * (1 - 2 * se)
-    cap = math.floor(2 * se * n)
-    trace = PeelTrace(thresholds=[Fraction(str(thr)) if thr > 0 else Fraction(0)])
-    if thr > 0:
-        alive, wants_more = _peel_min(g.adj, alive, deg, thr, 0, trace.steps,
-                                      cap=cap)
-        if wants_more:
-            raise CapExceededError(
-                f"peel wanted more than the cap of {cap} deletions; the "
-                "input violates the bounded-dense-subset condition")
-        deleted_edges += sum(s.degree for s in trace.steps)
-    kept_m = g.m - deleted_edges
+    min_deg_thr = Surd(np_, -2 * np_, eps_f)
+    cap = math.isqrt(math.floor(4 * n * n * eps_f))  # floor(2*sqrt(eps)*n)
+    steps: list = []
+    alive, wants_more = _peel_min(g.adj, alive, deg, math.ceil(min_deg_thr),
+                                  0, steps, cap=cap)
+    if wants_more:
+        raise CapExceededError(
+            f"peel wanted more than the cap of {cap} deletions; the "
+            "input violates the bounded-dense-subset condition")
+    kept_m = g.m - deleted_edges - sum(s.degree for s in steps)
     st = stats_for_members(g.adj, alive, kept_m, alive.bit_count())
-    size_thr = (1 - float(eps_f) - 2 * se) * n
-    ratio = st.max_deg / st.min_deg if st.min_deg else (1.0 if st.max_deg == 0 else math.inf)
     checks = require_bounds("lemma25_extract", [
-        BoundCheck("Lem2.5-size", size_thr, alive.bit_count(),
-                   alive.bit_count() >= size_thr - 1e-9),
-        BoundCheck("Lem2.5-maxdeg", (1 + 3 * se) * n * p, st.max_deg,
-                   st.max_deg <= (1 + 3 * se) * n * p + 1e-9, "upper"),
-        BoundCheck("Lem2.5-mindeg", thr, st.min_deg, st.min_deg >= thr),
-        BoundCheck("Lem2.5-ratio", 1 + 6 * se, ratio,
-                   ratio <= 1 + 6 * se + 1e-12, "upper"),
+        check("Lem2.5-size", alive.bit_count(), ">=",
+              Surd((1 - eps_f) * n, -2 * n, eps_f)),
+        check("Lem2.5-maxdeg", st.max_deg, "<=", Surd(np_, 3 * np_, eps_f)),
+        check("Lem2.5-mindeg", st.min_deg, ">=", min_deg_thr),
+        check("Lem2.5-ratio", ledger_ratio(st.max_deg, st.min_deg), "<=",
+              Surd(1, 6, eps_f)),
     ])
     return ExtractionResult.from_induced(
         g, bit_indices(alive), f"Lem2.5(eps={eps})", checks)
@@ -343,15 +327,17 @@ def turan_independent_set(g: Graph) -> frozenset:
             for w in bit_indices(g.adj[u] & alive):
                 deg[w] -= 1
     members = frozenset(picked)
-    mask = 0
-    for v in members:
-        mask |= 1 << v
+    mask = sum(1 << v for v in members)
     for v in members:
         assert not g.adj[v] & mask, "greedy set is not independent"
-    if g.n > 0:
-        d = degree_stats(g).avg_deg
-        assert len(members) * (d + 1) >= g.n, "greedy set misses the size bound"
+    require_bounds("turan_independent_set", [turan_bound(g, members)])
     return members
+
+
+def turan_bound(g: Graph, members, bound_id: str = "Turan-size") -> BoundCheck:
+    """Ledger entry for the greedy guarantee |members| >= n / (avg_deg + 1)."""
+    return check(bound_id, len(members), ">=",
+                 g.n / (degree_stats(g).avg_deg + 1))
 
 
 def _boost_then_extract(g: Graph, eps0: float, exact_limit: int) -> tuple:
@@ -376,17 +362,12 @@ def theorem12_pipeline(g: Graph, eps: Real,
         raise PreconditionError("pipeline needs at least one edge")
     eps0 = epsf * epsf / 36
     boost, inner, host_vertices = _boost_then_extract(g, eps0, exact_limit)
-    ratio_ok = float(inner.ratio) <= 1 + epsf + 1e-12
-    checks = list(inner.bounds) + [
-        BoundCheck("Thm1.2-ratio", 1 + epsf, float(inner.ratio), ratio_ok,
-                   "upper"),
-    ]
+    checks = [*inner.bounds,
+              check("Thm1.2-ratio", inner.ratio, "<=", 1 + as_fraction(eps))]
     if boost.certified:
-        p0 = float(_density(g))
-        exponent = (144 / (epsf * epsf)) * math.log(1 / p0) if p0 < 1 else 0.0
-        size_thr = 0.5 * (epsf / 6) ** exponent * g.n
-        checks.append(BoundCheck("Thm1.2-size", size_thr, len(host_vertices),
-                                 len(host_vertices) >= size_thr - 1e-9))
+        exponent = (144 / (epsf * epsf)) * math.log(1 / float(_density(g)))
+        checks.append(check("Thm1.2-size", len(host_vertices), ">=",
+                            0.5 * (epsf / 6) ** exponent * g.n))
     require_bounds("theorem12_pipeline", checks)
     tag = f"Thm1.2(eps={eps})"
     if epsf > 0.5:
@@ -411,18 +392,13 @@ def theorem13_pipeline(g: Graph, eps: Real,
     p = float(_density(g))
     if p < g.n ** (-a):
         members = turan_independent_set(g)
-        d = degree_stats(g).avg_deg
         checks = require_bounds("theorem13_pipeline", [
-            BoundCheck("Thm1.3-turan-size", float(g.n / (d + 1)), len(members),
-                       len(members) * (d + 1) >= g.n),
-        ])
+            turan_bound(g, members, "Thm1.3-turan-size")])
         return ExtractionResult.from_induced(
             g, members, "Thm1.3-turan" + suffix, checks)
     boost, inner, host_vertices = _boost_then_extract(g, eps0, exact_limit)
-    checks = list(inner.bounds) + [
-        BoundCheck("Thm1.3-ratio", 1 + epsf, float(inner.ratio),
-                   float(inner.ratio) <= 1 + epsf + 1e-12, "upper"),
-    ]
+    checks = [*inner.bounds,
+              check("Thm1.3-ratio", inner.ratio, "<=", 1 + as_fraction(eps))]
     require_bounds("theorem13_pipeline", checks)
     return ExtractionResult(host_vertices, None, inner.stats, inner.ratio,
                             "Thm1.3-dense" + suffix, tuple(checks))

@@ -2,6 +2,7 @@
 and byte-level determinism."""
 
 import json
+import pathlib
 import re
 
 import pytest
@@ -78,6 +79,19 @@ def test_extract_on_long_path(tmp_path, capsys, algorithm):
     assert code == 0
     report = json.loads(out)
     assert report["bounds"] and all(b["pass"] for b in report["bounds"])
+
+
+def test_extract_lemma25_keeps_a_graph_at_its_exact_threshold(capsys):
+    # Minimum degree 6 equals the exact peel threshold at eps = 0.01.
+    path = pathlib.Path(__file__).parent / "fixtures" / "lemma25_c29.el"
+    code, out, _ = run_cli(["extract", "lemma25", str(path),
+                            "--epsilon", "0.01"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["result"]["vertices"] == list(range(29))
+    assert [b["id"] for b in report["bounds"]] == [
+        "Lem2.5-size", "Lem2.5-maxdeg", "Lem2.5-mindeg", "Lem2.5-ratio"]
+    assert all(b["pass"] for b in report["bounds"])
 
 
 def test_extract_prop21_precondition_exit(tmp_path, capsys):

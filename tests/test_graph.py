@@ -1,5 +1,6 @@
 """Core graph type, statistics, induced views, and the edge-list format."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from nearreg import (
     parse_edge_list,
     serialize_edge_list,
 )
-from nearreg.graph import subgraph_ratio
+from nearreg.graph import Surd, check, subgraph_ratio
 
 
 def complete(n):
@@ -105,6 +106,65 @@ def test_ratio_conventions():
     assert subgraph_ratio(4, 2) == 2
     with pytest.raises(ValueError):
         subgraph_ratio(3, 0)
+
+
+@pytest.mark.parametrize("threshold", [
+    Fraction(6),
+    Surd(Fraction(4), Fraction(4), Fraction(1, 4)),    # 4 + 4 * (1/2)
+    Surd(Fraction(7), Fraction(-2), Fraction(1, 4)),   # 7 - 2 * (1/2)
+])
+def test_check_equality_passes_and_the_next_integer_fails(threshold):
+    assert check("t", 6, "<=", threshold).passed
+    assert check("t", 6, ">=", threshold).passed
+    assert not check("t", 7, "<=", threshold).passed
+    assert not check("t", 5, ">=", threshold).passed
+
+
+def test_check_at_a_fractional_threshold():
+    third = Fraction(1, 3)
+    assert check("t", third, "<=", third).passed
+    assert check("t", third, ">=", third).passed
+    assert not check("t", third + Fraction(1, 10**30), "<=", third).passed
+    assert not check("t", third - Fraction(1, 10**30), ">=", third).passed
+
+
+def test_check_an_irrational_threshold_exactly():
+    root2 = Surd(Fraction(0), Fraction(1), Fraction(2))
+    below = Fraction(14142135623730950, 10**16)
+    above = Fraction(14142135623730951, 10**16)
+    assert check("t", below, "<=", root2).passed
+    assert not check("t", below, ">=", root2).passed
+    assert check("t", above, ">=", root2).passed
+    assert not check("t", above, "<=", root2).passed
+    assert not check("t", math.inf, "<=", root2).passed
+
+
+def test_check_kinds_and_json():
+    lower = check("t", 3, ">=", Fraction(5, 2))
+    upper = check("t", Fraction(3, 2), "<=", Fraction(2))
+    assert (lower.kind, upper.kind) == ("lower", "upper")
+    assert lower.to_json() == {"id": "t", "kind": "lower", "threshold": 2.5,
+                               "achieved": 3, "pass": True}
+    assert upper.to_json()["achieved"] == 1.5
+    with pytest.raises(ValueError):
+        check("t", 1, "<", 2)
+
+
+def test_check_accepts_floats_only_for_log_thresholds():
+    assert check("Prop2.2-size", 3, ">=", 3.0).passed
+    with pytest.raises(TypeError):
+        check("Prop2.1-size", 3, ">=", 3.0)
+
+
+def test_surd_ceiling_is_exact():
+    # (225/7) * (1 - 2 * (1/9)) = 25, which evaluates to 25.000000000000004
+    # in floats.
+    t = Surd(Fraction(225, 7), Fraction(-450, 7), Fraction(1, 81))
+    assert math.ceil(t) == 25
+    six = Surd(Fraction(15, 2), Fraction(-15), Fraction(1, 100))
+    assert math.ceil(six) == 6
+    assert math.ceil(Surd(Fraction(0), Fraction(1), Fraction(2))) == 2
+    assert math.ceil(Surd(Fraction(0), Fraction(-1), Fraction(2))) == -1
 
 
 def test_parse_examples():

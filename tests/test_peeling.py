@@ -60,6 +60,24 @@ def test_peel_below_deterministic():
     assert one.steps == two.steps and one.thresholds == two.thresholds
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_peel_below_matches_networkx_k_core(seed):
+    import random
+
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        g = sample_gnp_uniform(n, rng.choice((0.05, 0.1, 0.2, 0.4)),
+                               rng.randrange(2**32))
+        ref = nx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(g.edges())
+        for k in range(7):
+            _, trace = peel_below(g, k)
+            assert trace.survivors(n) == frozenset(nx.k_core(ref, k))
+
+
 def test_prop21_on_k4_keeps_everything():
     res = prop21_refine(complete(4), 2, 0.4)
     assert res.vertices == frozenset(range(4))

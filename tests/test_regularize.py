@@ -1,13 +1,17 @@
 """Density boost, boundary diagnostic, extraction, and the two pipelines."""
 
 import math
+import pathlib
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearreg import (
     BoostParams,
+    BoundViolationError,
     CapExceededError,
     Graph,
     PreconditionError,
@@ -17,6 +21,7 @@ from nearreg import (
     find_dense_subset,
     induced,
     lemma25_extract,
+    parse_edge_list,
     sample_gnp_uniform,
     star,
     theorem12_pipeline,
@@ -24,6 +29,8 @@ from nearreg import (
     turan_independent_set,
 )
 from nearreg.regularize import _density
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def complete(n):
@@ -135,6 +142,82 @@ def test_lemma25_star_hits_the_cap():
 def test_lemma25_needs_an_edge():
     with pytest.raises(PreconditionError):
         lemma25_extract(Graph.empty(4), 0.1)
+
+
+def test_lemma25_threshold_on_an_integer_is_not_rounded_up():
+    # C29(1,2,3) plus 18 chords: n = 29, m = 105, degrees 6..8. At eps = 0.01
+    # the peel threshold (2m/(n-1)) * (1 - 2/10) is exactly 6, the minimum
+    # degree, so nothing may be peeled. Evaluated in floats as
+    # n * p * (1 - 2 * sqrt(eps)) it is 6.000000000000001.
+    g = parse_edge_list((FIXTURES / "lemma25_c29.el").read_text())
+    assert (g.n, g.m) == (29, 105)
+    res = lemma25_extract(g, 0.01)
+    assert res.vertices == frozenset(range(29))
+    assert [c.bound_id for c in res.bounds] == [
+        "Lem2.5-size", "Lem2.5-maxdeg", "Lem2.5-mindeg", "Lem2.5-ratio"]
+    assert all(c.passed for c in res.bounds)
+
+
+def _lemma25_peel_reference(g, eps):
+    """Survivors and peel-deletion count of Lemma 2.5, recomputed naively:
+    drop the floor(eps*n) top-degree vertices, then delete while some vertex
+    has degree d with (A - d) > 0 and (A - d)^2 > 4 A^2 eps, A = 2m/(n-1)."""
+    n = g.n
+    a = Fraction(2 * g.m, n - 1)
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    alive = set(order[int(eps * n):])
+    deleted = 0
+
+    def peelable(v):
+        gap = a - sum(1 for u in g.neighbors(v) if u in alive)
+        return gap > 0 and gap * gap > 4 * a * a * eps
+
+    while True:
+        low = next((v for v in sorted(alive) if peelable(v)), None)
+        if low is None:
+            return frozenset(alive), deleted
+        alive.discard(low)
+        deleted += 1
+
+
+@st.composite
+def near_circulants(draw):
+    """A circulant C_n(1..k) with a few vertex pairs toggled."""
+    n = draw(st.integers(min_value=4, max_value=24))
+    k = draw(st.integers(min_value=1, max_value=(n - 1) // 2))
+    edges = {tuple(sorted((i, (i + j) % n))) for i in range(n)
+             for j in range(1, k + 1)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for pair in draw(st.lists(st.sampled_from(pairs), max_size=8)):
+        edges ^= {pair}
+    return Graph.from_edges(n, sorted(edges))
+
+
+@given(near_circulants(), st.sampled_from([Fraction(1, 100), Fraction(1, 64),
+                                           Fraction(1, 25), Fraction(1, 16)]))
+@settings(max_examples=300, deadline=None)
+def test_lemma25_peel_matches_the_exact_predicate(g, eps):
+    if g.m == 0:
+        return
+    survivors, deleted = _lemma25_peel_reference(g, eps)
+    cap = 0
+    while (cap + 1) ** 2 <= 4 * g.n * g.n * eps:
+        cap += 1
+    if deleted > cap:
+        with pytest.raises(CapExceededError):
+            lemma25_extract(g, eps)
+        return
+    kept_degrees = [sum(1 for u in g.neighbors(v) if u in survivors)
+                    for v in survivors]
+    try:
+        res = lemma25_extract(g, eps)
+    except BoundViolationError as exc:
+        achieved = {c.bound_id: c.achieved for c in exc.checks}
+        assert achieved["Lem2.5-size"] == len(survivors)
+        assert achieved["Lem2.5-maxdeg"] == max(kept_degrees)
+        assert achieved["Lem2.5-mindeg"] == min(kept_degrees)
+        return
+    assert res.vertices == survivors
 
 
 @pytest.mark.parametrize("seed", range(5))
