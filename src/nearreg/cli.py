@@ -51,7 +51,6 @@ from .oracle import (
 )
 from .peeling import (
     prop21_refine,
-    prop22_bounds,
     prop22_reduce,
     proposition11_pipeline,
 )
@@ -133,8 +132,7 @@ def _run_extract(args, g: Graph):
         res = prop21_refine(g, args.k, args.alpha)
         return res.to_json(), res.bounds, {"k": args.k, "alpha": args.alpha}
     if algo == "prop22":
-        sub, trace = prop22_reduce(g, args.k)
-        checks = tuple(prop22_bounds(g.n, args.k, degree_stats(sub), sub.n))
+        sub, trace, checks = prop22_reduce(g, args.k)
         out = {"subgraph": _graph_summary(sub), "trace": trace.to_json()}
         return out, checks, {"k": args.k}
     if algo == "prop11":

@@ -21,6 +21,7 @@ would break the perfect-matching step downstream.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, replace
@@ -59,8 +60,9 @@ class Bipartition:
 def bipartite_half(g: Graph) -> Bipartition:
     """Spanning bipartite subgraph via local switching from the even/odd
     split: while some vertex has strictly more neighbours on its own side
-    than across, move the lowest-id such vertex. The cut grows every move,
-    so this terminates with every vertex keeping >= half its degree."""
+    than across, move the lowest-id such vertex (found through a heap of
+    violating ids). The cut grows every move, so this terminates with every
+    vertex keeping >= half its degree."""
     n = g.n
     side = [v & 1 for v in range(n)]  # 0 = even start, 1 = odd start
     cross = [0] * n
@@ -71,16 +73,21 @@ def bipartite_half(g: Graph) -> Bipartition:
                 own[v] += 1
             else:
                 cross[v] += 1
-    while True:
-        mover = next((v for v in range(n) if own[v] > cross[v]), None)
-        if mover is None:
-            break
+    # every violating vertex has an entry here; a vertex turns violating only
+    # when its own count rises, and then gets one (ascending: already a heap)
+    heap = [v for v in range(n) if own[v] > cross[v]]
+    while heap:
+        mover = heapq.heappop(heap)
+        if own[mover] <= cross[mover]:
+            continue  # stale: no longer violating
         side[mover] = 1 - side[mover]
         own[mover], cross[mover] = cross[mover], own[mover]
         for u in bit_indices(g.adj[mover]):
             if side[u] == side[mover]:
                 own[u] += 1
                 cross[u] -= 1
+                if own[u] > cross[u]:
+                    heapq.heappush(heap, u)
             else:
                 own[u] -= 1
                 cross[u] += 1

@@ -60,10 +60,13 @@ class PeelTrace:
         }
 
 
-def _peel_min(adj, alive: int, deg: list, threshold: Fraction, round_index: int,
-              steps: list, cap: Optional[int] = None) -> tuple:
-    """Delete vertices of degree < threshold, lowest id first, recomputing
-    degrees after each deletion. Stops after ``cap`` deletions if given.
+def peel_min(adj, alive: int, deg: list, threshold: Fraction, round_index: int,
+             steps: list, cap: Optional[int] = None) -> tuple:
+    """Delete vertices of degree < threshold from the live set ``alive`` of
+    the graph with bitmask rows ``adj``, lowest id first, recomputing the
+    live degrees ``deg`` (updated in place) after each deletion and
+    appending one `PeelStep` per deletion to ``steps``. Stops after ``cap``
+    deletions if given.
 
     Returns (alive_mask, wants_more) where wants_more is True iff the cap was
     reached while an eligible vertex remained.
@@ -114,7 +117,7 @@ def peel_below(g: Graph, threshold: Real) -> tuple:
     if thr > 0 and g.n > 0:
         trace.thresholds.append(thr)
         deg = g.degrees()
-        alive, _ = _peel_min(g.adj, g.full_mask(), deg, thr, 0, trace.steps)
+        alive, _ = peel_min(g.adj, g.full_mask(), deg, thr, 0, trace.steps)
     else:
         alive = g.full_mask()
     sub, _ = induced(g, bit_indices(alive))
@@ -147,7 +150,7 @@ def prop21_refine(g: Graph, k: Real, alpha: Real) -> ExtractionResult:
         thr = af * d0
         trace.thresholds.append(thr)
         deg = g.degrees()
-        alive, _ = _peel_min(g.adj, alive, deg, thr, 0, trace.steps)
+        alive, _ = peel_min(g.adj, alive, deg, thr, 0, trace.steps)
         kept_m = g.m - sum(s.degree for s in trace.steps)
     kept = stats_for_members(g.adj, alive, kept_m, alive.bit_count())
     checks = require_bounds("prop21_refine", [
@@ -168,7 +171,8 @@ def prop22_reduce(g: Graph, k: Real) -> tuple:
     Each round freezes the current average degree d_i and peels vertices of
     degree >= k*d_i/2 (recomputing degrees per deletion). Runs at most
     ceil(log2 n) + 1 round checks; the output keeps at least
-    n^(1 + log2(1 - 1/k)) vertices. Returns (subgraph, trace).
+    n^(1 + log2(1 - 1/k)) vertices. Returns (subgraph, trace, ledger), the
+    ledger holding the checked Prop2.2-spread and Prop2.2-size entries.
     """
     kf = as_fraction(k)
     if not kf > 1:
@@ -191,22 +195,16 @@ def prop22_reduce(g: Graph, k: Real) -> tuple:
         before = len(trace.steps)
         alive = _peel_max(g.adj, alive, deg, thr, i, trace.steps)
         m_alive -= sum(s.degree for s in trace.steps[before:])
-    out_stats = stats_for_members(g.adj, alive, m_alive, alive.bit_count())
-    require_bounds("prop22_reduce",
-                   prop22_bounds(g.n, kf, out_stats, alive.bit_count()))
-    sub, _ = induced(g, bit_indices(alive))
-    return sub, trace
-
-
-def prop22_bounds(n0: int, k: Real, out_stats, n_out: int) -> list:
-    """Evaluate the reduce guarantees: degree spread and vertex count."""
-    kf = as_fraction(k)
-    size_thr = n0 ** (1 + math.log2(1 - 1 / float(kf))) if n0 > 0 else 0.0
-    return [
+    n_out = alive.bit_count()
+    out_stats = stats_for_members(g.adj, alive, m_alive, n_out)
+    size_thr = g.n ** (1 + math.log2(1 - 1 / float(kf))) if g.n > 0 else 0.0
+    checks = require_bounds("prop22_reduce", [
         check("Prop2.2-spread", out_stats.max_deg, "<=",
               kf * out_stats.avg_deg),
         check("Prop2.2-size", n_out, ">=", size_thr),
-    ]
+    ])
+    sub, _ = induced(g, bit_indices(alive))
+    return sub, trace, checks
 
 
 def proposition11_pipeline(g: Graph, c: Real,
@@ -224,16 +222,14 @@ def proposition11_pipeline(g: Graph, c: Real,
     if not 1 / cf < af < Fraction(1, 2):
         raise PreconditionError("alpha must lie strictly between 1/c and 1/2")
     k1 = af * cf
-    n0 = g.n
-    reduced, trace = prop22_reduce(g, k1)
+    reduced, trace, reduce_checks = prop22_reduce(g, k1)
     refined = prop21_refine(reduced, k1, af)
     # map refined vertices (ids in `reduced`) back to host ids
-    survivors = sorted(trace.survivors(n0))
+    survivors = sorted(trace.survivors(g.n))
     host_vertices = frozenset(survivors[v] for v in refined.vertices)
-    size_thr = 0.0
-    if n0 > 0:
-        size_thr = float((1 - 2 * af) / (k1 - 2 * af)) * \
-            n0 ** (1 + math.log2(1 - 1 / float(k1)))
+    # the refine keeps a (1-2a)/(k1-2a) share of what the reduce keeps
+    reduce_size = next(c for c in reduce_checks if c.bound_id == "Prop2.2-size")
+    size_thr = float((1 - 2 * af) / (k1 - 2 * af)) * reduce_size.threshold
     checks = list(refined.bounds) + [
         check("Prop1.1-ratio", refined.ratio, "<=", cf),
         check("Prop1.1-size", len(host_vertices), ">=", size_thr),

@@ -5,11 +5,15 @@ The boost repeatedly replaces the graph by an induced subgraph on at least
 an eps-fraction of its vertices whose density beats the current density by
 a factor of (1+eps), until no such subgraph exists. When every search along
 the way was exhaustive, the final graph provably has no overly dense large
-vertex set, which is exactly what the extraction step needs.
+vertex set, which is exactly what the extraction step needs. Above the
+exhaustive size limit the candidates are the suffixes of one min-degree
+peel order (smallest-last, lowest id first on ties), which serves every
+round of the boost down to that limit.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +35,7 @@ from .graph import (
     require_bounds,
     stats_for_members,
 )
-from .peeling import _peel_min
+from .peeling import peel_min
 
 Real = Union[int, float, Fraction]
 
@@ -41,8 +45,10 @@ DEFAULT_EXACT_LIMIT = 24
 @dataclass(frozen=True)
 class BoostParams:
     """Knobs of the density boost: the boost factor eps, and the largest n
-    for which the dense-subset search is exhaustive (above it a
-    min-degree-peel suffix scan is used, which certifies nothing)."""
+    for which the dense-subset search is exhaustive. Above it the
+    candidates are the suffixes of one min-degree peel order, which serves
+    every round until the graph is down to ``exact_limit`` vertices and
+    certifies nothing."""
 
     epsilon: float
     exact_limit: int = DEFAULT_EXACT_LIMIT
@@ -135,22 +141,66 @@ def _search_exact_t(g: Graph, t: int, den: int, thr_num: int,
     return frozenset(bit_indices(hit))
 
 
-def _heuristic_order(g: Graph) -> tuple:
-    """Min-degree peel order; returns (order, degree-at-removal list)."""
+def _boost_target(n: int, m: int, eps: Fraction) -> Optional[tuple]:
+    """The bar a boost round must clear on a graph with n >= 2 vertices and
+    m edges: (num, den, t_min) such that a set of t >= t_min vertices
+    qualifies iff it spans e edges with e * den >= C(t, 2) * num. None when
+    the target density p * (1+eps) exceeds 1, where no set can qualify."""
+    target = Fraction(m, comb(n, 2)) * (1 + eps)
+    if target > 1:
+        return None
+    return target.numerator, target.denominator, max(2, math.ceil(eps * n))
+
+
+def _peel_order(g: Graph) -> tuple:
+    """Min-degree peel order, lowest id first on ties (the smallest-last
+    order), in O(m log n) through a lazy (degree, id) heap; returns (order,
+    degree-at-removal list).
+
+    Peeling the subgraph induced on a suffix ``order[i:]`` gives that suffix
+    again, with the same degrees at removal: ``induced`` keeps ids in order,
+    so every step breaks its tie on the same vertex.
+    """
     deg = g.degrees()
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
     alive = g.full_mask()
     order, removed_deg = [], []
-    for _ in range(g.n):
-        best = None
-        for v in bit_indices(alive):
-            if best is None or deg[v] < deg[best]:
-                best = v
-        order.append(best)
-        removed_deg.append(deg[best])
-        alive &= ~(1 << best)
-        for u in bit_indices(g.adj[best] & alive):
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d != deg[v] or not alive >> v & 1:
+            continue  # stale: v was removed or has lost degree since
+        order.append(v)
+        removed_deg.append(d)
+        alive &= ~(1 << v)
+        for u in bit_indices(g.adj[v] & alive):
             deg[u] -= 1
+            heapq.heappush(heap, (deg[u], u))
     return order, removed_deg
+
+
+def _dense_cut(removed_deg: list, start: int, m: int,
+               eps: Fraction) -> Optional[tuple]:
+    """One heuristic boost round on the suffix ``order[start:]`` of a peel
+    order, which spans ``m`` edges; ``removed_deg`` is the order's
+    degree-at-removal list.
+
+    Returns (i, edges spanned by ``order[i:]``) for the least i > start at
+    which the suffix qualifies (at least an eps-fraction of the current
+    vertices, and density beaten by a factor of 1+eps), or None.
+    """
+    total = len(removed_deg)
+    bar = _boost_target(total - start, m, eps)
+    if bar is None:
+        return None
+    num, den, t_min = bar
+    e = m
+    for i in range(start + 1, total - t_min + 1):
+        e -= removed_deg[i - 1]
+        t = total - i
+        if e * den >= t * (t - 1) // 2 * num:
+            return i, e
+    return None
 
 
 def find_dense_subset(g: Graph, eps: Real,
@@ -161,39 +211,38 @@ def find_dense_subset(g: Graph, eps: Real,
     Sets of fewer than two vertices are never candidates (their density is
     undefined, so they cannot witness a boost). Up to ``params.exact_limit``
     vertices the search is exhaustive and a None answer is a certificate;
-    above it a min-degree-peel suffix scan is used and None proves nothing.
-    Ties on size resolve to the lexicographically least set.
+    above it the answer is the longest proper suffix of the min-degree peel
+    order that qualifies, and None proves nothing. Ties on size resolve to
+    the lexicographically least set.
     """
     if g.m < 1:
         raise PreconditionError("dense-subset search needs at least one edge")
     eps_f = as_fraction(eps)
     if not 0 < eps_f < 1:
         raise PreconditionError("eps must lie in (0, 1)")
-    n = g.n
-    p = _density(g)
-    target = p * (1 + eps_f)
-    if target > 1:
+    if g.n > params.exact_limit:
+        order, removed_deg = _peel_order(g)
+        cut = _dense_cut(removed_deg, 0, g.m, eps_f)
+        return None if cut is None else frozenset(order[cut[0]:])
+    bar = _boost_target(g.n, g.m, eps_f)
+    if bar is None:
         return None  # density cannot exceed 1: certified for any search mode
-    t_min = max(2, math.ceil(eps_f * n))
-    num, den = target.numerator, target.denominator
-    thr_num = [comb(t, 2) * num for t in range(n + 1)]
-    if n <= params.exact_limit:
-        counter = [0]
-        for t in range(n, t_min - 1, -1):
-            if g.m * den < thr_num[t]:
-                continue  # the whole graph is short of edges at this size
-            hit = _search_exact_t(g, t, den, thr_num[t], counter)
-            if hit is not None:
-                return hit
-        return None
-    order, removed_deg = _heuristic_order(g)
-    e_suffix = g.m
-    for i in range(0, n - t_min + 1):
-        t = n - i
-        if e_suffix * den >= thr_num[t] and t < n:
-            return frozenset(order[i:])
-        e_suffix -= removed_deg[i]
+    num, den, t_min = bar
+    counter = [0]
+    for t in range(g.n, t_min - 1, -1):
+        thr_num = comb(t, 2) * num
+        if g.m * den < thr_num:
+            continue  # the whole graph is short of edges at this size
+        hit = _search_exact_t(g, t, den, thr_num, counter)
+        if hit is not None:
+            return hit
     return None
+
+
+def _raised(prev: Fraction, new: Fraction, eps: Fraction) -> Fraction:
+    if new < prev * (1 + eps):
+        raise AssertionError("boost round failed to raise density")
+    return new
 
 
 def density_boost(g: Graph, params: BoostParams) -> BoostOutcome:
@@ -202,29 +251,47 @@ def density_boost(g: Graph, params: BoostParams) -> BoostOutcome:
     Density rises by a factor >= (1+eps) per round, so the round count stays
     below (2/eps) * ln(1/p0) and the output keeps at least an eps^rounds
     fraction of the vertices; both are recorded in the bounds ledger.
+
+    Above ``params.exact_limit`` vertices every round is a cut of one peel
+    order computed once: a round's subgraph is a suffix of the order, and
+    the next round scans on from there (see `_peel_order`), so the rounds
+    take one O(m log n) peel and one O(n) scan in all, and the subgraph is
+    built once, when the graph is down to the limit or no cut qualifies.
+    The remaining rounds run `find_dense_subset` exhaustively.
     """
     params.validate()
     if g.m < 1:
         raise PreconditionError("density boost needs at least one edge")
     eps_f = as_fraction(params.epsilon)
-    cur = g
-    vmap = tuple(range(g.n))
     p0 = _density(g)
-    prev_density = p0
-    rounds = 0
-    certified = True
-    while True:
-        certified = certified and cur.n <= params.exact_limit
+    density, rounds = p0, 0
+    certified = g.n <= params.exact_limit
+    boosting = True
+    cur, vmap = g, tuple(range(g.n))
+    if not certified:
+        order, removed_deg = _peel_order(g)
+        start, m = 0, g.m
+        while boosting and g.n - start > params.exact_limit:
+            cut = _dense_cut(removed_deg, start, m, eps_f)
+            boosting = cut is not None
+            if boosting:
+                start, m = cut
+                density = _raised(density, Fraction(m, comb(g.n - start, 2)),
+                                  eps_f)
+                rounds += 1
+        if start:
+            cur, vmap = induced(g, order[start:])
+            if cur.m != m:
+                raise AssertionError("tracked edge count differs from the "
+                                     "induced subgraph's")
+    while boosting:
         subset = find_dense_subset(cur, params.epsilon, params)
         if subset is None:
             break
         cur, idmap = induced(cur, subset)
         vmap = tuple(vmap[i] for i in idmap)
         rounds += 1
-        new_density = _density(cur)
-        if new_density < prev_density * (1 + eps_f):
-            raise AssertionError("boost round failed to raise density")
-        prev_density = new_density
+        density = _raised(density, _density(cur), eps_f)
     # Density stays <= 1 and grows by (1+eps) a round, so
     # rounds <= ln(1/p0) / ln(1+eps) <= (2/eps) * ln(1/p0).
     rounds_thr = (2 / params.epsilon) * math.log(1 / float(p0))
@@ -232,7 +299,7 @@ def density_boost(g: Graph, params: BoostParams) -> BoostOutcome:
         check("Lem2.3-rounds", rounds, "<=", rounds_thr),
         check("Lem2.3-size", cur.n, ">=", float(eps_f) ** rounds_thr * g.n),
     ])
-    return BoostOutcome(cur, prev_density, certified, rounds,
+    return BoostOutcome(cur, density, certified, rounds,
                         frozenset(vmap), checks)
 
 
@@ -289,8 +356,8 @@ def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:
     min_deg_thr = Surd(np_, -2 * np_, eps_f)
     cap = math.isqrt(math.floor(4 * n * n * eps_f))  # floor(2*sqrt(eps)*n)
     steps: list = []
-    alive, wants_more = _peel_min(g.adj, alive, deg, math.ceil(min_deg_thr),
-                                  0, steps, cap=cap)
+    alive, wants_more = peel_min(g.adj, alive, deg, math.ceil(min_deg_thr),
+                                 0, steps, cap=cap)
     if wants_more:
         raise CapExceededError(
             f"peel wanted more than the cap of {cap} deletions; the "
@@ -311,21 +378,31 @@ def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:
 
 def turan_independent_set(g: Graph) -> frozenset:
     """Greedy independent set: take the lowest-id minimum-degree vertex and
-    drop its closed neighbourhood; guaranteed size >= n / (avg_deg + 1)."""
+    drop its closed neighbourhood; guaranteed size >= n / (avg_deg + 1).
+
+    Picks come off a lazy (degree, id) heap. After each pick, every live
+    vertex next to the dropped ones gets its degree recounted and one new
+    entry, so the heap takes one push per such vertex, not one per edge.
+    """
+    adj = g.adj
     deg = g.degrees()
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
     alive = g.full_mask()
     picked = []
-    while alive:
-        best = None
-        for v in bit_indices(alive):
-            if best is None or deg[v] < deg[best]:
-                best = v
-        picked.append(best)
-        closed = (g.adj[best] | (1 << best)) & alive
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d != deg[v] or not alive >> v & 1:
+            continue  # stale: v was dropped or has lost degree since
+        picked.append(v)
+        closed = (adj[v] | (1 << v)) & alive
         alive &= ~closed
+        near = 0
         for u in bit_indices(closed):
-            for w in bit_indices(g.adj[u] & alive):
-                deg[w] -= 1
+            near |= adj[u]
+        for w in bit_indices(near & alive):
+            deg[w] = (adj[w] & alive).bit_count()
+            heapq.heappush(heap, (deg[w], w))
     members = frozenset(picked)
     mask = sum(1 << v for v in members)
     for v in members:

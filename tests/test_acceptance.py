@@ -65,7 +65,7 @@ def test_c02_prop22_contract_suite(contract_samples):
     runs = failures = 0
     for g, _ in contract_samples:
         for k in (2, 4, 8):
-            sub, _trace = nr.prop22_reduce(g, k)
+            sub, _trace, _checks = nr.prop22_reduce(g, k)
             runs += 1
             s = nr.degree_stats(sub)
             ok = (s.max_deg <= k * s.avg_deg

@@ -5,6 +5,8 @@ import math
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearreg import (
     Bipartition,
@@ -21,6 +23,7 @@ from nearreg import (
     theorem41,
 )
 from nearreg.edge_regular import _max_matching
+from nearreg.graph import bit_indices, normalize_edge
 
 
 def complete(n):
@@ -60,6 +63,61 @@ def test_half_on_triangle_and_k4():
 def test_half_invariant_on_seeded_samples(seed):
     g = sample_gnp_uniform(40, 0.3, 900 + seed)
     assert half_degree_invariant(g, bipartite_half(g))
+
+
+def _half_reference(g):
+    """Local switching with the mover found by a scan of every vertex."""
+    side = [v & 1 for v in range(g.n)]
+    while True:
+        own = [sum(side[u] == side[v] for u in bit_indices(g.adj[v]))
+               for v in range(g.n)]
+        mover = next((v for v in range(g.n) if 2 * own[v] > g.degree(v)),
+                     None)
+        if mover is None:
+            break
+        side[mover] = 1 - side[mover]
+    zeros = frozenset(v for v in range(g.n) if side[v] == 0)
+    ones = frozenset(range(g.n)) - zeros
+    sides = (zeros, ones) if len(zeros) >= len(ones) else (ones, zeros)
+    kept = frozenset(normalize_edge(u, v) for u, v in g.edges()
+                     if side[u] != side[v])
+    return Bipartition(*sides, kept)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sample_gnp_uniform(300, 0.23, 5),
+    lambda: sample_gnp_uniform(400, 0.01, 6),
+    lambda: ladder(60), lambda: star(50),
+    lambda: disjoint_cliques(8, 7), lambda: complete(12)],
+    ids=["gnp-dense", "gnp-sparse", "ladder", "star", "cliques", "clique"])
+def test_half_matches_the_scan_reference(build):
+    g = build()
+    assert bipartite_half(g) == _half_reference(g)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=24))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@given(small_graphs())
+@settings(max_examples=200, deadline=None)
+def test_half_is_a_bipartite_cut_keeping_half_of_each_degree(g):
+    nx = pytest.importorskip("networkx")
+    bp = bipartite_half(g)
+    assert bp.side_a | bp.side_b == frozenset(range(g.n))
+    assert not bp.side_a & bp.side_b
+    host = nx.Graph(list(g.edges()))
+    host.add_nodes_from(range(g.n))
+    assert len(bp.edges) == nx.cut_size(host, bp.side_a, bp.side_b)
+    kept = nx.Graph(list(bp.edges))
+    kept.add_nodes_from(range(g.n))
+    assert nx.is_bipartite(kept)
+    assert all(2 * kept.degree(v) >= host.degree(v) for v in range(g.n))
 
 
 def natural_bipartition(k, n):

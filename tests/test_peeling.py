@@ -124,20 +124,22 @@ def test_prop21_contract_on_seeded_samples(seed, k, alpha):
 
 def test_prop22_regular_graph_returned_in_round_zero():
     g = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
-    sub, trace = prop22_reduce(g, 2)
+    sub, trace, _ = prop22_reduce(g, 2)
     assert sub.n == 8 and trace.steps == [] and trace.thresholds == []
 
 
 def test_prop22_star_example():
-    sub, trace = prop22_reduce(star(9), 2)
+    sub, trace, checks = prop22_reduce(star(9), 2)
     assert (sub.n, sub.m) == (8, 0)
+    assert [(c.bound_id, c.achieved, c.passed) for c in checks] == [
+        ("Prop2.2-spread", 0, True), ("Prop2.2-size", 8, True)]
     assert [(s.vertex, s.degree, s.round_index) for s in trace.steps] == [(0, 8, 0)]
     assert trace.thresholds == [Fraction(16, 9)]
     assert 8 >= 9 ** (1 + math.log2(1 - 0.5))
 
 
 def test_prop22_edgeless_unchanged():
-    sub, trace = prop22_reduce(Graph.empty(7), 3)
+    sub, trace, _ = prop22_reduce(Graph.empty(7), 3)
     assert sub.n == 7 and trace.steps == []
 
 
@@ -145,7 +147,7 @@ def test_prop22_edgeless_unchanged():
 @pytest.mark.parametrize("k", [2, 4, 8])
 def test_prop22_contract_on_seeded_samples(seed, k):
     g = sample_gnp_uniform(50, 0.25, 100 + seed)
-    sub, trace = prop22_reduce(g, k)
+    sub, trace, _ = prop22_reduce(g, k)
     s = degree_stats(sub)
     assert s.max_deg <= k * s.avg_deg
     assert sub.n >= g.n ** (1 + math.log2(1 - 1 / k)) - 1e-9

@@ -28,7 +28,8 @@ from nearreg import (
     theorem13_pipeline,
     turan_independent_set,
 )
-from nearreg.regularize import _density
+from nearreg.graph import bit_indices
+from nearreg.regularize import _density, _peel_order
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -108,6 +109,131 @@ def test_density_boost_certified_contract(seed):
     assert out.rounds < bound
     assert out.subgraph.n >= 0.3 ** bound * g.n
     assert out.density >= p0 * (Fraction(13, 10) ** out.rounds)
+
+
+def _peel_order_reference(g):
+    """Min-degree peel order by a full scan of the live vertices per step,
+    lowest id first on ties; returns (order, degree-at-removal list)."""
+    deg = g.degrees()
+    alive = g.full_mask()
+    order, removed_deg = [], []
+    for _ in range(g.n):
+        best = None
+        for v in bit_indices(alive):
+            if best is None or deg[v] < deg[best]:
+                best = v
+        order.append(best)
+        removed_deg.append(deg[best])
+        alive &= ~(1 << best)
+        for u in bit_indices(g.adj[best] & alive):
+            deg[u] -= 1
+    return order, removed_deg
+
+
+def _find_dense_subset_reference(g, eps, params):
+    """The heuristic search above ``exact_limit`` with a fresh peel of g:
+    the longest proper suffix of the peel order that qualifies."""
+    if g.n <= params.exact_limit:
+        return find_dense_subset(g, eps, params)
+    eps_f = Fraction(str(eps))
+    target = _density(g) * (1 + eps_f)
+    if target > 1:
+        return None
+    order, removed_deg = _peel_order_reference(g)
+    e = g.m
+    for i in range(1, g.n - max(2, math.ceil(eps_f * g.n)) + 1):
+        e -= removed_deg[i - 1]
+        if e >= comb(g.n - i, 2) * target:
+            return frozenset(order[i:])
+    return None
+
+
+def _density_boost_reference(g, params):
+    """One search and one induced subgraph per round."""
+    cur, vmap, rounds = g, tuple(range(g.n)), 0
+    certified = True
+    while True:
+        certified = certified and cur.n <= params.exact_limit
+        subset = _find_dense_subset_reference(cur, params.epsilon, params)
+        if subset is None:
+            break
+        cur, idmap = induced(cur, subset)
+        vmap = tuple(vmap[i] for i in idmap)
+        rounds += 1
+    return cur, certified, rounds, frozenset(vmap)
+
+
+def _tie_heavy_graph(rng):
+    """Small graphs with many equal degrees: circulants, cliques joined by
+    paths, stars on a clique, and sparse or dense G(n, p)."""
+    n = rng.randint(6, 48)
+    kind = rng.randrange(4)
+    if kind == 0:
+        k = rng.randint(1, max(1, n // 4))
+        edges = {tuple(sorted((i, (i + j) % n))) for i in range(n)
+                 for j in range(1, k + 1)}
+    elif kind == 1:
+        size = rng.randint(3, 7)
+        edges = {(a, b) for c in range(0, n - size + 1, size)
+                 for a in range(c, c + size) for b in range(a + 1, c + size)}
+        edges |= {(v, v + 1) for v in range(n - 1)}
+    elif kind == 2:
+        core = rng.randint(3, n // 2)
+        edges = {(a, b) for a in range(core) for b in range(a + 1, core)}
+        edges |= {(rng.randrange(core), v) for v in range(core, n)}
+    else:
+        return sample_gnp_uniform(n, rng.choice((0.1, 0.3, 0.6)),
+                                  rng.randrange(2**32))
+    return Graph.from_edges(n, sorted(edges))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_density_boost_matches_the_per_round_reference(seed):
+    import random
+
+    rng = random.Random(seed)
+    for _ in range(25):
+        g = _tie_heavy_graph(rng)
+        if g.m == 0:
+            continue
+        assert _peel_order(g) == _peel_order_reference(g)
+        for eps in (0.05, 0.1, 0.3):
+            for exact_limit in (1, 4, 12):
+                params = BoostParams(eps, exact_limit)
+                assert (find_dense_subset(g, eps, params)
+                        == _find_dense_subset_reference(g, eps, params))
+                out = density_boost(g, params)
+                sub, certified, rounds, vertices = \
+                    _density_boost_reference(g, params)
+                assert out.subgraph == sub
+                assert out.to_json() == {
+                    "n": sub.n, "m": sub.m,
+                    "density": float(_density(sub)),
+                    "density_exact": str(_density(sub)),
+                    "certified": certified, "rounds": rounds,
+                    "vertices": sorted(vertices),
+                    "bounds": [c.to_json() for c in out.bounds]}
+                assert [c.bound_id for c in out.bounds] == [
+                    "Lem2.3-rounds", "Lem2.3-size"]
+
+
+def _path(n):
+    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def _disjoint_cliques(copies, size):
+    return Graph.from_edges(copies * size, [
+        (c + a, c + b) for c in range(0, copies * size, size)
+        for a in range(size) for b in range(a + 1, size)])
+
+
+def test_peel_order_on_all_tie_shapes():
+    shapes = [star(n) for n in (2, 9, 200)]
+    shapes += [_path(n) for n in (1, 2, 7, 300)]
+    shapes += [complete(n) for n in (1, 2, 9, 40)]
+    shapes += [_disjoint_cliques(6, 5)]
+    for g in shapes:
+        assert _peel_order(g) == _peel_order_reference(g)
 
 
 def test_boundary_edgeless_is_true():
@@ -293,6 +419,35 @@ def test_turan_bound_on_seeded_samples(seed):
     assert len(s) * (d + 1) >= g.n
     sub, _ = induced(g, s)
     assert sub.m == 0
+
+
+def _turan_reference(g):
+    """The greedy independent set by a full scan of the live vertices per
+    pick."""
+    deg = g.degrees()
+    alive = g.full_mask()
+    picked = []
+    while alive:
+        best = None
+        for v in bit_indices(alive):
+            if best is None or deg[v] < deg[best]:
+                best = v
+        picked.append(best)
+        closed = (g.adj[best] | (1 << best)) & alive
+        alive &= ~closed
+        for u in bit_indices(closed):
+            for w in bit_indices(g.adj[u] & alive):
+                deg[w] -= 1
+    return frozenset(picked)
+
+
+@pytest.mark.parametrize("build", [lambda: _path(2000), lambda: star(1000),
+                                   lambda: _disjoint_cliques(40, 25),
+                                   lambda: sample_gnp_uniform(300, 0.05, 7)],
+                         ids=["path", "star", "cliques", "gnp"])
+def test_turan_matches_the_scan_reference(build):
+    g = build()
+    assert turan_independent_set(g) == _turan_reference(g)
 
 
 def test_theorem12_on_cliques():
