@@ -189,13 +189,14 @@ def _cmd_extract(args, argv: list) -> int:
 def _experiment_point_prob(args) -> dict:
     if args.t < 1:
         raise PreconditionError("--t must be at least 1")
+    caps = CalibrationConstants(c0_cap=args.c0_cap)
+    caps.validate()
     rng = np.random.Generator(np.random.PCG64(args.seed))
     lo, hi = 1 / 16, 9 / 16
     rhos = lo + (hi - lo) * rng.random(args.t)
     dist = point_prob_distribution(rhos)
     s_star = int(np.argmax(dist))
     est = estimate_point_prob(list(rhos), s_star, args.trials, args.seed + 1)
-    caps = CalibrationConstants(c0_cap=args.c0_cap)
     cap_bound = caps.c0_cap / math.sqrt(args.t)
     return {
         "t": args.t,

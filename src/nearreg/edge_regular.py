@@ -40,7 +40,6 @@ from .graph import (
     bit_indices,
     check,
     degree_stats,
-    induced,
     normalize_edge,
     require_bounds,
 )
@@ -407,9 +406,8 @@ def theorem41(g: Graph) -> tuple:
     if d <= 0:
         raise PreconditionError("needs at least one edge")
     full_guarantee = d >= 64
-    _, trace = peel_below(g, d / 2)
-    survivors = sorted(trace.survivors(g.n))
-    g1, host_of = induced(g, survivors)
+    g1, trace = peel_below(g, d / 2)
+    host_of = sorted(trace.survivors(g.n))
     bp = bipartite_half(g1)
     dprime = 1 << max(int(d).bit_length() - 1, 0)  # at most d, or 1
     rounds = dprime // 4 if dprime >= 4 else 1
@@ -442,9 +440,7 @@ def theorem41(g: Graph) -> tuple:
         refined = prop21_refine(hgraph, 2, 0.4)
         kept = refined.vertices
         chosen_edges = frozenset(
-            normalize_edge(order[pos[u]], order[pos[v]])
-            for u, v in block_edges
-            if pos[u] in kept and pos[v] in kept)
+            (u, v) for u, v in block_edges if pos[u] in kept and pos[v] in kept)
         case_tag = "case2"
     host_edges = frozenset(
         normalize_edge(host_of[u], host_of[v]) for u, v in chosen_edges)

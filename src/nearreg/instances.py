@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -133,15 +132,17 @@ def expected_gnp_bar_edges(n: int) -> Fraction:
     return (total * total - squares) / 2
 
 
-def _pairs_lex(n: int) -> list:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def _sample_pairs(n: int, probs: np.ndarray, seed: int) -> Graph:
+def _sample_pairs(n: int, row_probs: Callable, seed: int) -> Graph:
+    """Draw the pairs (i, j), i < j, in lexicographic order, one row of
+    uniforms per vertex i, against ``row_probs(i)``: the probability of
+    every pair (i, j > i), as a scalar or one entry per j. Consecutive rows
+    continue one PCG64 stream, so the draws equal one call for all C(n, 2)
+    pairs, in O(n) memory beyond the edges."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    draws = rng.random(len(probs))
-    pairs = _pairs_lex(n)
-    edges = [pairs[idx] for idx in np.flatnonzero(draws < probs)]
+    edges = []
+    for i in range(n - 1):
+        hits = np.flatnonzero(rng.random(n - 1 - i) < row_probs(i))
+        edges.extend((i, j) for j in (hits + i + 1).tolist())
     return Graph.from_edges(n, edges)
 
 
@@ -154,9 +155,7 @@ def sample_gnp_bar(n: int, seed: int) -> Graph:
     lo, hi = pair_probability_range(n)
     assert Fraction(1, 16) < lo and hi < Fraction(9, 16)
     ps = np.array([float(p) for p in p_bar(n)])
-    pairs = _pairs_lex(n)
-    probs = np.array([ps[i] * ps[j] for i, j in pairs])
-    return _sample_pairs(n, probs, seed)
+    return _sample_pairs(n, lambda i: ps[i] * ps[i + 1:], seed)
 
 
 def sample_gnp_uniform(n: int, p: float, seed: int) -> Graph:
@@ -165,8 +164,7 @@ def sample_gnp_uniform(n: int, p: float, seed: int) -> Graph:
         raise PreconditionError("n must be >= 1")
     if not 0 <= p <= 1:
         raise PreconditionError("p must lie in [0, 1]")
-    probs = np.full(comb(n, 2), float(p))
-    return _sample_pairs(n, probs, seed)
+    return _sample_pairs(n, lambda i: float(p), seed)
 
 
 def complete_bipartite(k: int, n: int) -> Graph:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -74,65 +74,87 @@ def _subset_valid(adj: Sequence, mask: int, c_num: int, c_den: int) -> bool:
     return mx * c_den <= c_num * mn
 
 
-def _search_size_t(g: Graph, t: int, c_num: int, c_den: int,
-                   counter: list) -> Optional[int]:
-    """Lexicographically least c-nearly regular induced subset of size t."""
+def largest_subset(g: Graph, sizes: Iterable[int], prune: Callable,
+                   accept: Callable) -> tuple:
+    """Largest accepted vertex subset of ``g``, by exhaustive search.
+
+    Tries each size t of ``sizes`` in the order given (callers list them
+    largest first) with one include-first DFS over ascending ids, so the
+    witness found at a size is the lexicographically least one there. The
+    DFS carries ``chosen`` (the mask of the prefix picked so far) and ``e``
+    (the edges it spans). It drops a node when ``prune(t, chosen, e, avail,
+    rem)`` holds, ``avail`` being the mask of the ids still to decide and
+    ``rem`` the vertices still to pick, and takes a t-subset when
+    ``accept(t, chosen, e)`` holds.
+
+    Returns ``(t, witness_mask, explored)`` for the first size with an
+    accepted subset, or ``(0, None, explored)``; ``explored`` counts the
+    nodes visited over all sizes tried. Graphs above ``HARD_VERTEX_CAP``
+    vertices raise ``SizeCapError``.
+    """
+    if g.n > HARD_VERTEX_CAP:
+        raise SizeCapError(f"exact search is capped at {HARD_VERTEX_CAP} vertices")
     n, adj = g.n, g.adj
-    suffix = [0] * (n + 1)
-    for pos in range(n - 1, -1, -1):
-        suffix[pos] = suffix[pos + 1] | (1 << pos)
+    suffix = [g.full_mask() >> pos << pos for pos in range(n + 1)]
+    explored = 0
 
-    def feasible(chosen_mask: int, pos: int, rem: int) -> bool:
-        # A partial choice dies when some chosen vertex is already forced
-        # above c times the best minimum degree any completion can reach.
-        pool = suffix[pos]
-        worst_hi = None
-        best_max = 0
-        for v in bit_indices(chosen_mask):
-            cur = (adj[v] & chosen_mask).bit_count()
-            hi = cur + min((adj[v] & pool).bit_count(), rem)
-            if worst_hi is None or hi < worst_hi:
-                worst_hi = hi
-            if cur > best_max:
-                best_max = cur
-        if worst_hi is None:
-            return True
-        if worst_hi == 0:
-            return best_max == 0
-        return best_max * c_den <= c_num * worst_hi
-
-    def dfs(pos: int, chosen_mask: int, count: int) -> Optional[int]:
-        counter[0] += 1
-        rem = t - count
+    def dfs(pos: int, chosen: int, rem: int, e: int) -> Optional[int]:
+        # t is the size of the current pass of the loop below
+        nonlocal explored
+        explored += 1
         if rem == 0:
-            return chosen_mask if _subset_valid(adj, chosen_mask, c_num, c_den) \
-                else None
+            return chosen if accept(t, chosen, e) else None
         if n - pos < rem:
             return None
-        if not feasible(chosen_mask, pos, rem):
+        if prune(t, chosen, e, suffix[pos], rem):
             return None
-        hit = dfs(pos + 1, chosen_mask | (1 << pos), count + 1)
+        hit = dfs(pos + 1, chosen | (1 << pos), rem - 1,
+                  e + (adj[pos] & chosen).bit_count())
         if hit is not None:
             return hit
-        return dfs(pos + 1, chosen_mask, count)
+        return dfs(pos + 1, chosen, rem, e)
 
-    return dfs(0, 0, 0)
+    for t in sizes:
+        hit = dfs(0, 0, t, 0)
+        if hit is not None:
+            return t, hit, explored
+    return 0, None, explored
 
 
 def exact_f(g: Graph, c: Real, size_cap: int = DEFAULT_VERTEX_CAP) -> OracleResult:
     """Largest induced c-nearly regular subgraph, by exhaustive search in
     decreasing subset size with degree-spread pruning."""
-    if g.n > HARD_VERTEX_CAP:
-        raise SizeCapError(f"exact search is capped at {HARD_VERTEX_CAP} vertices")
     if g.n > size_cap:
         raise SizeCapError(f"instance exceeds the size cap {size_cap}")
     c_num, c_den = _c_ratio(c)
-    counter = [0]
-    for t in range(g.n, 0, -1):
-        hit = _search_size_t(g, t, c_num, c_den, counter)
-        if hit is not None:
-            return OracleResult(t, frozenset(bit_indices(hit)), counter[0])
-    return OracleResult(0, frozenset(), counter[0])
+    adj = g.adj
+
+    def spread_too_wide(t: int, chosen: int, e: int, avail: int,
+                        rem: int) -> bool:
+        # A partial choice dies when some chosen vertex is already forced
+        # above c times the best minimum degree any completion can reach.
+        worst_hi = None
+        best_max = 0
+        for v in bit_indices(chosen):
+            cur = (adj[v] & chosen).bit_count()
+            hi = cur + min((adj[v] & avail).bit_count(), rem)
+            if worst_hi is None or hi < worst_hi:
+                worst_hi = hi
+            if cur > best_max:
+                best_max = cur
+        if worst_hi is None:
+            return False
+        if worst_hi == 0:
+            return best_max != 0
+        return best_max * c_den > c_num * worst_hi
+
+    def valid(t: int, chosen: int, e: int) -> bool:
+        return _subset_valid(adj, chosen, c_num, c_den)
+
+    t, hit, explored = largest_subset(g, range(g.n, 0, -1), spread_too_wide,
+                                      valid)
+    witness = frozenset() if hit is None else frozenset(bit_indices(hit))
+    return OracleResult(t, witness, explored)
 
 
 def _labelled_graphs(n: int):

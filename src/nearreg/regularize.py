@@ -35,6 +35,7 @@ from .graph import (
     require_bounds,
     stats_for_members,
 )
+from .oracle import largest_subset
 from .peeling import peel_min
 
 Real = Union[int, float, Fraction]
@@ -48,7 +49,12 @@ class BoostParams:
     for which the dense-subset search is exhaustive. Above it the
     candidates are the suffixes of one min-degree peel order, which serves
     every round until the graph is down to ``exact_limit`` vertices and
-    certifies nothing."""
+    certifies nothing.
+
+    The exhaustive search is capped at 64 vertices (``HARD_VERTEX_CAP`` of
+    `oracle.largest_subset`), so a limit above 64 makes the boost raise
+    ``SizeCapError`` when it reaches an exhaustive round on more than 64
+    vertices."""
 
     epsilon: float
     exact_limit: int = DEFAULT_EXACT_LIMIT
@@ -91,54 +97,6 @@ class BoostOutcome:
 
 def _density(g: Graph) -> Fraction:
     return Fraction(g.m, comb(g.n, 2)) if g.n > 1 else Fraction(0)
-
-
-def _search_exact_t(g: Graph, t: int, den: int, thr_num: int,
-                    counter: list) -> Optional[frozenset]:
-    """Lexicographically least t-subset spanning enough edges, or None.
-
-    Include-first DFS over ascending ids; upper-bound prune on the edges any
-    completion of the current prefix can still reach.
-    """
-    n = g.n
-    adj = g.adj
-    suffix_masks = [0] * (n + 1)
-    for pos in range(n - 1, -1, -1):
-        suffix_masks[pos] = suffix_masks[pos + 1] | (1 << pos)
-
-    def ub_edges(s_mask: int, e_s: int, pos: int, rem: int) -> int:
-        avail = suffix_masks[pos]
-        universe = s_mask | avail
-        gains = sorted(
-            ((adj[v] & universe).bit_count() for v in bit_indices(avail)),
-            reverse=True,
-        )
-        cross_total = 0
-        for v in bit_indices(avail):
-            cross_total += (adj[v] & s_mask).bit_count()
-        ub1 = e_s + sum(gains[:rem])
-        ub2 = e_s + cross_total + comb(rem, 2)
-        return min(ub1, ub2)
-
-    def dfs(pos: int, s_mask: int, count: int, e_s: int) -> Optional[int]:
-        counter[0] += 1
-        rem = t - count
-        if rem == 0:
-            return s_mask if e_s * den >= thr_num else None
-        if n - pos < rem:
-            return None
-        if ub_edges(s_mask, e_s, pos, rem) * den < thr_num:
-            return None
-        gain = (adj[pos] & s_mask).bit_count()
-        found = dfs(pos + 1, s_mask | (1 << pos), count + 1, e_s + gain)
-        if found is not None:
-            return found
-        return dfs(pos + 1, s_mask, count, e_s)
-
-    hit = dfs(0, 0, 0, 0)
-    if hit is None:
-        return None
-    return frozenset(bit_indices(hit))
 
 
 def _boost_target(n: int, m: int, eps: Fraction) -> Optional[tuple]:
@@ -203,40 +161,51 @@ def _dense_cut(removed_deg: list, start: int, m: int,
     return None
 
 
-def find_dense_subset(g: Graph, eps: Real,
-                      params: BoostParams) -> Optional[frozenset]:
+def find_dense_subset(g: Graph, eps: Real) -> Optional[frozenset]:
     """Largest vertex set of at least an eps-fraction of the graph whose
     spanned edges beat C(|U|,2) * density * (1+eps); None when no such set.
 
-    Sets of fewer than two vertices are never candidates (their density is
-    undefined, so they cannot witness a boost). Up to ``params.exact_limit``
-    vertices the search is exhaustive and a None answer is a certificate;
-    above it the answer is the longest proper suffix of the min-degree peel
-    order that qualifies, and None proves nothing. Ties on size resolve to
-    the lexicographically least set.
+    The search is exhaustive (`oracle.largest_subset`), so a None answer
+    certifies that no such set exists; graphs above 64 vertices raise
+    ``SizeCapError``. Sets of fewer than two vertices are never candidates
+    (their density is undefined, so they cannot witness a boost). Ties on
+    size resolve to the lexicographically least set.
     """
     if g.m < 1:
         raise PreconditionError("dense-subset search needs at least one edge")
     eps_f = as_fraction(eps)
     if not 0 < eps_f < 1:
         raise PreconditionError("eps must lie in (0, 1)")
-    if g.n > params.exact_limit:
-        order, removed_deg = _peel_order(g)
-        cut = _dense_cut(removed_deg, 0, g.m, eps_f)
-        return None if cut is None else frozenset(order[cut[0]:])
     bar = _boost_target(g.n, g.m, eps_f)
     if bar is None:
-        return None  # density cannot exceed 1: certified for any search mode
+        return None  # density cannot exceed 1: nothing to search
     num, den, t_min = bar
-    counter = [0]
-    for t in range(g.n, t_min - 1, -1):
-        thr_num = comb(t, 2) * num
-        if g.m * den < thr_num:
-            continue  # the whole graph is short of edges at this size
-        hit = _search_exact_t(g, t, den, thr_num, counter)
-        if hit is not None:
-            return hit
-    return None
+    adj = g.adj
+
+    def short_of_edges(t: int, chosen: int, e: int, avail: int,
+                       rem: int) -> bool:
+        # Two upper bounds on the edges any completion can add: the rem
+        # largest degrees into prefix-plus-pool, or every pool edge to the
+        # prefix plus a full clique on the rem vertices still to pick.
+        universe = chosen | avail
+        gains = sorted(
+            ((adj[v] & universe).bit_count() for v in bit_indices(avail)),
+            reverse=True,
+        )
+        cross = 0
+        for v in bit_indices(avail):
+            cross += (adj[v] & chosen).bit_count()
+        reach = e + min(sum(gains[:rem]), cross + comb(rem, 2))
+        return reach * den < comb(t, 2) * num
+
+    def dense_enough(t: int, chosen: int, e: int) -> bool:
+        return e * den >= comb(t, 2) * num
+
+    # sizes at which even the whole graph is short of edges are skipped
+    sizes = [t for t in range(g.n, t_min - 1, -1)
+             if g.m * den >= comb(t, 2) * num]
+    _, hit, _ = largest_subset(g, sizes, short_of_edges, dense_enough)
+    return None if hit is None else frozenset(bit_indices(hit))
 
 
 def _raised(prev: Fraction, new: Fraction, eps: Fraction) -> Fraction:
@@ -285,7 +254,7 @@ def density_boost(g: Graph, params: BoostParams) -> BoostOutcome:
                 raise AssertionError("tracked edge count differs from the "
                                      "induced subgraph's")
     while boosting:
-        subset = find_dense_subset(cur, params.epsilon, params)
+        subset = find_dense_subset(cur, params.epsilon)
         if subset is None:
             break
         cur, idmap = induced(cur, subset)
@@ -335,10 +304,15 @@ def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:
     max degree <= (1 + 3*sqrt(eps)) * n * p, min degree >= (1 - 2*sqrt(eps))
     * n * p, and degree ratio <= 1 + 6*sqrt(eps). All of these are exact; as
     degrees are integers, the peel runs below ceil(n*p*(1 - 2*sqrt(eps))).
+
+    eps must lie in (0, 1/4): from 1/4 on, that threshold is <= 0, so the
+    peel removes nothing and no degree bound follows.
     """
     eps_f = as_fraction(eps)
-    if not 0 < eps_f < 1:
-        raise PreconditionError("eps must lie in (0, 1)")
+    if not 0 < eps_f < Fraction(1, 4):
+        raise PreconditionError(
+            "eps must lie in (0, 1/4): from 1/4 on, the peel threshold "
+            "n*p*(1 - 2*sqrt(eps)) is <= 0")
     if g.m < 1:
         raise PreconditionError("extraction needs positive density")
     n = g.n

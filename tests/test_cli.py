@@ -164,6 +164,38 @@ def test_experiment_rejects_empty_runs(argv, capsys):
     assert "precondition" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["experiment", "point-prob", "--t", "10", "--c0-cap", "-1"],
+    ["experiment", "regular-prob", "--trials", "10", "--c1-cap", "0"],
+])
+def test_experiment_rejects_nonpositive_calibration_caps(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "calibration caps must be positive" in err
+
+
+def test_extract_boost_above_the_search_cap_is_refused(tmp_path, capsys):
+    # 70 vertices under --exact-limit 100: the first round is exhaustive,
+    # and the search refuses graphs above 64 vertices
+    path = str(tmp_path / "g.el")
+    assert run_cli(["gen", "gnp-uniform", "--n", "70", "--p", "0.1",
+                    "--seed", "3", "--out", path], capsys)[0] == 0
+    code, out, err = run_cli(["extract", "boost", path,
+                              "--exact-limit", "100"], capsys)
+    assert code == 3 and out == ""
+    assert "capped at 64 vertices" in err
+
+
+def test_extract_lemma25_refuses_eps_from_a_quarter(tmp_path, capsys):
+    # a triangle and three isolated vertices: at eps = 0.3 the peel
+    # threshold is negative, so nothing would be peeled
+    path = write_graph(tmp_path, "t.el", "6 3\n0 1\n0 2\n1 2\n")
+    code, out, err = run_cli(["extract", "lemma25", path,
+                              "--epsilon", "0.3"], capsys)
+    assert code == 2 and out == ""
+    assert "precondition" in err
+
+
 def test_unexpected_exception_is_internal_error(tmp_path, capsys,
                                                 monkeypatch):
     def boom(g):

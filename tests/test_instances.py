@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from nearreg import (
@@ -143,6 +144,29 @@ def test_gnp_bar_seed_overlap_near_expectation():
     overlap = len(a & b)
     spread = 5 * expected ** 0.5  # generous: one sample pair, sanity only
     assert abs(overlap - expected) <= max(spread, 15)
+
+
+def _sample_pairs_one_shot(n, probs, seed):
+    """All C(n, 2) uniforms in one draw, against the pair probabilities in
+    lexicographic pair order."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = rng.random(comb(n, 2))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return sorted(pairs[k] for k in np.flatnonzero(draws < probs))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 300])
+def test_row_by_row_sampling_matches_one_shot_draws(n):
+    ps = np.array([float(p) for p in p_bar(n)])
+    bar_probs = np.array([ps[i] * ps[j]
+                          for i in range(n) for j in range(i + 1, n)])
+    for seed in (0, 7, 2**40 + 3):
+        for p in (0, 0.003, 0.23, 1):
+            assert sorted(sample_gnp_uniform(n, p, seed).edges()) == \
+                _sample_pairs_one_shot(n, np.full(comb(n, 2), float(p)), seed)
+        if n >= 2:
+            assert sorted(sample_gnp_bar(n, seed).edges()) == \
+                _sample_pairs_one_shot(n, bar_probs, seed)
 
 
 def test_uniform_extremes():

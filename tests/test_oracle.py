@@ -9,6 +9,7 @@ import pytest
 from nearreg import (
     Graph,
     SizeCapError,
+    blocks,
     estimate_point_prob,
     estimate_regular_prob,
     exact_edge_regular,
@@ -17,10 +18,12 @@ from nearreg import (
     induced,
     nearly_regular_check,
     point_prob_distribution,
+    sample_gnp_bar,
     sample_gnp_uniform,
     star,
 )
 from nearreg.instances import p_bar
+from nearreg.oracle import largest_subset
 
 
 def complete(n):
@@ -77,6 +80,36 @@ def test_exact_f_caps():
     with pytest.raises(SizeCapError):
         exact_f(Graph.empty(70), 1, size_cap=100)
     assert exact_f(Graph.empty(30), 1, size_cap=32).value == 30
+
+
+def test_exact_f_search_node_counts():
+    # the node counts of the include-first search, ``explored``, pinned
+    cases = [(sample_gnp_uniform(12, 0.5, 800), 1, 6, 2157),
+             (sample_gnp_uniform(12, 0.5, 801), 1.5, 9, 469),
+             (blocks(2), 2, 7, 1377),
+             (sample_gnp_bar(14, 3), 1, 9, 1411)]
+    for g, c, value, explored in cases:
+        r = exact_f(g, c)
+        assert (r.value, r.explored) == (value, explored)
+
+
+def test_largest_subset_carries_the_prefix_edge_count():
+    g = sample_gnp_uniform(10, 0.4, 5)
+
+    def independent(t, chosen, e):
+        assert e == g.count_edges_in(chosen)
+        return e == 0
+
+    t, mask, _ = largest_subset(g, range(g.n, 0, -1),
+                                lambda *args: False, independent)
+    expected = next(combo for k in range(g.n, 0, -1)
+                    for combo in combinations(range(g.n), k)
+                    if not any(g.has_edge(u, v)
+                               for u, v in combinations(combo, 2)))
+    assert (t, mask) == (len(expected), sum(1 << v for v in expected))
+    assert largest_subset(g, [], None, None) == (0, None, 0)
+    with pytest.raises(SizeCapError):
+        largest_subset(Graph.empty(65), [1], None, None)
 
 
 def test_exact_f_n_hand_values():

@@ -3,6 +3,7 @@
 import math
 import pathlib
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -15,6 +16,7 @@ from nearreg import (
     CapExceededError,
     Graph,
     PreconditionError,
+    SizeCapError,
     check_edge_boundary,
     degree_stats,
     density_boost,
@@ -28,8 +30,8 @@ from nearreg import (
     theorem13_pipeline,
     turan_independent_set,
 )
-from nearreg.graph import bit_indices
-from nearreg.regularize import _density, _peel_order
+from nearreg.graph import as_fraction, bit_indices
+from nearreg.regularize import _dense_cut, _density, _peel_order
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -54,12 +56,12 @@ def qualifies(g, members, eps):
 
 
 def test_find_dense_subset_on_clique_is_none():
-    assert find_dense_subset(complete(8), 0.3, BoostParams(0.3)) is None
+    assert find_dense_subset(complete(8), 0.3) is None
 
 
 def test_find_dense_subset_k4_isolated():
     g = k4_plus_isolated()
-    u = find_dense_subset(g, 0.5, BoostParams(0.5))
+    u = find_dense_subset(g, 0.5)
     # largest qualifying set: the clique plus two spectators still clears
     # the density bar; ties resolve lexicographically
     assert u == frozenset(range(6))
@@ -68,13 +70,20 @@ def test_find_dense_subset_k4_isolated():
 
 def test_find_dense_subset_requires_an_edge():
     with pytest.raises(PreconditionError):
-        find_dense_subset(Graph.empty(5), 0.3, BoostParams(0.3))
+        find_dense_subset(Graph.empty(5), 0.3)
+
+
+def _heuristic_dense_subset(g, eps):
+    """The boost's heuristic round on g: the longest proper suffix of the
+    min-degree peel order that qualifies, or None."""
+    order, removed_deg = _peel_order(g)
+    cut = _dense_cut(removed_deg, 0, g.m, as_fraction(eps))
+    return None if cut is None else frozenset(order[cut[0]:])
 
 
 def test_find_dense_subset_heuristic_mode():
     g = sample_gnp_uniform(30, 0.4, 17)
-    params = BoostParams(0.2, exact_limit=10)  # force the suffix heuristic
-    u = find_dense_subset(g, 0.2, params)
+    u = _heuristic_dense_subset(g, 0.2)
     if u is not None:
         assert qualifies(g, u, 0.2)
 
@@ -82,7 +91,7 @@ def test_find_dense_subset_heuristic_mode():
 @pytest.mark.parametrize("seed", range(4))
 def test_find_dense_subset_exact_result_qualifies(seed):
     g = sample_gnp_uniform(16, 0.5, 40 + seed)
-    u = find_dense_subset(g, 0.3, BoostParams(0.3))
+    u = find_dense_subset(g, 0.3)
     if u is not None:
         assert qualifies(g, u, 0.3)
 
@@ -134,7 +143,7 @@ def _find_dense_subset_reference(g, eps, params):
     """The heuristic search above ``exact_limit`` with a fresh peel of g:
     the longest proper suffix of the peel order that qualifies."""
     if g.n <= params.exact_limit:
-        return find_dense_subset(g, eps, params)
+        return find_dense_subset(g, eps)
     eps_f = Fraction(str(eps))
     target = _density(g) * (1 + eps_f)
     if target > 1:
@@ -163,10 +172,10 @@ def _density_boost_reference(g, params):
     return cur, certified, rounds, frozenset(vmap)
 
 
-def _tie_heavy_graph(rng):
+def _tie_heavy_graph(rng, max_n=48):
     """Small graphs with many equal degrees: circulants, cliques joined by
     paths, stars on a clique, and sparse or dense G(n, p)."""
-    n = rng.randint(6, 48)
+    n = rng.randint(6, max_n)
     kind = rng.randrange(4)
     if kind == 0:
         k = rng.randint(1, max(1, n // 4))
@@ -200,8 +209,9 @@ def test_density_boost_matches_the_per_round_reference(seed):
         for eps in (0.05, 0.1, 0.3):
             for exact_limit in (1, 4, 12):
                 params = BoostParams(eps, exact_limit)
-                assert (find_dense_subset(g, eps, params)
-                        == _find_dense_subset_reference(g, eps, params))
+                if g.n > exact_limit:
+                    assert (_heuristic_dense_subset(g, eps)
+                            == _find_dense_subset_reference(g, eps, params))
                 out = density_boost(g, params)
                 sub, certified, rounds, vertices = \
                     _density_boost_reference(g, params)
@@ -215,6 +225,46 @@ def test_density_boost_matches_the_per_round_reference(seed):
                     "bounds": [c.to_json() for c in out.bounds]}
                 assert [c.bound_id for c in out.bounds] == [
                     "Lem2.3-rounds", "Lem2.3-size"]
+
+
+def _dense_subset_brute_force(g, eps):
+    """Every vertex set by size, largest first, then in lexicographic order:
+    the first of at least max(2, eps*n) vertices whose spanned edges reach
+    C(t, 2) * density * (1+eps)."""
+    eps_f = as_fraction(eps)
+    target = _density(g) * (1 + eps_f)
+    for t in range(g.n, max(2, math.ceil(eps_f * g.n)) - 1, -1):
+        for combo in combinations(range(g.n), t):
+            if g.count_edges_in(sum(1 << v for v in combo)) >= \
+                    comb(t, 2) * target:
+                return frozenset(combo)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_find_dense_subset_matches_brute_force(seed):
+    import random
+
+    rng = random.Random(100 + seed)
+    found = 0
+    for _ in range(30):
+        g = _tie_heavy_graph(rng, max_n=11)
+        if g.m == 0:
+            continue
+        for eps in (0.05, 0.1, 0.3, 0.5):
+            expected = _dense_subset_brute_force(g, eps)
+            assert find_dense_subset(g, eps) == expected
+            found += expected is not None
+    assert found > 0
+
+
+def test_find_dense_subset_refuses_graphs_above_64_vertices():
+    g = Graph.from_edges(65, [(v, v + 1) for v in range(64)])
+    with pytest.raises(SizeCapError):
+        find_dense_subset(g, 0.1)
+    with pytest.raises(SizeCapError):
+        density_boost(sample_gnp_uniform(70, 0.1, 3),
+                      BoostParams(0.1, exact_limit=100))
 
 
 def _path(n):
@@ -263,6 +313,15 @@ def test_lemma25_on_large_clique():
 def test_lemma25_star_hits_the_cap():
     with pytest.raises(CapExceededError):
         lemma25_extract(star(10), 0.1)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 4), 0.3, 0.9])
+def test_lemma25_refuses_eps_from_a_quarter(eps):
+    # from eps = 1/4 on the peel threshold n*p*(1 - 2*sqrt(eps)) is <= 0:
+    # the isolated vertices would survive next to the triangle
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(PreconditionError):
+        lemma25_extract(g, eps)
 
 
 def test_lemma25_needs_an_edge():
@@ -348,13 +407,14 @@ def test_lemma25_peel_matches_the_exact_predicate(g, eps):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_lemma25_bounds_on_certified_boost_outputs(seed):
+    eps = 0.2  # Lemma 2.5 needs eps < 1/4
     g = sample_gnp_uniform(20, 0.5, seed)
-    out = density_boost(g, BoostParams(0.3))
-    res = lemma25_extract(out.subgraph, 0.3)
+    out = density_boost(g, BoostParams(eps))
+    res = lemma25_extract(out.subgraph, eps)
     n, p = out.subgraph.n, float(out.density)
-    se = math.sqrt(0.3)
+    se = math.sqrt(eps)
     s = res.stats
-    assert len(res.vertices) >= (1 - 0.3 - 2 * se) * n - 1e-9
+    assert len(res.vertices) >= (1 - eps - 2 * se) * n - 1e-9
     assert s.max_deg <= (1 + 3 * se) * n * p + 1e-9
     assert s.min_deg >= (1 - 2 * se) * n * p
     assert float(res.ratio) <= 1 + 6 * se
