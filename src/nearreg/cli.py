@@ -212,9 +212,10 @@ def _experiment_point_prob(args) -> dict:
 
 
 def _experiment_regular_prob(args) -> dict:
+    caps = CalibrationConstants(c1_cap=args.c1_cap)
+    caps.validate()
     est = estimate_regular_prob(args.n, args.k, args.trials, args.seed)
     se = math.sqrt(max(est * (1 - est), 1e-300) / args.trials)
-    caps = CalibrationConstants(c1_cap=args.c1_cap)
     return {
         "n": args.n,
         "k": args.k,

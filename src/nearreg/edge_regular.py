@@ -7,7 +7,10 @@ Every matching here comes from one exact augmenting-path search,
 Edmonds' blossom algorithm, run iteratively with no size cap: the
 ceil(m/n) matching is a maximum matching of the whole graph, and each
 cascade round matches its candidates in ascending id on the bipartite
-residual graph, where no blossom ever forms.
+residual graph, where no blossom ever forms. The searches of one driver (a
+maximum matching, or a whole cascade) share one workspace of search
+arrays; each search resets only the entries it touched, so a search that
+fails after two steps costs two steps.
 
 A tight set is a subset S of the candidate side with |N(S)| <= |S| in the
 residual graph. Inclusion-minimal tight sets are what carry a perfect
@@ -17,15 +20,23 @@ each residual edge toward the matched partner of its endpoint, and take a
 sink strongly connected component. A plain single-pass greedy deletion can
 return a non-minimal set (two disjoint tight blocks survive it), which
 would break the perfect-matching step downstream.
+
+The cascade does not rebuild the residual graph between rounds. It keeps
+one ascending row of side-B neighbours per side-A vertex, built once, and
+after each round deletes from each row of S the partner S was matched to;
+the next round's candidates are S, whose rows then hold exactly their
+residual edges. ``min_tight_set`` builds the rows from a residual edge set
+and runs the same per-round core, so there is one code path for both.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional
 
 from .errors import (
@@ -61,13 +72,15 @@ def bipartite_half(g: Graph) -> Bipartition:
     split: while some vertex has strictly more neighbours on its own side
     than across, move the lowest-id such vertex (found through a heap of
     violating ids). The cut grows every move, so this terminates with every
-    vertex keeping >= half its degree."""
+    vertex keeping >= half its degree. Each vertex's neighbour list is
+    computed once and serves every move."""
     n = g.n
+    nbrs = [list(bit_indices(row)) for row in g.adj]
     side = [v & 1 for v in range(n)]  # 0 = even start, 1 = odd start
     cross = [0] * n
     own = [0] * n
     for v in range(n):
-        for u in bit_indices(g.adj[v]):
+        for u in nbrs[v]:
             if side[u] == side[v]:
                 own[v] += 1
             else:
@@ -81,7 +94,7 @@ def bipartite_half(g: Graph) -> Bipartition:
             continue  # stale: no longer violating
         side[mover] = 1 - side[mover]
         own[mover], cross[mover] = cross[mover], own[mover]
-        for u in bit_indices(g.adj[mover]):
+        for u in nbrs[mover]:
             if side[u] == side[mover]:
                 own[u] += 1
                 cross[u] -= 1
@@ -93,8 +106,8 @@ def bipartite_half(g: Graph) -> Bipartition:
     zeros = frozenset(v for v in range(n) if side[v] == 0)
     ones = frozenset(range(n)) - zeros
     side_a, side_b = (zeros, ones) if len(zeros) >= len(ones) else (ones, zeros)
-    kept = frozenset(normalize_edge(u, v) for u, v in g.edges()
-                     if side[u] != side[v])
+    kept = frozenset((u, v) for u in range(n) for v in nbrs[u]
+                     if u < v and side[u] != side[v])
     for v in range(n):
         assert cross[v] >= own[v], "switching exited with a violating vertex"
     return Bipartition(side_a, side_b, kept)
@@ -103,13 +116,21 @@ def bipartite_half(g: Graph) -> Bipartition:
 _INNER, _OUTER = 1, 2  # search-tree labels; 0 means not yet reached
 
 
+def _workspace(k: int) -> tuple:
+    """Search arrays for ``_augment_from`` on vertices 0..k-1, at their
+    reset values: ``label`` 0, ``link`` -1, ``base`` the vertex itself (each
+    vertex its own blossom) and ``seen`` 0."""
+    return [0] * k, [-1] * k, list(range(k)), [0] * k
+
+
 def _max_matching(nbrs: list) -> list:
     """Maximum matching of the graph on vertices 0..k-1 whose ascending
     neighbour lists are ``nbrs``; returns each vertex's mate, -1 if none.
 
     A greedy pass seeds the matching: each free vertex, in ascending id,
     takes its lowest-id free neighbour. Then each still-free vertex, in
-    ascending id, roots one augmenting-path search. A vertex with no
+    ascending id, roots one augmenting-path search; all of them share one
+    workspace. A vertex with no
     augmenting path never gains one through later augmentations, so one
     pass over the roots leaves a maximum matching.
     """
@@ -119,26 +140,30 @@ def _max_matching(nbrs: list) -> list:
             u = next((u for u in row if mate[u] < 0), -1)
             if u >= 0:
                 mate[v], mate[u] = u, v
+    ws = _workspace(len(nbrs))
     for root in range(len(nbrs)):
         if mate[root] < 0:
-            _augment_from(root, nbrs, mate)
+            _augment_from(root, nbrs, mate, ws)
     return mate
 
 
-def _augment_from(root: int, nbrs: list, mate: list) -> bool:
+def _augment_from(root: int, nbrs: list, mate: list, ws: tuple) -> bool:
     """Edmonds' blossom search from the free vertex ``root``: a FIFO
     breadth-first search that scans neighbours in list order and shrinks
     each odd cycle it closes (a blossom) into the cycle's base. Flips the
     first augmenting path found into ``mate`` and returns whether there was
-    one. Every loop is iterative, so path length is no limit."""
-    k = len(nbrs)
-    label = [0] * k
-    link = [-1] * k  # edge an augmenting path would use to enter the vertex
-    base = list(range(k))  # union-find forest: blossom each vertex lies in
-    seen = [0] * k
-    stamp = 0
-    queue = deque([root])
+    one. Every loop is iterative, so path length is no limit.
+
+    ``ws`` is a ``_workspace`` shared by the searches of one driver. Only
+    the entries of vertices the search labels are ever written, and those
+    are put back to their reset values before returning, so a search costs
+    the part of the graph it reaches, not O(k).
+    """
+    label, link, base, seen = ws
+    queue = [root]  # the outer vertices, in the order they are searched
+    inner: list = []  # queue and inner hold every vertex the search labels
     label[root] = _OUTER
+    stamp = 0
 
     def find(v: int) -> int:
         top = v
@@ -177,112 +202,114 @@ def _augment_from(root: int, nbrs: list, mate: list) -> bool:
                 base[b] = top
             a = link[b]
 
-    while queue:
-        v = queue.popleft()
-        for u in nbrs[v]:
-            if label[u] == _INNER or find(u) == find(v):
-                continue
-            if label[u] == _OUTER:
-                top = common_base(v, u)
-                shrink(v, u, top)
-                shrink(u, v, top)
-                continue
-            label[u], link[u] = _INNER, v
-            if mate[u] < 0:
-                while u >= 0:
-                    w = link[u]
-                    after = mate[w]
-                    mate[u], mate[w] = w, u
-                    u = after
-                return True
-            label[mate[u]] = _OUTER
-            queue.append(mate[u])
-    return False
+    # Until the first blossom shrinks, ``find`` is the identity, and two
+    # distinct vertices never share a blossom: the walk is skipped.
+    shrunk = False
+    try:
+        for v in queue:  # the list grows while it is walked: FIFO order
+            for u in nbrs[v]:
+                lab = label[u]
+                if lab == _INNER or (shrunk and find(u) == find(v)):
+                    continue
+                if lab == _OUTER:
+                    shrunk = True
+                    top = common_base(v, u)
+                    shrink(v, u, top)
+                    shrink(u, v, top)
+                    continue
+                label[u], link[u] = _INNER, v
+                inner.append(u)
+                w = mate[u]
+                if w < 0:
+                    while u >= 0:
+                        w = link[u]
+                        after = mate[w]
+                        mate[u], mate[w] = w, u
+                        u = after
+                    return True
+                label[w] = _OUTER
+                queue.append(w)
+        return False
+    finally:
+        for v in chain(queue, inner):
+            label[v], link[v], base[v], seen[v] = 0, -1, v, 0
 
 
-def _strongly_connected(nodes: list, succ: dict) -> list:
-    """Iterative Tarjan; nodes and successor lists must be pre-sorted."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
+def _sink_components(nodes: list, succ: list) -> list:
+    """Sink strongly connected components (no arc leaves them) of the
+    digraph on ``nodes`` whose arcs are ``succ[v]``, a list indexed by
+    vertex id that must stay inside ``nodes``. Iterative Tarjan on
+    id-indexed arrays. An arc leaves its tail's component exactly when its
+    head's component was emitted first: it ends at a vertex already off the
+    stack, or at a tree child whose component closed on the way back."""
+    k = len(succ)
+    index = [-1] * k  # discovery number; -1 means not yet visited
+    low = [0] * k
+    comp = [-1] * k  # component number; visited with -1 means on the stack
+    exits = [False] * k  # some arc of the vertex leaves its component
     stack: list = []
-    sccs: list = []
+    sinks: list = []
     counter = 0
     for root in nodes:
-        if root in index:
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            descended = False
-            children = succ[v]
-            while ptr < len(children):
-                w = children[ptr]
-                ptr += 1
-                work[-1] = (v, ptr)
-                if w not in index:
-                    work.append((w, 0))
-                    descended = True
+            v, arcs = work[-1]
+            for w in arcs:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(frozenset(comp))
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return sccs
+                if comp[w] >= 0:
+                    exits[v] = True
+                elif index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        comp[w] = index[v]
+                        members.append(w)
+                        if w == v:
+                            break
+                    if not any(exits[w] for w in members):
+                        sinks.append(members)
+                if work:
+                    parent = work[-1][0]
+                    if comp[v] >= 0:
+                        exits[parent] = True
+                    elif low[v] < low[parent]:
+                        low[parent] = low[v]
+    return sinks
 
 
-def min_tight_set(bp: Bipartition, residual_edges: Iterable,
-                  candidates: Optional[frozenset] = None) -> tuple:
-    """Inclusion-minimal nonempty S within the candidate side satisfying
-    |N(S)| <= |S| in the residual graph; returns (S, N(S), M_S) with M_S a
-    perfect matching of S onto N(S) made of residual edges.
-
-    Requires the candidate set itself to be tight and free of isolated
-    vertices. Ties resolve toward low ids: if some candidate cannot be
-    matched together with all lower ones, S is drawn from the lower
-    candidates that the first such candidate competes with; among the
-    minimal sets found, S is the one containing the smallest vertex id.
-    """
-    cand = sorted(candidates if candidates is not None else bp.side_a)
+def _tight_round(rows: list, cand: list, ws: tuple) -> tuple:
+    """One tight-set round on the residual graph given by ``rows``, a list
+    indexed by vertex id in which each candidate's entry is its ascending
+    list of side-B neighbours. ``cand`` is the ascending candidate list and
+    ``ws`` a ``_workspace`` over ``len(rows)`` vertices. Returns
+    ``(S, N(S), M_S, mate)``, with ``mate`` the round's matching."""
     if not cand:
         raise PreconditionError("empty candidate set")
-    cand_set = set(cand)
-    nbrs: list = [[] for _ in range(1 + max(bp.side_a | bp.side_b))]
-    for u, v in residual_edges:
-        a, b = (u, v) if u in cand_set else (v, u)
-        if a in cand_set and b in bp.side_b:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-    for row in nbrs:
-        row.sort()
     for a in cand:
-        if not nbrs[a]:
+        if not rows[a]:
             raise PreconditionError(f"candidate {a} has no residual edge")
-    if len({b for a in cand for b in nbrs[a]}) > len(cand):
+    if len(set().union(*(rows[a] for a in cand))) > len(cand):
         raise PreconditionError("candidate set is not tight")
     # Match the candidates one at a time in ascending id. Which candidate
     # first fails to join the lower ones depends only on the graph, not on
     # the paths the search picks, so neither does the tight set below.
-    mate = [-1] * len(nbrs)
-    a0 = next((a for a in cand if not _augment_from(a, nbrs, mate)), None)
+    mate = [-1] * len(rows)
+    a0 = next((a for a in cand if not _augment_from(a, rows, mate, ws)),
+              None)
     universe = cand
     if a0 is not None:
         # Shrink to the matched part of the alternating-reachability set of
@@ -293,7 +320,7 @@ def min_tight_set(bp: Bipartition, residual_edges: Iterable,
         frontier = [a0]
         while frontier:
             a = frontier.pop()
-            for b in nbrs[a]:
+            for b in rows[a]:
                 if b in reach_b:
                     continue
                 reach_b.add(b)
@@ -307,28 +334,56 @@ def min_tight_set(bp: Bipartition, residual_edges: Iterable,
         universe = sorted(reach_a - {a0})
         if not universe:
             raise HallViolationError("tight candidate shrank to nothing")
+    # Orient each residual edge a-b toward b's partner: a -> mate[b].
     node_set = set(universe)
-    succ = {}
+    succ: list = [()] * len(rows)
     for a in universe:
-        out = {mate[b] for b in nbrs[a]} - {a}
-        if not out <= node_set:
+        out = list(map(mate.__getitem__, rows[a]))
+        out.remove(a)  # the arc through a's own partner
+        if not node_set.issuperset(out):
             raise HallViolationError("orientation left the matched universe")
-        succ[a] = sorted(out)
-    sccs = _strongly_connected(universe, succ)
-    comp_of = {}
-    for idx, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = idx
-    sinks = []
-    for idx, comp in enumerate(sccs):
-        if all(comp_of[w] == idx for v in comp for w in succ[v]):
-            sinks.append(comp)
-    chosen = min(sinks, key=min)
+        succ[a] = out
+    chosen = min(_sink_components(universe, succ), key=min)
     # A sink component's neighbours are all matched inside it, so the
     # matching restricted to it is perfect onto N(S).
-    neighbourhood = frozenset(b for a in chosen for b in nbrs[a])
+    neighbourhood = frozenset().union(*(rows[a] for a in chosen))
     matching = frozenset(normalize_edge(a, mate[a]) for a in chosen)
-    return frozenset(chosen), neighbourhood, matching
+    return frozenset(chosen), neighbourhood, matching, mate
+
+
+def min_tight_set(bp: Bipartition, residual_edges: Iterable,
+                  candidates: Optional[frozenset] = None) -> tuple:
+    """Inclusion-minimal nonempty S within the candidate side satisfying
+    |N(S)| <= |S| in the residual graph; returns (S, N(S), M_S) with M_S a
+    perfect matching of S onto N(S) made of residual edges.
+
+    Requires the candidate set itself to be tight and free of isolated
+    vertices. Ties resolve toward low ids: if some candidate cannot be
+    matched together with all lower ones, S is drawn from the lower
+    candidates that the first such candidate competes with; among the
+    minimal sets found, S is the one containing the smallest vertex id.
+
+    This builds the residual rows from ``residual_edges`` and runs one
+    round of the core that ``matching_cascade`` runs on its persistent
+    rows.
+    """
+    cand = sorted(candidates if candidates is not None else bp.side_a)
+    rows = _residual_rows(bp, residual_edges, set(cand))
+    return _tight_round(rows, cand, _workspace(len(rows)))[:3]
+
+
+def _residual_rows(bp: Bipartition, edges: Iterable, cand_set) -> list:
+    """Each candidate's ascending list of its side-B neighbours over
+    ``edges``, in a list indexed by vertex id (empty for other ids)."""
+    rows: list = [[] for _ in range(1 + max(bp.side_a | bp.side_b,
+                                            default=-1))]
+    for u, v in edges:
+        a, b = (u, v) if u in cand_set else (v, u)
+        if a in cand_set and b in bp.side_b:
+            rows[a].append(b)
+    for row in rows:
+        row.sort()
+    return rows
 
 
 @dataclass
@@ -361,34 +416,39 @@ def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
     Needs minimum degree >= rounds over the kept bipartite graph: every
     matching lowers the degrees inside the surviving tight set by exactly
     one, so the process provably completes all requested rounds.
+
+    The residual graph is kept, not rebuilt: each side-A vertex's ascending
+    row of side-B neighbours is built once, and after a round each vertex
+    of S loses its matched partner from its row. The next round's
+    candidates are S, whose rows then hold exactly their residual edges.
+    All rounds share one search workspace.
     """
     if rounds < 0:
         raise PreconditionError("rounds must be >= 0")
+    sets: list = []
+    matchings: list = []
     if rounds > 0:
-        deg: dict = {}
-        for u, v in bp.edges:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        min_deg = min((deg.get(v, 0) for v in bp.side_a | bp.side_b),
-                      default=0)
+        deg = Counter(chain.from_iterable(bp.edges))
+        min_deg = min((deg[v] for v in bp.side_a | bp.side_b), default=0)
         if min_deg < rounds:
             raise PreconditionError(
                 f"minimum kept degree {min_deg} is below {rounds} rounds")
-    residual = set(bp.edges)
-    sets: list = []
-    matchings: list = []
-    current: Optional[frozenset] = None
-    for _ in range(rounds):
-        s, t, matching = min_tight_set(bp, residual, candidates=current)
-        if current is not None and not s <= current:
-            raise BoundViolationError("tight sets stopped nesting")
-        if len(s) != len(t) or len(matching) != len(s):
-            raise BoundViolationError("tight pair sizes diverged")
-        residual -= matching
-        sets.append((s, t))
-        matchings.append(matching)
-        current = s
-    return CascadeState(bp, sets, matchings, frozenset(residual))
+        rows = _residual_rows(bp, bp.edges, bp.side_a)
+        ws = _workspace(len(rows))
+        cand = sorted(bp.side_a)
+        for _ in range(rounds):
+            s, t, matching, mate = _tight_round(rows, cand, ws)
+            if sets and not s <= sets[-1][0]:
+                raise BoundViolationError("tight sets stopped nesting")
+            if len(s) != len(t) or len(matching) != len(s):
+                raise BoundViolationError("tight pair sizes diverged")
+            for a in s:
+                rows[a].remove(mate[a])
+            sets.append((s, t))
+            matchings.append(matching)
+            cand = sorted(s)
+    residual = frozenset(bp.edges).difference(*matchings)
+    return CascadeState(bp, sets, matchings, residual)
 
 
 def theorem41(g: Graph) -> tuple:

@@ -174,6 +174,18 @@ def test_experiment_rejects_nonpositive_calibration_caps(argv, capsys):
     assert "calibration caps must be positive" in err
 
 
+def test_regular_prob_validates_the_cap_before_sampling(capsys, monkeypatch):
+    def sampled(*args):
+        raise AssertionError("the Monte Carlo ran before the cap check")
+
+    monkeypatch.setattr("nearreg.cli.estimate_regular_prob", sampled)
+    code, out, err = run_cli(["experiment", "regular-prob", "--n", "20",
+                              "--k", "6", "--trials", "1000000",
+                              "--c1-cap", "0"], capsys)
+    assert code == 2 and out == ""
+    assert "calibration caps must be positive" in err
+
+
 def test_extract_boost_above_the_search_cap_is_refused(tmp_path, capsys):
     # 70 vertices under --exact-limit 100: the first round is exhaustive,
     # and the search refuses graphs above 64 vertices

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nearreg import (
     Bipartition,
+    CascadeState,
     Graph,
     PreconditionError,
     bipartite_half,
@@ -22,7 +23,11 @@ from nearreg import (
     star,
     theorem41,
 )
-from nearreg.edge_regular import _max_matching
+from nearreg.edge_regular import (
+    _max_matching,
+    _sink_components,
+    _workspace,
+)
 from nearreg.graph import bit_indices, normalize_edge
 
 
@@ -441,3 +446,317 @@ def test_adversarial_shapes(shape):
     res, _ = theorem41(g)
     assert res.bounds and all(b.passed for b in res.bounds)
     assert all(g.has_edge(u, v) for u, v in res.edges)
+
+
+# --- the cascade against a per-round rebuild -------------------------------
+
+
+def _augment_reference(root, rows, mate):
+    """Alternating breadth-first search from the candidate ``root``: what
+    Edmonds' search does on a bipartite graph, where no blossom forms.
+    Scans rows in list order and flips the first augmenting path found."""
+    parent = {}
+    queue = [root]
+    for a in queue:
+        for b in rows[a]:
+            if b in parent:
+                continue
+            parent[b] = a
+            if mate[b] < 0:
+                while b >= 0:
+                    a = parent[b]
+                    after = mate[a]
+                    mate[a], mate[b] = b, a
+                    b = after
+                return True
+            queue.append(mate[b])
+    return False
+
+
+def _scc_reference(nodes, succ):
+    """Iterative Tarjan on dicts and sets; nodes and successor lists must be
+    pre-sorted."""
+    index, low, on_stack, stack, sccs, counter = {}, {}, set(), [], [], 0
+    for root in nodes:
+        if root in index:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, ptr = work[-1]
+            if ptr == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack.add(v)
+            descended = False
+            children = succ[v]
+            while ptr < len(children):
+                w = children[ptr]
+                ptr += 1
+                work[-1] = (v, ptr)
+                if w not in index:
+                    work.append((w, 0))
+                    descended = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if descended:
+                continue
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(frozenset(comp))
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return sccs
+
+
+def _tight_set_reference(bp, residual_edges, candidates=None):
+    """One round rebuilt from the whole residual edge set: the residual
+    rows, the ascending matching, the alternating-reachability shrink, and
+    the sink component with the smallest id of the orientation."""
+    cand = sorted(candidates if candidates is not None else bp.side_a)
+    cand_set = set(cand)
+    rows = [[] for _ in range(1 + max(bp.side_a | bp.side_b))]
+    for u, v in residual_edges:
+        a, b = (u, v) if u in cand_set else (v, u)
+        if a in cand_set and b in bp.side_b:
+            rows[a].append(b)
+    for row in rows:
+        row.sort()
+    assert all(rows[a] for a in cand)
+    assert len({b for a in cand for b in rows[a]}) <= len(cand)
+    mate = [-1] * len(rows)
+    a0 = next((a for a in cand if not _augment_reference(a, rows, mate)),
+              None)
+    universe = cand
+    if a0 is not None:
+        reach_a, reach_b, frontier = {a0}, set(), [a0]
+        while frontier:
+            for b in rows[frontier.pop()]:
+                if b not in reach_b:
+                    reach_b.add(b)
+                    if mate[b] not in reach_a:
+                        reach_a.add(mate[b])
+                        frontier.append(mate[b])
+        universe = sorted(reach_a - {a0})
+    succ = {a: sorted({mate[b] for b in rows[a]} - {a}) for a in universe}
+    sccs = _scc_reference(universe, succ)
+    comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
+    sinks = [comp for i, comp in enumerate(sccs)
+             if all(comp_of[w] == i for v in comp for w in succ[v])]
+    chosen = min(sinks, key=min)
+    return (chosen, frozenset(b for a in chosen for b in rows[a]),
+            frozenset(normalize_edge(a, mate[a]) for a in chosen))
+
+
+def _cascade_reference(bp, rounds):
+    """The cascade with every round rebuilt; each round also checks the
+    public ``min_tight_set`` on the same residual graph."""
+    residual = set(bp.edges)
+    sets, matchings, current = [], [], None
+    for _ in range(rounds):
+        s, t, m = _tight_set_reference(bp, residual, current)
+        assert min_tight_set(bp, residual, candidates=current) == (s, t, m)
+        residual -= m
+        sets.append((s, t))
+        matchings.append(m)
+        current = s
+    return CascadeState(bp, sets, matchings, frozenset(residual))
+
+
+def _kept_min_degree(bp):
+    deg = {v: 0 for v in bp.side_a | bp.side_b}
+    for u, v in bp.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return min(deg.values())
+
+
+def _unbalanced_bipartite(ka, kb, degree, seed):
+    """Side A of ka vertices, each joined to ``degree`` random vertices of
+    side B (kb < ka), plus the edges B needs to reach that degree too: the
+    first candidate that cannot join the lower ones comes early, so the
+    tight sets shrink round after round."""
+    import random
+
+    rng = random.Random(seed)
+    side_b = range(ka, ka + kb)
+    edges = {(a, b) for a in range(ka)
+             for b in rng.sample(side_b, degree)}
+    for b in side_b:
+        have = sum(1 for e in edges if e[1] == b)
+        for a in rng.sample(range(ka), max(0, degree - have)):
+            edges.add((a, b))
+    return Bipartition(frozenset(range(ka)), frozenset(side_b),
+                       frozenset(edges))
+
+
+CASCADE_INPUTS = {
+    "path": lambda: bipartite_half(path(2000)),
+    "ladder": lambda: bipartite_half(ladder(500)),
+    "star": lambda: bipartite_half(star(200)),
+    "cliques": lambda: bipartite_half(disjoint_cliques(40, 25)),
+    "k-9-5": lambda: natural_bipartition(9, 14)[1],
+    "k-12-12": lambda: natural_bipartition(12, 24)[1],
+    "gnp-dense": lambda: bipartite_half(sample_gnp_uniform(300, 0.23, 5)),
+    "gnp-mid": lambda: bipartite_half(sample_gnp_uniform(200, 0.1, 7)),
+    "gnp-sparse": lambda: bipartite_half(sample_gnp_uniform(400, 0.02, 8)),
+    "unbalanced-a": lambda: _unbalanced_bipartite(30, 20, 4, 1),
+    "unbalanced-b": lambda: _unbalanced_bipartite(60, 35, 6, 2),
+    "unbalanced-c": lambda: _unbalanced_bipartite(120, 100, 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASCADE_INPUTS))
+def test_cascade_matches_the_per_round_rebuild(name):
+    bp = CASCADE_INPUTS[name]()
+    rounds = min(_kept_min_degree(bp), 16)
+    assert rounds >= 1
+    state = matching_cascade(bp, rounds)
+    ref = _cascade_reference(bp, rounds)
+    assert state.to_json() == ref.to_json()
+    assert state.sets == ref.sets
+    assert state.matchings == ref.matchings
+    assert state.residual == ref.residual
+
+
+def test_cascade_inputs_include_shrinking_tight_sets():
+    # the unbalanced inputs exercise the reachability shrink, not only the
+    # all-candidates-matched branch
+    for name in ("star", "cliques", "unbalanced-a", "unbalanced-b"):
+        bp = CASCADE_INPUTS[name]()
+        state = matching_cascade(bp, min(_kept_min_degree(bp), 16))
+        assert len(state.sets[0][0]) < len(bp.side_a), name
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sink_components_match_networkx_condensation(seed):
+    import random
+
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    for _ in range(60):
+        k = rng.randint(1, 60)
+        nodes = sorted(rng.sample(range(k + 10), k))
+        p = rng.choice((0.02, 0.05, 0.1, 0.3))
+        succ = [[] for _ in range(k + 10)]
+        for v in nodes:
+            succ[v] = [w for w in nodes if w != v and rng.random() < p]
+        assert_sinks_match(nx, nodes, succ)
+
+
+def test_sink_components_on_long_chains_and_cycles():
+    nx = pytest.importorskip("networkx")
+    n = 3000
+    chain_down = [[v - 1] if v else [] for v in range(n)]
+    assert _sink_components(list(range(n)), chain_down) == [[0]]
+    cycle = [[(v + 1) % n] for v in range(n)]
+    assert [sorted(c) for c in _sink_components(list(range(n)), cycle)] == [
+        list(range(n))]
+    # two cycles joined by one arc: only the second is a sink
+    two = [[(v + 1) % 50] for v in range(50)]
+    two += [[50 + (v + 1) % 50] for v in range(50)]
+    two[7].append(80)
+    assert_sinks_match(nx, list(range(100)), two)
+
+
+def assert_sinks_match(nx, nodes, succ):
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(nodes)
+    digraph.add_edges_from((v, w) for v in nodes for w in succ[v])
+    dag = nx.condensation(digraph)
+    expected = {frozenset(dag.nodes[c]["members"]) for c in dag.nodes
+                if dag.out_degree(c) == 0}
+    got = [frozenset(c) for c in _sink_components(nodes, succ)]
+    assert len(got) == len(set(got)) and set(got) == expected
+
+
+# --- one search workspace per driver ---------------------------------------
+
+
+def odd_cycle(n):
+    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+BLOSSOM_GRAPHS = {
+    "c5": lambda: odd_cycle(5),
+    "c7": lambda: odd_cycle(7),
+    "c101": lambda: odd_cycle(101),
+    "two-blossoms": lambda: Graph.from_edges(10, [
+        (0, 8), (0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (4, 5), (4, 6),
+        (5, 6), (6, 7), (7, 9)]),
+    "triangles-on-a-path": lambda: Graph.from_edges(31, [
+        e for t in range(10) for e in ((3 * t, 3 * t + 1),
+                                       (3 * t + 1, 3 * t + 2),
+                                       (3 * t, 3 * t + 2),
+                                       (3 * t + 2, 3 * t + 3))]),
+    "gnp-30": lambda: sample_gnp_uniform(30, 0.15, 11),
+    "gnp-60": lambda: sample_gnp_uniform(60, 0.06, 12),
+    "gnp-200": lambda: sample_gnp_uniform(200, 0.02, 13),
+}
+
+
+def rows_of(g):
+    return [list(g.neighbors(v)) for v in range(g.n)]
+
+
+@pytest.mark.parametrize("name", sorted(BLOSSOM_GRAPHS))
+def test_workspace_is_reset_after_every_search(name, monkeypatch):
+    from nearreg import edge_regular
+
+    g = BLOSSOM_GRAPHS[name]()
+    used = []
+    search = edge_regular._augment_from
+
+    def checked(root, rows, mate, ws):
+        found = search(root, rows, mate, ws)
+        assert ws == _workspace(g.n)
+        used.append(ws)
+        return found
+
+    monkeypatch.setattr(edge_regular, "_augment_from", checked)
+    mate = _max_matching(rows_of(g))
+    assert used  # the greedy seed left free vertices to search from
+    assert all(ws is used[0] for ws in used)
+    assert all(mate[mate[v]] == v for v in range(g.n) if mate[v] >= 0)
+
+
+@pytest.mark.parametrize("name", sorted(BLOSSOM_GRAPHS))
+def test_shared_workspace_gives_the_fresh_workspace_matching(name,
+                                                             monkeypatch):
+    from nearreg import edge_regular
+
+    nbrs = rows_of(BLOSSOM_GRAPHS[name]())
+    shared = _max_matching(nbrs)
+    search = edge_regular._augment_from
+    monkeypatch.setattr(
+        edge_regular, "_augment_from",
+        lambda root, rows, mate, ws: search(root, rows, mate,
+                                            _workspace(len(rows))))
+    assert _max_matching(nbrs) == shared
+
+
+@pytest.mark.parametrize("name", ["cliques", "gnp-mid", "unbalanced-b"])
+def test_cascade_shared_workspace_gives_the_fresh_workspace_rounds(
+        name, monkeypatch):
+    from nearreg import edge_regular
+
+    bp = CASCADE_INPUTS[name]()
+    rounds = min(_kept_min_degree(bp), 16)
+    shared = matching_cascade(bp, rounds)
+    search = edge_regular._augment_from
+    monkeypatch.setattr(
+        edge_regular, "_augment_from",
+        lambda root, rows, mate, ws: search(root, rows, mate,
+                                            _workspace(len(rows))))
+    fresh = matching_cascade(bp, rounds)
+    assert (fresh.sets, fresh.matchings, fresh.residual) == (
+        shared.sets, shared.matchings, shared.residual)
