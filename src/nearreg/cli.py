@@ -26,20 +26,14 @@ from typing import Optional
 
 import numpy as np
 
-from .edge_regular import matching_bound, matching_lower_bound, theorem41
+from .edge_regular import matching_lower_bound, theorem41
 from .errors import (
     BoundViolationError,
     EdgeListError,
     PreconditionError,
     SizeCapError,
 )
-from .graph import (
-    ExtractionResult,
-    Graph,
-    degree_stats,
-    parse_edge_list,
-    serialize_edge_list,
-)
+from .graph import Graph, degree_stats, parse_edge_list, serialize_edge_list
 from .instances import ModelParams, generate
 from .oracle import (
     CalibrationConstants,
@@ -60,7 +54,6 @@ from .regularize import (
     lemma25_extract,
     theorem12_pipeline,
     theorem13_pipeline,
-    turan_bound,
     turan_independent_set,
 )
 
@@ -156,15 +149,9 @@ def _run_extract(args, g: Graph):
         out = res.to_json()
         out["cascade"] = cascade.to_json()
         return out, res.bounds, {}
-    if algo == "turan":
-        members = turan_independent_set(g)
-        res = ExtractionResult.from_induced(g, members, "Turan-greedy",
-                                            (turan_bound(g, members),))
-        return res.to_json(), res.bounds, {}
-    if algo == "matching":
-        edges = matching_lower_bound(g)
-        res = ExtractionResult.from_edge_subgraph(
-            edges, "Matching-lower-bound", (matching_bound(g, edges),))
+    if algo in ("turan", "matching"):
+        fn = turan_independent_set if algo == "turan" else matching_lower_bound
+        res = fn(g)
         return res.to_json(), res.bounds, {}
     raise PreconditionError(f"unknown algorithm {algo!r}")
 

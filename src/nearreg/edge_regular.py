@@ -1,7 +1,7 @@
 """Edge-version extraction: bipartite halving, nested tight sets with
 pairwise edge-disjoint perfect matchings, the cascade pipeline that turns
 them into a 5-nearly regular subgraph with many edges, and the ceil(m/n)
-matching guarantee.
+matching guarantee, returned as a result that carries its checked ledger.
 
 Every matching here comes from one exact augmenting-path search,
 Edmonds' blossom algorithm, run iteratively with no size cap: the
@@ -519,22 +519,20 @@ def theorem41(g: Graph) -> tuple:
     return replace(result, bounds=checks), cascade
 
 
-def matching_lower_bound(g: Graph) -> frozenset:
+def matching_lower_bound(g: Graph) -> ExtractionResult:
     """A maximum matching of ``g``, which has at least ceil(m/n) edges:
     by Vizing's theorem the edges split into Delta + 1 <= n matchings.
+    Returns it as a ``Matching-lower-bound`` result whose ledger holds the
+    checked ``Matching-size`` entry.
 
     Found exactly, for graphs of any size, by Edmonds' blossom algorithm;
-    the final size check only guards against a bug in it.
+    the size check only guards against a bug in it.
     """
-    if g.n == 0 or g.m == 0:
-        return frozenset()
-    mate = _max_matching([list(g.neighbors(v)) for v in range(g.n)])
-    best = frozenset((v, u) for v, u in enumerate(mate) if v < u)
-    require_bounds("matching_lower_bound", [matching_bound(g, best)])
-    return best
-
-
-def matching_bound(g: Graph, edges) -> BoundCheck:
-    """Ledger entry for the guarantee |edges| >= ceil(m/n)."""
-    return check("Matching-size", len(edges), ">=",
-                 -(-g.m // g.n) if g.n else 0)
+    best = frozenset()
+    if g.m:
+        mate = _max_matching([list(g.neighbors(v)) for v in range(g.n)])
+        best = frozenset((v, u) for v, u in enumerate(mate) if v < u)
+    checks = require_bounds("matching_lower_bound", [
+        check("Matching-size", len(best), ">=", -(-g.m // g.n) if g.n else 0)])
+    return ExtractionResult.from_edge_subgraph(
+        best, "Matching-lower-bound", checks)

@@ -8,18 +8,21 @@ thresholds never flip on float rounding. Every ledger entry is evaluated by
 `check`, exactly for integer, `Fraction` and a + b*sqrt(e) (`Surd`)
 thresholds; only the five log/pow thresholds Prop2.2-size, Prop1.1-size,
 Lem2.3-rounds, Lem2.3-size and Thm1.2-size are floats, compared as they
-stand with no slack.
+stand with no slack. `DegreeStats.of` builds every degree-statistics record
+from a degree sequence and an edge count, so an extractor that tracked its
+survivors' degrees hands them over instead of recounting adjacency rows.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Optional, Union
 
-from .errors import BoundViolationError, EdgeListError
+from .errors import BoundViolationError, EdgeListError, PreconditionError
 
 # A vertex set is just a frozenset of ids within a host graph.
 VertexSet = frozenset
@@ -31,7 +34,10 @@ def as_fraction(x: Union[int, float, Fraction, str]) -> Fraction:
 
     Floats are read at decimal face value (``0.4`` becomes exactly 2/5),
     so ratios like k/alpha come out as the intended rational constants.
+    A non-finite float (nan, inf) is refused with `PreconditionError`.
     """
+    if isinstance(x, float) and not math.isfinite(x):
+        raise PreconditionError(f"expected a finite number, got {x}")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -140,30 +146,21 @@ class DegreeStats:
             "density_exact": str(self.density),
         }
 
+    @staticmethod
+    def of(degrees: list, m: int) -> "DegreeStats":
+        """Statistics of a graph with degree sequence ``degrees`` and ``m``
+        edges; all zero when there are no vertices."""
+        n = len(degrees)
+        if n == 0:
+            return DegreeStats(0, 0, Fraction(0), Fraction(0))
+        density = Fraction(m, comb(n, 2)) if n > 1 else Fraction(0)
+        return DegreeStats(max(degrees), min(degrees), Fraction(2 * m, n),
+                           density)
+
 
 def degree_stats(g: Graph) -> DegreeStats:
     """Degree statistics of ``g``; all-zero for the graph with no vertices."""
-    if g.n == 0:
-        return DegreeStats(0, 0, Fraction(0), Fraction(0))
-    degs = g.degrees()
-    density = Fraction(g.m, comb(g.n, 2)) if g.n > 1 else Fraction(0)
-    return DegreeStats(max(degs), min(degs), Fraction(2 * g.m, g.n), density)
-
-
-def stats_for_members(adj: tuple, mask: int, edge_count: int, size: int) -> DegreeStats:
-    """Degree statistics of the induced subgraph on ``mask`` without building it."""
-    if size == 0:
-        return DegreeStats(0, 0, Fraction(0), Fraction(0))
-    mx, mn = 0, None
-    for v in bit_indices(mask):
-        d = (adj[v] & mask).bit_count()
-        if d > mx:
-            mx = d
-        if mn is None or d < mn:
-            mn = d
-    avg = Fraction(2 * edge_count, size)
-    density = Fraction(edge_count, comb(size, 2)) if size > 1 else Fraction(0)
-    return DegreeStats(mx, mn, avg, density)
+    return DegreeStats.of(g.degrees(), g.m)
 
 
 def induced(g: Graph, u: Iterable) -> tuple:
@@ -340,40 +337,35 @@ class ExtractionResult:
         return int(self.stats.avg_deg * len(self.vertices) / 2)
 
     @staticmethod
+    def from_stats(vertices: Iterable, edges: Optional[frozenset],
+                   stats: DegreeStats, guarantee: str,
+                   bounds: tuple = ()) -> "ExtractionResult":
+        """Result whose ratio is read off ``stats``, which the extractor
+        tracked while it ran."""
+        return ExtractionResult(frozenset(vertices), edges, stats,
+                                subgraph_ratio(stats.max_deg, stats.min_deg),
+                                guarantee, bounds)
+
+    @staticmethod
     def from_induced(g: Graph, vertices: Iterable, guarantee: str,
                      bounds: tuple = ()) -> "ExtractionResult":
+        """Result for the subgraph of ``g`` induced on ``vertices``."""
         members = frozenset(vertices)
-        mask = 0
-        for v in members:
-            mask |= 1 << v
-        edge_count = g.count_edges_in(mask)
-        st = stats_for_members(g.adj, mask, edge_count, len(members))
-        return ExtractionResult(members, None, st,
-                                subgraph_ratio(st.max_deg, st.min_deg),
-                                guarantee, bounds)
+        mask = sum(1 << v for v in members)
+        degs = [(g.adj[v] & mask).bit_count() for v in members]
+        return ExtractionResult.from_stats(
+            members, None, DegreeStats.of(degs, sum(degs) // 2), guarantee,
+            bounds)
 
     @staticmethod
     def from_edge_subgraph(edges: Iterable, guarantee: str,
                            bounds: tuple = ()) -> "ExtractionResult":
         """Result of an edge-version extraction: vertex set = covered endpoints."""
         edge_set = frozenset(normalize_edge(u, v) for u, v in edges)
-        deg: dict = {}
-        for u, v in edge_set:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        members = frozenset(deg)
-        size = len(members)
-        if size == 0:
-            st = DegreeStats(0, 0, Fraction(0), Fraction(0))
-        else:
-            st = DegreeStats(
-                max(deg.values()), min(deg.values()),
-                Fraction(2 * len(edge_set), size),
-                Fraction(len(edge_set), comb(size, 2)) if size > 1 else Fraction(0),
-            )
-        return ExtractionResult(members, edge_set, st,
-                                subgraph_ratio(st.max_deg, st.min_deg),
-                                guarantee, bounds)
+        deg = Counter(v for e in edge_set for v in e)
+        return ExtractionResult.from_stats(
+            deg, edge_set, DegreeStats.of(list(deg.values()), len(edge_set)),
+            guarantee, bounds)
 
     def to_json(self) -> dict:
         return {

@@ -41,15 +41,15 @@ class ModelParams:
         elif self.kind == "gnp_bar":
             if self.n is None or self.n < 2:
                 raise PreconditionError("gnp_bar needs n >= 2")
-            if self.seed is None:
-                raise PreconditionError("gnp_bar needs a seed")
+            if self.seed is None or self.seed < 0:
+                raise PreconditionError("gnp_bar needs a seed >= 0")
         elif self.kind == "gnp_uniform":
             if self.n is None or self.n < 1:
                 raise PreconditionError("gnp_uniform needs n >= 1")
             if self.p is None or not 0 <= self.p <= 1:
                 raise PreconditionError("gnp_uniform needs p in [0, 1]")
-            if self.seed is None:
-                raise PreconditionError("gnp_uniform needs a seed")
+            if self.seed is None or self.seed < 0:
+                raise PreconditionError("gnp_uniform needs a seed >= 0")
         elif self.kind == "complete_bipartite":
             if self.k is None or self.n is None or not 1 <= self.k <= self.n // 2:
                 raise PreconditionError(

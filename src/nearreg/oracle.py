@@ -10,6 +10,7 @@ dynamic program where one exists.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -49,8 +50,9 @@ class CalibrationConstants:
     c1_cap: float = 16.0
 
     def validate(self) -> None:
-        if self.c0_cap <= 0 or self.c1_cap <= 0:
-            raise PreconditionError("calibration caps must be positive")
+        if not (0 < self.c0_cap < math.inf and 0 < self.c1_cap < math.inf):
+            raise PreconditionError(
+                "calibration caps must be positive and finite")
 
 
 def _c_ratio(c: Real) -> tuple:

@@ -5,6 +5,9 @@ delete-while-at-or-above-threshold (max-degree peel), composed into the
 refine / reduce / pipeline operations. Thresholds are frozen when a round
 starts while degrees are recomputed after every single deletion; among
 eligible vertices the lowest id goes first, so traces are reproducible.
+Both primitives keep the degree of every live vertex exact, so the
+extractors read their survivors' statistics from the degrees the peel
+tracked, with no second pass over the adjacency rows.
 """
 
 from __future__ import annotations
@@ -17,16 +20,15 @@ from typing import Optional, Union
 
 from .errors import PreconditionError
 from .graph import (
+    DegreeStats,
     ExtractionResult,
     Graph,
     as_fraction,
     bit_indices,
     check,
-    degree_stats,
     induced,
     ledger_ratio,
     require_bounds,
-    stats_for_members,
 )
 
 Real = Union[int, float, Fraction]
@@ -60,13 +62,14 @@ class PeelTrace:
         }
 
 
-def peel_min(adj, alive: int, deg: list, threshold: Fraction, round_index: int,
-             steps: list, cap: Optional[int] = None) -> tuple:
+def peel_min(adj, alive: int, deg: list, threshold: Fraction, steps: list,
+             cap: Optional[int] = None) -> tuple:
     """Delete vertices of degree < threshold from the live set ``alive`` of
     the graph with bitmask rows ``adj``, lowest id first, recomputing the
     live degrees ``deg`` (updated in place) after each deletion and
-    appending one `PeelStep` per deletion to ``steps``. Stops after ``cap``
-    deletions if given.
+    appending one round-0 `PeelStep` per deletion to ``steps``. Stops after
+    ``cap`` deletions if given. On return ``deg[v]`` is the degree of every
+    live vertex v within the live set.
 
     Returns (alive_mask, wants_more) where wants_more is True iff the cap was
     reached while an eligible vertex remained.
@@ -80,7 +83,7 @@ def peel_min(adj, alive: int, deg: list, threshold: Fraction, round_index: int,
             continue
         if cap is not None and deleted == cap:
             return alive, True
-        steps.append(PeelStep(v, deg[v], round_index))
+        steps.append(PeelStep(v, deg[v], 0))
         alive &= ~(1 << v)
         deleted += 1
         for u in bit_indices(adj[v] & alive):
@@ -93,8 +96,9 @@ def peel_min(adj, alive: int, deg: list, threshold: Fraction, round_index: int,
 def _peel_max(adj, alive: int, deg: list, threshold: Fraction,
               round_index: int, steps: list) -> int:
     """Delete vertices of degree >= threshold, lowest id first, recomputing
-    degrees after each deletion. Since degrees only drop, one ascending scan
-    visits every vertex that could ever be eligible."""
+    degrees after each deletion, so that ``deg`` stays exact for every live
+    vertex. Since degrees only drop, one ascending scan visits every vertex
+    that could ever be eligible."""
     for v in bit_indices(alive):
         if deg[v] >= threshold:
             steps.append(PeelStep(v, deg[v], round_index))
@@ -117,7 +121,7 @@ def peel_below(g: Graph, threshold: Real) -> tuple:
     if thr > 0 and g.n > 0:
         trace.thresholds.append(thr)
         deg = g.degrees()
-        alive, _ = peel_min(g.adj, g.full_mask(), deg, thr, 0, trace.steps)
+        alive, _ = peel_min(g.adj, g.full_mask(), deg, thr, trace.steps)
     else:
         alive = g.full_mask()
     sub, _ = induced(g, bit_indices(alive))
@@ -137,32 +141,30 @@ def prop21_refine(g: Graph, k: Real, alpha: Real) -> ExtractionResult:
         raise PreconditionError("k must be > 1")
     if not 0 < af < Fraction(1, 2):
         raise PreconditionError("alpha must lie in (0, 1/2)")
-    st = degree_stats(g)
+    deg = g.degrees()
+    st = DegreeStats.of(deg, g.m)
     d0 = st.avg_deg
     if st.max_deg > kf * d0:
         raise PreconditionError(
             f"max degree {st.max_deg} exceeds k*avg = {float(kf * d0):.4g}; "
             "reduce first")
-    trace = PeelTrace()
+    steps: list = []
     alive = g.full_mask()
-    kept_m = g.m
     if d0 > 0:
-        thr = af * d0
-        trace.thresholds.append(thr)
-        deg = g.degrees()
-        alive, _ = peel_min(g.adj, alive, deg, thr, 0, trace.steps)
-        kept_m = g.m - sum(s.degree for s in trace.steps)
-    kept = stats_for_members(g.adj, alive, kept_m, alive.bit_count())
+        alive, _ = peel_min(g.adj, alive, deg, af * d0, steps)
+    members = list(bit_indices(alive))
+    kept_m = g.m - sum(s.degree for s in steps)
+    kept = DegreeStats.of([deg[v] for v in members], kept_m)
     checks = require_bounds("prop21_refine", [
         check("Prop2.1-ratio", ledger_ratio(kept.max_deg, kept.min_deg), "<=",
               kf / af),
-        check("Prop2.1-size", alive.bit_count(), ">=",
+        check("Prop2.1-size", len(members), ">=",
               (1 - 2 * af) / (kf - 2 * af) * g.n),
         check("Prop2.1-edges", kept_m, ">=",
               (kf - 2 * kf * af) / (2 * kf - 4 * af) * g.n * d0),
     ])
-    return ExtractionResult.from_induced(
-        g, bit_indices(alive), f"Prop2.1(k={k},alpha={alpha})", checks)
+    return ExtractionResult.from_stats(
+        members, None, kept, f"Prop2.1(k={k},alpha={alpha})", checks)
 
 
 def prop22_reduce(g: Graph, k: Real) -> tuple:
@@ -196,7 +198,7 @@ def prop22_reduce(g: Graph, k: Real) -> tuple:
         alive = _peel_max(g.adj, alive, deg, thr, i, trace.steps)
         m_alive -= sum(s.degree for s in trace.steps[before:])
     n_out = alive.bit_count()
-    out_stats = stats_for_members(g.adj, alive, m_alive, n_out)
+    out_stats = DegreeStats.of([deg[v] for v in bit_indices(alive)], m_alive)
     size_thr = g.n ** (1 + math.log2(1 - 1 / float(kf))) if g.n > 0 else 0.0
     checks = require_bounds("prop22_reduce", [
         check("Prop2.2-spread", out_stats.max_deg, "<=",
@@ -207,20 +209,17 @@ def prop22_reduce(g: Graph, k: Real) -> tuple:
     return sub, trace, checks
 
 
-def proposition11_pipeline(g: Graph, c: Real,
-                           alpha: Optional[Real] = None) -> ExtractionResult:
+def proposition11_pipeline(g: Graph, c: Real) -> ExtractionResult:
     """Reduce-then-refine composition producing a c-nearly regular subgraph.
 
-    Splits c = k1/alpha with alpha strictly between 1/c and 1/2 (midpoint by
-    default), reduces with k1, then refines with (k1, alpha). Rejected for
-    c <= 2, where no valid split exists.
+    Splits c = k1/alpha with alpha the midpoint of 1/c and 1/2, reduces with
+    k1, then refines with (k1, alpha). Rejected for c <= 2, where no valid
+    split exists.
     """
     cf = as_fraction(c)
     if not cf > 2:
         raise PreconditionError("pipeline requires c > 2")
-    af = as_fraction(alpha) if alpha is not None else (1 / cf + Fraction(1, 2)) / 2
-    if not 1 / cf < af < Fraction(1, 2):
-        raise PreconditionError("alpha must lie strictly between 1/c and 1/2")
+    af = (1 / cf + Fraction(1, 2)) / 2
     k1 = af * cf
     reduced, trace, reduce_checks = prop22_reduce(g, k1)
     refined = prop21_refine(reduced, k1, af)

@@ -1,6 +1,10 @@
 """Small-ratio machinery: density boost, boundary diagnostic, top-degree
 extraction, greedy independent set, and the two end-to-end pipelines.
 
+Every extractor returns an `ExtractionResult` carrying its checked ledger,
+built once: the top-degree extraction reads its survivors' statistics from
+the degrees its peel tracked.
+
 The boost repeatedly replaces the graph by an induced subgraph on at least
 an eps-fraction of its vertices whose density beats the current density by
 a factor of (1+eps), until no such subgraph exists. When every search along
@@ -15,14 +19,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 from typing import Optional, Union
 
 from .errors import CapExceededError, PreconditionError
 from .graph import (
-    BoundCheck,
+    DegreeStats,
     ExtractionResult,
     Graph,
     Surd,
@@ -33,7 +37,6 @@ from .graph import (
     induced,
     ledger_ratio,
     require_bounds,
-    stats_for_members,
 )
 from .oracle import largest_subset
 from .peeling import peel_min
@@ -331,28 +334,31 @@ def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:
     cap = math.isqrt(math.floor(4 * n * n * eps_f))  # floor(2*sqrt(eps)*n)
     steps: list = []
     alive, wants_more = peel_min(g.adj, alive, deg, math.ceil(min_deg_thr),
-                                 0, steps, cap=cap)
+                                 steps, cap=cap)
     if wants_more:
         raise CapExceededError(
             f"peel wanted more than the cap of {cap} deletions; the "
             "input violates the bounded-dense-subset condition")
+    members = list(bit_indices(alive))
     kept_m = g.m - deleted_edges - sum(s.degree for s in steps)
-    st = stats_for_members(g.adj, alive, kept_m, alive.bit_count())
+    st = DegreeStats.of([deg[v] for v in members], kept_m)
     checks = require_bounds("lemma25_extract", [
-        check("Lem2.5-size", alive.bit_count(), ">=",
+        check("Lem2.5-size", len(members), ">=",
               Surd((1 - eps_f) * n, -2 * n, eps_f)),
         check("Lem2.5-maxdeg", st.max_deg, "<=", Surd(np_, 3 * np_, eps_f)),
         check("Lem2.5-mindeg", st.min_deg, ">=", min_deg_thr),
         check("Lem2.5-ratio", ledger_ratio(st.max_deg, st.min_deg), "<=",
               Surd(1, 6, eps_f)),
     ])
-    return ExtractionResult.from_induced(
-        g, bit_indices(alive), f"Lem2.5(eps={eps})", checks)
+    return ExtractionResult.from_stats(
+        members, None, st, f"Lem2.5(eps={eps})", checks)
 
 
-def turan_independent_set(g: Graph) -> frozenset:
+def turan_independent_set(g: Graph) -> ExtractionResult:
     """Greedy independent set: take the lowest-id minimum-degree vertex and
     drop its closed neighbourhood; guaranteed size >= n / (avg_deg + 1).
+    Returns the set as a ``Turan-greedy`` result whose ledger holds the
+    checked ``Turan-size`` entry.
 
     Picks come off a lazy (degree, id) heap. After each pick, every live
     vertex next to the dropped ones gets its degree recounted and one new
@@ -381,14 +387,22 @@ def turan_independent_set(g: Graph) -> frozenset:
     mask = sum(1 << v for v in members)
     for v in members:
         assert not g.adj[v] & mask, "greedy set is not independent"
-    require_bounds("turan_independent_set", [turan_bound(g, members)])
-    return members
+    checks = require_bounds("turan_independent_set", [
+        check("Turan-size", len(members), ">=",
+              g.n / (degree_stats(g).avg_deg + 1))])
+    return ExtractionResult.from_induced(g, members, "Turan-greedy", checks)
 
 
-def turan_bound(g: Graph, members, bound_id: str = "Turan-size") -> BoundCheck:
-    """Ledger entry for the greedy guarantee |members| >= n / (avg_deg + 1)."""
-    return check(bound_id, len(members), ">=",
-                 g.n / (degree_stats(g).avg_deg + 1))
+def _inner_epsilon(eps: Real) -> float:
+    """eps0 = eps^2/36, the boost and extraction parameter of the Thm 1.2 and
+    1.3 pipelines. Requires 0 < eps < 6, so that 0 < eps0 < 1 (an eps0 that
+    underflows to 0 is refused too)."""
+    epsf = float(eps)
+    eps0 = epsf * epsf / 36
+    if not (0 < epsf < 6 and 0 < eps0 < 1):
+        raise PreconditionError(
+            "epsilon must lie in (0, 6), so that eps^2/36 lies in (0, 1)")
+    return eps0
 
 
 def _boost_then_extract(g: Graph, eps0: float, exact_limit: int) -> tuple:
@@ -405,13 +419,11 @@ def theorem12_pipeline(g: Graph, eps: Real,
                        exact_limit: int = DEFAULT_EXACT_LIMIT) -> ExtractionResult:
     """Boost at eps^2/36 then extract, returning a (1+eps)-nearly regular
     induced subgraph. Above eps = 0.5 the run proceeds but the result is
-    tagged as carrying no guarantee."""
-    epsf = float(eps)
-    if not epsf > 0:
-        raise PreconditionError("eps must be positive")
+    tagged as carrying no guarantee. eps must lie in (0, 6)."""
+    eps0 = _inner_epsilon(eps)
     if g.m < 1:
         raise PreconditionError("pipeline needs at least one edge")
-    eps0 = epsf * epsf / 36
+    epsf = float(eps)
     boost, inner, host_vertices = _boost_then_extract(g, eps0, exact_limit)
     checks = [*inner.bounds,
               check("Thm1.2-ratio", inner.ratio, "<=", 1 + as_fraction(eps))]
@@ -431,22 +443,23 @@ def theorem13_pipeline(g: Graph, eps: Real,
                        exact_limit: int = DEFAULT_EXACT_LIMIT) -> ExtractionResult:
     """Sparse graphs yield the greedy independent set; dense graphs run the
     boost-then-extract machinery. The returned object always satisfies its
-    branch's contract: an independent set, or degree ratio <= 1 + eps."""
-    epsf = float(eps)
-    if not epsf > 0:
-        raise PreconditionError("eps must be positive")
-    suffix = "" if epsf <= 0.1 else " no-guarantee"
+    branch's contract: an independent set, or degree ratio <= 1 + eps.
+
+    eps must lie in (0, 6). The sparse branch returns the result of
+    `turan_independent_set` retagged, its ``Turan-size`` check renamed to
+    ``Thm1.3-turan-size``."""
+    eps0 = _inner_epsilon(eps)
+    suffix = "" if float(eps) <= 0.1 else " no-guarantee"
     if g.n == 0:
         return ExtractionResult.from_induced(g, (), "Thm1.3-turan" + suffix)
-    eps0 = epsf * epsf / 36
     a = eps0 / (3 * math.log(1 / eps0))
     p = float(_density(g))
     if p < g.n ** (-a):
-        members = turan_independent_set(g)
+        turan = turan_independent_set(g)
         checks = require_bounds("theorem13_pipeline", [
-            turan_bound(g, members, "Thm1.3-turan-size")])
-        return ExtractionResult.from_induced(
-            g, members, "Thm1.3-turan" + suffix, checks)
+            replace(turan.bounds[0], bound_id="Thm1.3-turan-size")])
+        return replace(turan, guarantee="Thm1.3-turan" + suffix,
+                       bounds=checks)
     boost, inner, host_vertices = _boost_then_extract(g, eps0, exact_limit)
     checks = [*inner.bounds,
               check("Thm1.3-ratio", inner.ratio, "<=", 1 + as_fraction(eps))]

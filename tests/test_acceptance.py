@@ -162,7 +162,7 @@ def test_c06_oracle_dominance():
         g = nr.sample_gnp_uniform(n, p, 20_000 + seed)
         oracle = {c: nr.exact_f(g, c).value for c in (1, 1.5, 2, 5)}
         outputs = []
-        turan = nr.turan_independent_set(g)
+        turan = nr.turan_independent_set(g).vertices
         outputs.extend((c, turan) for c in (1, 1.5, 2, 5))
         try:
             outputs.append((5, nr.proposition11_pipeline(g, 5).vertices))
@@ -292,7 +292,7 @@ def test_c11_edge_version_extremal_checks():
         n = 10 + seed % 31
         p = (0.2, 0.4, 0.6)[seed % 3]
         g = nr.sample_gnp_uniform(n, p, 30_000 + seed)
-        edges = nr.matching_lower_bound(g)
+        edges = nr.matching_lower_bound(g).edges
         if len(edges) < -(-g.m // g.n):
             short += 1
     failures += short

@@ -244,3 +244,44 @@ def test_out_file(tmp_path, capsys):
                            capsys)
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["schema"] == "nearreg-report/1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "prop21", "G", "--k", "nan"],
+    ["extract", "prop21", "G", "--k", "inf"],
+    ["extract", "prop22", "G", "--k", "nan"],
+    ["extract", "prop22", "G", "--k", "inf"],
+    ["extract", "prop21", "G", "--alpha", "nan"],
+    ["extract", "prop11", "G", "--c", "nan"],
+    ["extract", "prop11", "G", "--c", "inf"],
+    ["extract", "lemma25", "G", "--epsilon", "nan"],
+    ["extract", "lemma25", "G", "--epsilon", "inf"],
+    ["experiment", "point-prob", "--t", "10", "--trials", "10",
+     "--c0-cap", "nan"],
+    ["experiment", "regular-prob", "--trials", "10", "--c1-cap", "nan"],
+])
+def test_non_finite_numbers_are_preconditions(argv, tmp_path, capsys):
+    path = write_graph(tmp_path, "k4.el", "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code, out, err = run_cli([path if a == "G" else a for a in argv], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("precondition:")
+
+
+@pytest.mark.parametrize("algorithm", ["thm12", "thm13"])
+@pytest.mark.parametrize("eps", ["6", "7", "1e308"])
+def test_extract_pipelines_refuse_epsilon_from_six(algorithm, eps, tmp_path,
+                                                    capsys):
+    path = write_graph(tmp_path, "k4.el", "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code, out, err = run_cli(["extract", algorithm, path, "--epsilon", eps],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "epsilon must lie in (0, 6)" in err
+
+
+@pytest.mark.parametrize("kind", ["gnp-uniform", "gnp-bar"])
+def test_gen_refuses_a_negative_seed(kind, tmp_path, capsys):
+    code, out, err = run_cli(["gen", kind, "--n", "10", "--p", "0.5",
+                              "--seed", "-1", "--out",
+                              str(tmp_path / "g.el")], capsys)
+    assert code == 2 and out == ""
+    assert "needs a seed >= 0" in err

@@ -8,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearreg import (
+    DegreeStats,
     EdgeListError,
+    ExtractionResult,
     Graph,
+    PreconditionError,
     degree_stats,
     induced,
     nearly_regular_check,
     parse_edge_list,
     serialize_edge_list,
 )
-from nearreg.graph import Surd, check, subgraph_ratio
+from nearreg.graph import Surd, as_fraction, check, subgraph_ratio
 
 
 def complete(n):
@@ -221,3 +224,25 @@ def test_serialize_parse_identity(case):
 def test_edge_count_matches_half_degree_sum():
     g = parse_edge_list("5 5\n0 1\n0 2\n1 2\n2 3\n3 4")
     assert sum(g.degrees()) == 2 * g.m
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_as_fraction_refuses_non_finite_floats(x):
+    with pytest.raises(PreconditionError, match="finite"):
+        as_fraction(x)
+
+
+def test_degree_stats_of_a_degree_sequence():
+    assert DegreeStats.of([], 0) == DegreeStats(0, 0, Fraction(0), Fraction(0))
+    assert DegreeStats.of([0], 0) == degree_stats(Graph.empty(1))
+    for g in (complete(4), cycle(5), path(3)):
+        assert DegreeStats.of(g.degrees(), g.m) == degree_stats(g)
+
+
+def test_from_induced_matches_the_induced_subgraph():
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5),
+                             (0, 3)])
+    res = ExtractionResult.from_induced(g, [0, 1, 2, 3, 4], "t")
+    sub, _ = induced(g, [0, 1, 2, 3, 4])
+    assert res.stats == degree_stats(sub) and res.edge_count == sub.m == 5
+    assert res.ratio == 3

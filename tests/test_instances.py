@@ -200,3 +200,10 @@ def test_model_params_validation():
         ModelParams(kind="gnp_bar", n=10).validate()
     with pytest.raises(PreconditionError):
         ModelParams(kind="mystery").validate()
+
+
+@pytest.mark.parametrize("kind", ["gnp_bar", "gnp_uniform"])
+def test_model_params_refuse_a_negative_seed(kind):
+    ModelParams(kind=kind, n=10, p=0.5, seed=0).validate()
+    with pytest.raises(PreconditionError, match="seed >= 0"):
+        ModelParams(kind=kind, n=10, p=0.5, seed=-1).validate()

@@ -196,7 +196,7 @@ def test_oracle_dominates_constructive_outputs(seed):
     from nearreg import proposition11_pipeline, turan_independent_set
 
     g = sample_gnp_uniform(12, 0.5, 950 + seed)
-    turan = turan_independent_set(g)
+    turan = turan_independent_set(g).vertices
     for c in (1, 1.5, 2, 5):
         assert len(turan) <= exact_f(g, c).value
     res = proposition11_pipeline(g, 5)

@@ -465,16 +465,17 @@ def test_boundary_restates_the_dense_subset_condition(seed):
 
 
 def test_turan_examples():
-    assert turan_independent_set(complete(6)) == frozenset({0})
-    assert turan_independent_set(Graph.empty(5)) == frozenset(range(5))
+    assert turan_independent_set(complete(6)).vertices == frozenset({0})
+    assert (turan_independent_set(Graph.empty(5)).vertices
+            == frozenset(range(5)))
     c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    assert turan_independent_set(c5) == frozenset({0, 2})
+    assert turan_independent_set(c5).vertices == frozenset({0, 2})
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_turan_bound_on_seeded_samples(seed):
     g = sample_gnp_uniform(40, 0.3, 500 + seed)
-    s = turan_independent_set(g)
+    s = turan_independent_set(g).vertices
     d = degree_stats(g).avg_deg
     assert len(s) * (d + 1) >= g.n
     sub, _ = induced(g, s)
@@ -507,7 +508,7 @@ def _turan_reference(g):
                          ids=["path", "star", "cliques", "gnp"])
 def test_turan_matches_the_scan_reference(build):
     g = build()
-    assert turan_independent_set(g) == _turan_reference(g)
+    assert turan_independent_set(g).vertices == _turan_reference(g)
 
 
 def test_theorem12_on_cliques():
@@ -561,3 +562,37 @@ def test_theorem13_branch_contract_always_holds():
             assert sub.m == 0
         else:
             assert float(res.ratio) <= 1.1 + 1e-9
+
+
+@pytest.mark.parametrize("pipeline", [theorem12_pipeline, theorem13_pipeline])
+@pytest.mark.parametrize("eps", [0, -1, 6, 7, 1e308, 1e-170, math.nan,
+                                 math.inf])
+def test_pipelines_share_one_epsilon_gate(pipeline, eps):
+    # eps0 = eps^2/36 must lie in (0, 1): eps = 6 made ln(1/eps0) = 0,
+    # 1e308 overflowed eps0, and 1e-170 underflows it to 0
+    with pytest.raises(PreconditionError, match=r"epsilon must lie in \(0, 6\)"):
+        pipeline(complete(5), eps)
+
+
+def test_theorem13_turan_branch_renames_the_turan_check():
+    tree = Graph.from_edges(100, [(i, i + 1) for i in range(99)])
+    res = theorem13_pipeline(tree, 0.1)
+    turan = turan_independent_set(tree)
+    assert res.vertices == turan.vertices and res.stats == turan.stats
+    assert [c.bound_id for c in res.bounds] == ["Thm1.3-turan-size"]
+    assert res.bounds[0].threshold == turan.bounds[0].threshold
+
+
+def test_turan_and_matching_return_their_checked_ledger():
+    from nearreg import matching_lower_bound
+
+    g = sample_gnp_uniform(30, 0.3, 11)
+    turan = turan_independent_set(g)
+    assert turan.guarantee == "Turan-greedy" and turan.edges is None
+    assert [c.bound_id for c in turan.bounds] == ["Turan-size"]
+    assert turan.stats.max_deg == 0 and turan.bounds[0].passed
+    matching = matching_lower_bound(g)
+    assert matching.guarantee == "Matching-lower-bound"
+    assert [c.bound_id for c in matching.bounds] == ["Matching-size"]
+    assert matching.bounds[0].threshold == -(-g.m // g.n)
+    assert matching.stats.max_deg == matching.stats.min_deg == 1
