@@ -260,7 +260,14 @@ def _sign_of_difference(x, t) -> int:
 
 
 def _json_number(x):
-    return x if isinstance(x, int) else float(x)
+    """A report number: an int as it is, anything else as a float, and an
+    exact value beyond the float range as +-inf (the check stays exact)."""
+    if isinstance(x, int):
+        return x
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if _sign_of_difference(0, x) < 0 else -math.inf
 
 
 @dataclass(frozen=True)

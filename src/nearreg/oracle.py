@@ -62,11 +62,10 @@ def _c_ratio(c: Real) -> tuple:
     return cf.numerator, cf.denominator
 
 
-def _subset_valid(adj: Sequence, mask: int, c_num: int, c_den: int) -> bool:
-    """Is the induced subgraph on ``mask`` c-nearly regular?"""
+def _subset_valid(degrees: Iterable[int], c_num: int, c_den: int) -> bool:
+    """Is a subgraph with these vertex degrees c-nearly regular?"""
     mx, mn = 0, None
-    for v in bit_indices(mask):
-        d = (adj[v] & mask).bit_count()
+    for d in degrees:
         if d > mx:
             mx = d
         if mn is None or d < mn:
@@ -82,12 +81,19 @@ def largest_subset(g: Graph, sizes: Iterable[int], prune: Callable,
 
     Tries each size t of ``sizes`` in the order given (callers list them
     largest first) with one include-first DFS over ascending ids, so the
-    witness found at a size is the lexicographically least one there. The
-    DFS carries ``chosen`` (the mask of the prefix picked so far) and ``e``
-    (the edges it spans). It drops a node when ``prune(t, chosen, e, avail,
-    rem)`` holds, ``avail`` being the mask of the ids still to decide and
-    ``rem`` the vertices still to pick, and takes a t-subset when
-    ``accept(t, chosen, e)`` holds.
+    witness found at a size is the lexicographically least one there. At
+    the node deciding id ``pos`` the DFS holds
+    - ``chosen``, the ids picked so far, ascending, and ``e``, the edges
+      they span;
+    - ``inner[v]``, the neighbours of v among ``chosen``, for every v
+      (an include adds 1 along the new vertex's neighbours, a backtrack
+      takes it off again);
+    - ``after[v]``, the neighbours of v among the ids pos..n-1 still to
+      decide (a row of a table built once per call);
+    - ``rem``, the vertices still to pick.
+    It drops the node when ``prune(t, e, rem, pos, chosen, inner, after)``
+    holds, and takes a t-subset when ``accept(t, e, chosen, inner)`` holds.
+    The callbacks read these lists and must not change them.
 
     Returns ``(t, witness_mask, explored)`` for the first size with an
     accepted subset, or ``(0, None, explored)``; ``explored`` counts the
@@ -97,27 +103,37 @@ def largest_subset(g: Graph, sizes: Iterable[int], prune: Callable,
     if g.n > HARD_VERTEX_CAP:
         raise SizeCapError(f"exact search is capped at {HARD_VERTEX_CAP} vertices")
     n, adj = g.n, g.adj
-    suffix = [g.full_mask() >> pos << pos for pos in range(n + 1)]
+    nbrs = [list(bit_indices(row)) for row in adj]
+    after = [[(row >> pos).bit_count() for row in adj] for pos in range(n + 1)]
+    inner = [0] * n
+    chosen: list = []
     explored = 0
 
-    def dfs(pos: int, chosen: int, rem: int, e: int) -> Optional[int]:
+    def dfs(pos: int, rem: int, e: int) -> Optional[int]:
         # t is the size of the current pass of the loop below
         nonlocal explored
         explored += 1
         if rem == 0:
-            return chosen if accept(t, chosen, e) else None
+            if accept(t, e, chosen, inner):
+                return sum(1 << v for v in chosen)
+            return None
         if n - pos < rem:
             return None
-        if prune(t, chosen, e, suffix[pos], rem):
+        if prune(t, e, rem, pos, chosen, inner, after[pos]):
             return None
-        hit = dfs(pos + 1, chosen | (1 << pos), rem - 1,
-                  e + (adj[pos] & chosen).bit_count())
+        chosen.append(pos)
+        for u in nbrs[pos]:
+            inner[u] += 1
+        hit = dfs(pos + 1, rem - 1, e + inner[pos])
+        for u in nbrs[pos]:
+            inner[u] -= 1
+        chosen.pop()
         if hit is not None:
             return hit
-        return dfs(pos + 1, chosen, rem, e)
+        return dfs(pos + 1, rem, e)
 
     for t in sizes:
-        hit = dfs(0, 0, t, 0)
+        hit = dfs(0, t, 0)
         if hit is not None:
             return t, hit, explored
     return 0, None, explored
@@ -129,17 +145,17 @@ def exact_f(g: Graph, c: Real, size_cap: int = DEFAULT_VERTEX_CAP) -> OracleResu
     if g.n > size_cap:
         raise SizeCapError(f"instance exceeds the size cap {size_cap}")
     c_num, c_den = _c_ratio(c)
-    adj = g.adj
 
-    def spread_too_wide(t: int, chosen: int, e: int, avail: int,
-                        rem: int) -> bool:
+    def spread_too_wide(t: int, e: int, rem: int, pos: int, chosen: list,
+                        inner: list, after: list) -> bool:
         # A partial choice dies when some chosen vertex is already forced
         # above c times the best minimum degree any completion can reach.
         worst_hi = None
         best_max = 0
-        for v in bit_indices(chosen):
-            cur = (adj[v] & chosen).bit_count()
-            hi = cur + min((adj[v] & avail).bit_count(), rem)
+        for v in chosen:
+            cur = inner[v]
+            free = after[v]
+            hi = cur + (free if free < rem else rem)
             if worst_hi is None or hi < worst_hi:
                 worst_hi = hi
             if cur > best_max:
@@ -150,8 +166,8 @@ def exact_f(g: Graph, c: Real, size_cap: int = DEFAULT_VERTEX_CAP) -> OracleResu
             return best_max != 0
         return best_max * c_den > c_num * worst_hi
 
-    def valid(t: int, chosen: int, e: int) -> bool:
-        return _subset_valid(adj, chosen, c_num, c_den)
+    def valid(t: int, e: int, chosen: list, inner: list) -> bool:
+        return _subset_valid((inner[v] for v in chosen), c_num, c_den)
 
     t, hit, explored = largest_subset(g, range(g.n, 0, -1), spread_too_wide,
                                       valid)
@@ -192,7 +208,8 @@ def exact_f_n(n: int, c: Real, order_cap: int = LABELLED_ORDER_CAP) -> int:
         # graph's value (size 1 always succeeds), and a graph stops mattering
         # as soon as its value is known to reach the current minimum
         for t in range(n, 0, -1):
-            if any(_subset_valid(adj, mask, c_num, c_den)
+            if any(_subset_valid(((adj[v] & mask).bit_count()
+                                  for v in bit_indices(mask)), c_num, c_den)
                    for mask in subsets_by_size[t]):
                 if t < best:
                     best = t

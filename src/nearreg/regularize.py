@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Optional, Union
 
 from .errors import CapExceededError, PreconditionError
@@ -183,25 +184,20 @@ def find_dense_subset(g: Graph, eps: Real) -> Optional[frozenset]:
     if bar is None:
         return None  # density cannot exceed 1: nothing to search
     num, den, t_min = bar
-    adj = g.adj
 
-    def short_of_edges(t: int, chosen: int, e: int, avail: int,
-                       rem: int) -> bool:
-        # Two upper bounds on the edges any completion can add: the rem
-        # largest degrees into prefix-plus-pool, or every pool edge to the
-        # prefix plus a full clique on the rem vertices still to pick.
-        universe = chosen | avail
-        gains = sorted(
-            ((adj[v] & universe).bit_count() for v in bit_indices(avail)),
-            reverse=True,
-        )
-        cross = 0
-        for v in bit_indices(avail):
-            cross += (adj[v] & chosen).bit_count()
-        reach = e + min(sum(gains[:rem]), cross + comb(rem, 2))
-        return reach * den < comb(t, 2) * num
+    def short_of_edges(t: int, e: int, rem: int, pos: int, chosen: list,
+                       inner: list, after: list) -> bool:
+        # Two upper bounds on the edges any completion can add: every pool
+        # edge to the prefix plus a full clique on the rem vertices still
+        # to pick, or the rem largest degrees into prefix-plus-pool. The
+        # first is cheap, so the sort runs only when it does not prune.
+        need = comb(t, 2) * num
+        if (e + sum(inner[pos:]) + comb(rem, 2)) * den < need:
+            return True
+        gains = sorted(map(add, inner[pos:], after[pos:]), reverse=True)
+        return (e + sum(gains[:rem])) * den < need
 
-    def dense_enough(t: int, chosen: int, e: int) -> bool:
+    def dense_enough(t: int, e: int, chosen: list, inner: list) -> bool:
         return e * den >= comb(t, 2) * num
 
     # sizes at which even the whole graph is short of edges are skipped

@@ -2,6 +2,7 @@
 and byte-level determinism."""
 
 import json
+import math
 import pathlib
 import re
 
@@ -265,6 +266,21 @@ def test_non_finite_numbers_are_preconditions(argv, tmp_path, capsys):
     code, out, err = run_cli([path if a == "G" else a for a in argv], capsys)
     assert code == 2 and out == ""
     assert err.startswith("precondition:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["prop21", "--k", "1e308"],
+    ["prop21", "--alpha", "1e-320"],
+    ["prop22", "--k", "1e308"],
+])
+def test_thresholds_beyond_floats_are_reported_infinite(argv, tmp_path,
+                                                        capsys):
+    path = write_graph(tmp_path, "k4.el", "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code, out, err = run_cli(["extract", argv[0], path, *argv[1:]], capsys)
+    assert code == 0 and err == ""
+    bounds = json.loads(out)["bounds"]
+    assert math.inf in [b["threshold"] for b in bounds]
+    assert all(b["pass"] for b in bounds)
 
 
 @pytest.mark.parametrize("algorithm", ["thm12", "thm13"])

@@ -153,6 +153,16 @@ def test_check_kinds_and_json():
         check("t", 1, "<", 2)
 
 
+def test_check_json_writes_thresholds_beyond_floats_as_infinite():
+    huge = Fraction(10 ** 400)
+    assert check("t", 4, "<=", huge).to_json()["threshold"] == math.inf
+    low = check("t", 4, ">=", -huge)
+    assert (low.to_json()["threshold"], low.passed) == (-math.inf, True)
+    assert not check("t", 4, ">=", huge + Fraction(1, 3)).passed
+    surd = Surd(-huge, Fraction(1), Fraction(2))
+    assert check("t", 0, ">=", surd).to_json()["threshold"] == -math.inf
+
+
 def test_check_accepts_floats_only_for_log_thresholds():
     assert check("Prop2.2-size", 3, ">=", 3.0).passed
     with pytest.raises(TypeError):

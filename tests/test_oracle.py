@@ -96,8 +96,10 @@ def test_exact_f_search_node_counts():
 def test_largest_subset_carries_the_prefix_edge_count():
     g = sample_gnp_uniform(10, 0.4, 5)
 
-    def independent(t, chosen, e):
-        assert e == g.count_edges_in(chosen)
+    def independent(t, e, chosen, inner):
+        mask = sum(1 << v for v in chosen)
+        assert e == g.count_edges_in(mask)
+        assert inner == [(row & mask).bit_count() for row in g.adj]
         return e == 0
 
     t, mask, _ = largest_subset(g, range(g.n, 0, -1),

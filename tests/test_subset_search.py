@@ -1,0 +1,223 @@
+"""The exhaustive subset search behind `exact_f` and `find_dense_subset`,
+against a mask-based reference: the same nodes, sizes and witnesses.
+
+The reference below is the search as it was when every prune popcounted
+the adjacency rows of the chosen prefix and of the pool at each node. The
+search now tracks those counts incrementally; both must visit the same
+nodes, so ``explored`` is compared as well as the answer.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+from math import comb
+
+import pytest
+
+from nearreg import (
+    Graph,
+    complete_bipartite,
+    exact_f,
+    find_dense_subset,
+    sample_gnp_uniform,
+)
+from nearreg import regularize
+from nearreg.graph import as_fraction, bit_indices
+from nearreg.oracle import largest_subset
+from nearreg.regularize import _boost_target
+
+
+# --- reference: the popcount search and its two callers' prunes ---------
+
+def reference_largest_subset(g, sizes, prune, accept):
+    n, adj = g.n, g.adj
+    suffix = [g.full_mask() >> pos << pos for pos in range(n + 1)]
+    explored = 0
+
+    def dfs(pos, chosen, rem, e):
+        nonlocal explored
+        explored += 1
+        if rem == 0:
+            return chosen if accept(t, chosen, e) else None
+        if n - pos < rem:
+            return None
+        if prune(t, chosen, e, suffix[pos], rem):
+            return None
+        hit = dfs(pos + 1, chosen | (1 << pos), rem - 1,
+                  e + (adj[pos] & chosen).bit_count())
+        if hit is not None:
+            return hit
+        return dfs(pos + 1, chosen, rem, e)
+
+    for t in sizes:
+        hit = dfs(0, 0, t, 0)
+        if hit is not None:
+            return t, hit, explored
+    return 0, None, explored
+
+
+def reference_exact_f(g, c):
+    cf = as_fraction(c)
+    c_num, c_den = cf.numerator, cf.denominator
+    adj = g.adj
+
+    def spread_too_wide(t, chosen, e, avail, rem):
+        worst_hi = None
+        best_max = 0
+        for v in bit_indices(chosen):
+            cur = (adj[v] & chosen).bit_count()
+            hi = cur + min((adj[v] & avail).bit_count(), rem)
+            if worst_hi is None or hi < worst_hi:
+                worst_hi = hi
+            if cur > best_max:
+                best_max = cur
+        if worst_hi is None:
+            return False
+        if worst_hi == 0:
+            return best_max != 0
+        return best_max * c_den > c_num * worst_hi
+
+    def valid(t, chosen, e):
+        degrees = [(adj[v] & chosen).bit_count() for v in bit_indices(chosen)]
+        mx, mn = max(degrees, default=0), min(degrees, default=0)
+        return mx == 0 or mx * c_den <= c_num * mn
+
+    return reference_largest_subset(g, range(g.n, 0, -1), spread_too_wide,
+                                    valid)
+
+
+def reference_dense_search(g, eps):
+    """The search `find_dense_subset` makes; None when it makes none."""
+    bar = _boost_target(g.n, g.m, as_fraction(eps))
+    if bar is None:
+        return None
+    num, den, t_min = bar
+    adj = g.adj
+
+    def short_of_edges(t, chosen, e, avail, rem):
+        universe = chosen | avail
+        gains = sorted(
+            ((adj[v] & universe).bit_count() for v in bit_indices(avail)),
+            reverse=True,
+        )
+        cross = 0
+        for v in bit_indices(avail):
+            cross += (adj[v] & chosen).bit_count()
+        reach = e + min(sum(gains[:rem]), cross + comb(rem, 2))
+        return reach * den < comb(t, 2) * num
+
+    def dense_enough(t, chosen, e):
+        return e * den >= comb(t, 2) * num
+
+    sizes = [t for t in range(g.n, t_min - 1, -1)
+             if g.m * den >= comb(t, 2) * num]
+    return reference_largest_subset(g, sizes, short_of_edges, dense_enough)
+
+
+# --- the searches under test ---------------------------------------------
+
+def dense_search(g, eps, monkeypatch):
+    """``(t, mask, explored)`` of the search inside `find_dense_subset`,
+    None when it makes none; checks the set returned against the mask."""
+    runs = []
+
+    def recording(*args):
+        runs.append(largest_subset(*args))
+        return runs[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(regularize, "largest_subset", recording)
+        subset = find_dense_subset(g, eps)
+    assert len(runs) <= 1
+    run = runs[0] if runs else None
+    hit = run[1] if run else None
+    assert subset == (None if hit is None else frozenset(bit_indices(hit)))
+    return run
+
+
+def exact_search(g, c):
+    r = exact_f(g, c)
+    mask = sum(1 << v for v in r.witness) if r.value else None
+    return r.value, mask, r.explored
+
+
+# --- tie-heavy shapes ----------------------------------------------------
+
+def circulant(n, jumps, chords=()):
+    edges = {(min(i, (i + j) % n), max(i, (i + j) % n))
+             for i in range(n) for j in jumps}
+    return Graph.from_edges(n, edges | set(chords))
+
+
+def stars_on_a_clique(k, leaves):
+    """K_k whose every vertex carries ``leaves`` pendant vertices."""
+    edges = [(a, b) for a, b in combinations(range(k), 2)]
+    edges += [(a, k + a * leaves + j) for a in range(k) for j in range(leaves)]
+    return Graph.from_edges(k + k * leaves, edges)
+
+
+def disjoint_cliques(*sizes):
+    edges, base = [], 0
+    for s in sizes:
+        edges += [(base + a, base + b) for a, b in combinations(range(s), 2)]
+        base += s
+    return Graph.from_edges(base, edges)
+
+
+SHAPES = {
+    "C12(1)+chord": circulant(12, [1], [(0, 6)]),
+    "C13(1,2)+chords": circulant(13, [1, 2], [(0, 5), (3, 9)]),
+    "C14(1,3)": circulant(14, [1, 3]),
+    "C16(1,4,8)+chord": circulant(16, [1, 4, 8], [(0, 2)]),
+    "K4+3 leaves": stars_on_a_clique(4, 3),
+    "K5+2 leaves": stars_on_a_clique(5, 2),
+    "K3+K4+K5": disjoint_cliques(3, 4, 5),
+    "K2x4+K6": disjoint_cliques(2, 2, 2, 2, 6),
+    "K5,9": complete_bipartite(5, 14),
+}
+SHAPES.update({f"G(14,{p})#{s}": sample_gnp_uniform(14, p, 900 + s)
+               for p in (0.3, 0.6) for s in range(2)})
+DENSE_SHAPES = dict(SHAPES)
+DENSE_SHAPES.update({f"G(20,{p})#{s}": sample_gnp_uniform(20, p, 950 + s)
+                     for p in (0.2, 0.5) for s in range(2)})
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+@pytest.mark.parametrize("c", [1, Fraction(3, 2), 2, 5])
+def test_exact_f_search_matches_the_popcount_reference(name, c):
+    g = SHAPES[name]
+    assert exact_search(g, c) == reference_exact_f(g, c)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_f_search_matches_the_popcount_reference_on_gnp(seed):
+    g = sample_gnp_uniform(10 + seed % 5, 0.2 + 0.1 * (seed % 6), 970 + seed)
+    for c in (1, Fraction(3, 2), 2, 5):
+        assert exact_search(g, c) == reference_exact_f(g, c)
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_SHAPES))
+@pytest.mark.parametrize("eps", [0.1, 0.2, 0.5])
+def test_dense_search_matches_the_popcount_reference(name, eps, monkeypatch):
+    g = DENSE_SHAPES[name]
+    run = dense_search(g, eps, monkeypatch)
+    assert run == reference_dense_search(g, eps)
+
+
+# (t, mask, explored) of the search inside find_dense_subset, pinned
+DENSE_PINS = [
+    (complete_bipartite(11, 22), 0.1, (6, 14343, 42712)),
+    (complete_bipartite(11, 22), 0.2, (0, None, 42284)),
+    (complete_bipartite(8, 22), 0.1, (16, 65535, 1154)),
+    (complete_bipartite(8, 22), 0.2, (6, 1799, 5493)),
+    (sample_gnp_uniform(16, 0.3, 31), 0.2, (14, 32751, 117)),
+    (sample_gnp_uniform(18, 0.4, 32), 0.1, (16, 260094, 884)),
+    (sample_gnp_uniform(20, 0.25, 33), 0.2, (17, 442367, 555)),
+    (sample_gnp_uniform(20, 0.5, 34), 0.1, (18, 1047295, 330)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(DENSE_PINS)))
+def test_dense_search_node_counts(case, monkeypatch):
+    g, eps, expected = DENSE_PINS[case]
+    run = dense_search(g, eps, monkeypatch)
+    assert run == expected
