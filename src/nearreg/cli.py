@@ -114,7 +114,7 @@ def _cmd_gen(args, argv: list) -> int:
 
 
 def _load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse_edge_list(fh.read())
 
 

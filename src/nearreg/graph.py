@@ -11,16 +11,36 @@ Lem2.3-rounds, Lem2.3-size and Thm1.2-size are floats, compared as they
 stand with no slack. `DegreeStats.of` builds every degree-statistics record
 from a degree sequence and an edge count, so an extractor that tracked its
 survivors' degrees hands them over instead of recounting adjacency rows.
+
+Graphs come from edges in one place, `Graph.from_edges`: it takes an
+(m, 2) integer array (or pairs), checks all edges at once and reports the
+first bad one in input order, then reads every row with `int.from_bytes`
+from a byte buffer holding only the bytes from the row's lowest to its
+highest neighbour, so an isolated vertex costs O(1) and nothing of size
+n * n / 8 is allocated beyond the rows themselves.
+`parse_edge_list` reads the ASCII decimal wire format from bytes with
+numpy: byte classes, digit runs and their values, and the line of each
+token; a byte outside digits, blanks (space, tab, 0x1f) and the ASCII
+line breaks of str.splitlines is refused with its line number. Inputs
+under 2.5 KiB, and graphs of fewer than 512 edges, are handled one line or
+edge at a time in Python instead, with the same checks and messages: in
+a fresh process numpy's first use of each operation costs more than
+such an input takes.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Optional, Union
+
+import numpy as np
 
 from .errors import BoundViolationError, EdgeListError, PreconditionError
 
@@ -66,23 +86,40 @@ class Graph:
     m: int
 
     @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple]) -> "Graph":
-        """Build and validate a graph from an iterable of (u, v) pairs."""
+    def from_edges(n: int, edges) -> "Graph":
+        """Build and validate a graph from an (m, 2) integer array or an
+        iterable of (u, v) integer pairs, in either orientation.
+
+        All edges are checked at once (ids in range, no self-loop, no
+        duplicate); the error names the first bad edge in input order.
+        Every row is then read from a byte buffer holding the bytes from
+        its lowest to its highest neighbour. Fewer than `_FEW_EDGES`
+        edges are checked and set one at a time (see `parse_edge_list`).
+        """
+        n = operator.index(n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)  # sets and generators keep their order
+        if len(edges) < _FEW_EDGES:
+            return _from_pairs(n, edges)
         adj = [0] * n
-        m = 0
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise EdgeListError(f"vertex id out of range: ({u}, {v}) with n={n}")
-            if u == v:
-                raise EdgeListError(f"self-loop at vertex {u}")
-            if adj[u] >> v & 1:
-                raise EdgeListError(f"duplicate edge ({u}, {v})")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            m += 1
-        return Graph(n, tuple(adj), m)
+        e = np.asarray(edges)
+        if e.dtype.kind not in "iu":  # ids beyond 64 bits, floats:
+            e = np.asarray(edges, dtype=object)  # compared as Python numbers
+        e = e.reshape(-1, 2)
+        lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+        bad = (lo < 0) | (hi >= n) | (lo == hi)
+        if bad.any():
+            raise _first_bad_edge(n, e, lo, hi, int(np.argmax(bad)))
+        # both orientations of every edge as row << shift | column, sorted
+        shift = max(n - 1, 0).bit_length()
+        key = np.concatenate((lo << shift | hi, hi << shift | lo))
+        key.sort()
+        if (key[1:] == key[:-1]).any():
+            raise _first_bad_edge(n, e, lo, hi, len(e))
+        _fill_rows(adj, shift, key)
+        return Graph(n, tuple(adj), len(e))
 
     @staticmethod
     def empty(n: int) -> "Graph":
@@ -386,9 +423,142 @@ class ExtractionResult:
         }
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list wire format: header ``n m`` then m lines ``u v``
-    with 0 <= u < v < n. Rejects self-loops, duplicates and bad counts."""
+def _from_pairs(n: int, edges) -> Graph:
+    """`Graph.from_edges` for a few edges, one at a time in Python (see
+    `parse_edge_list` for why numpy is skipped)."""
+    if isinstance(edges, np.ndarray):
+        edges = edges.tolist()
+    adj = [0] * n
+    for u, v in edges:
+        u, v = operator.index(u), operator.index(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise EdgeListError(f"vertex id out of range: ({u}, {v}) with n={n}")
+        if u == v:
+            raise EdgeListError(f"self-loop at vertex {u}")
+        if adj[u] >> v & 1:
+            raise EdgeListError(f"duplicate edge ({u}, {v})")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, tuple(adj), len(edges))
+
+
+def _first_bad_edge(n: int, e, lo, hi, stop: int) -> EdgeListError:
+    """The error of the first bad edge of ``e`` in input order. ``stop`` is
+    the index of the first edge out of range or a self-loop (``len(e)`` if
+    none), so a repeated edge is looked for only before it."""
+    key = lo[:stop] * n + hi[:stop]
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    if repeats.size:
+        u, v = e[repeats.min()]
+        return EdgeListError(f"duplicate edge ({u}, {v})")
+    u, v = e[stop]
+    if lo[stop] < 0 or hi[stop] >= n:
+        return EdgeListError(f"vertex id out of range: ({u}, {v}) with n={n}")
+    return EdgeListError(f"self-loop at vertex {u}")
+
+
+# Bytes of adjacency rows packed at a time: building the rows holds no
+# more than the rows themselves plus this much (or one row, if wider).
+_ROW_CHUNK = 1 << 20
+
+
+def _fill_rows(adj: list, shift: int, key) -> None:
+    """Set ``adj[r]`` to the bitmask of r's neighbours, from the sorted keys
+    ``r << shift | c`` of all (row, column) entries; rows without
+    neighbours stay 0. Row r is packed into the bytes from its lowest to
+    its highest neighbour's, read with ``int.from_bytes`` and shifted into
+    place, so a row costs its span, not n / 8 bytes."""
+    if not key.size:
+        return
+    row = key >> shift
+    col = key & ((1 << shift) - 1)
+    # the entries of the i-th nonempty row are bounds[i]:bounds[i + 1]
+    bounds = np.concatenate(
+        ([0], np.flatnonzero(row[1:] != row[:-1]) + 1, [len(key)]))
+    low = col[bounds[:-1]] >> 3
+    span = (col[bounds[1:] - 1] >> 3) - low + 1
+    offset = np.concatenate(([0], span.cumsum()))
+    pos = np.repeat(offset[:-1] - low, bounds[1:] - bounds[:-1]) + (col >> 3)
+    bit = np.left_shift(1, col & 7).astype(np.uint8)
+    packed = np.zeros(min(offset[-1], max(_ROW_CHUNK, span.max())), np.uint8)
+    view = memoryview(packed)
+    rows, lift = row[bounds[:-1]].tolist(), (low << 3).tolist()
+    offsets, bounds = offset.tolist(), bounds.tolist()
+    start = 0
+    while start < len(rows):
+        base = offsets[start]
+        stop = max(start + 1,
+                   bisect.bisect_right(offsets, base + _ROW_CHUNK) - 1)
+        at = pos[bounds[start]:bounds[stop]] - base
+        np.add.at(packed, at, bit[bounds[start]:bounds[stop]])  # distinct bits
+        cut = (offset[start:stop + 1] - base).tolist()
+        for r, x in zip(rows[start:stop], [
+                int.from_bytes(view[a:b], "little") << s
+                for a, b, s in zip(cut, cut[1:], lift[start:stop])]):
+            adj[r] = x
+        packed[at] = 0
+        start = stop
+
+
+# Byte classes of the wire format, as a bytes.translate table: 1 digit,
+# 2 blank, 3 line break (the ASCII breaks of str.splitlines), 0 refused.
+_BYTE_CLASS = bytes(1 if 48 <= c < 58 else 2 if c in b" \t\x1f"
+                    else 3 if c in b"\n\r\x0b\x0c\x1c\x1d\x1e" else 0
+                    for c in range(256))
+_LINE_BREAK = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c-\x1e]")
+_DIGIT_MAX = 18  # longer digit runs may not fit in int64; read by int()
+# Inputs shorter than this many bytes, and graphs of fewer edges than
+# _FEW_EDGES, skip numpy (see parse_edge_list and Graph.from_edges).
+_SMALL_INPUT = 2560
+_FEW_EDGES = 512
+
+
+def _line_at(data: bytes, pos: int) -> tuple:
+    """(1-based number, bytes) of the line holding byte ``pos``, its lines
+    numbered as str.splitlines splits them."""
+    number, start = 1, 0
+    for brk in _LINE_BREAK.finditer(data, 0, pos):
+        number, start = number + 1, brk.end()
+    end = _LINE_BREAK.search(data, pos)
+    return number, data[start:end.start() if end else len(data)]
+
+
+def _line_text(data: bytes, pos: int) -> str:
+    return _line_at(data, pos)[1].decode("ascii").strip()
+
+
+def parse_edge_list(data: Union[bytes, str]) -> Graph:
+    """Parse the edge-list wire format, ASCII decimal: the first non-blank
+    line is the header ``n m``, then m lines ``u v`` with 0 <= u < v < n.
+
+    Blanks are space, tab and 0x1f; line breaks are the ASCII ones of
+    str.splitlines; blank lines are skipped. Any other byte is refused
+    with the number of its line, and so are bad counts, malformed lines,
+    self-loops, ids out of range and duplicates (`EdgeListError`).
+
+    Inputs under `_SMALL_INPUT` bytes are read line by line in Python:
+    in a fresh process each distinct numpy operation costs tens of
+    microseconds on first use, more than such a file takes to parse.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    classes = data.translate(_BYTE_CLASS)
+    pos = classes.find(0)
+    if pos >= 0:
+        number, line = _line_at(data, pos)
+        raise EdgeListError(
+            f"line {number}: byte {data[pos]:#04x} is not an ASCII digit, "
+            f"blank or line break: {line.decode('utf-8', 'replace')!r}")
+    if len(data) < _SMALL_INPUT:
+        return _parse_lines(data.decode("ascii"))
+    return _parse_tokens(data, classes)
+
+
+def _parse_lines(text: str) -> Graph:
+    """`parse_edge_list` on a text of digits, blanks and line breaks only,
+    one line at a time."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
@@ -396,12 +566,7 @@ def parse_edge_list(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise EdgeListError(f"bad header {lines[0]!r}: expected 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise EdgeListError(f"bad header {lines[0]!r}") from exc
-    if n < 0 or m < 0:
-        raise EdgeListError("negative counts in header")
+    n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise EdgeListError(f"header claims {m} edges, found {len(lines) - 1}")
     edges = []
@@ -409,10 +574,7 @@ def parse_edge_list(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise EdgeListError(f"malformed edge line {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise EdgeListError(f"malformed edge line {ln!r}") from exc
+        u, v = int(parts[0]), int(parts[1])
         if u == v:
             raise EdgeListError(f"self-loop {ln!r}")
         if not u < v:
@@ -421,8 +583,61 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _parse_tokens(data: bytes, classes: bytes) -> Graph:
+    """`parse_edge_list` on the bytes ``data`` of digits, blanks and line
+    breaks only, whose byte classes are ``classes``, vectorised."""
+    # one line break on each side: every digit run has a start and an end
+    buf = np.frombuffer(b"\n" + data + b"\n", np.uint8)
+    cls = np.frombuffer(b"\3" + classes + b"\3", np.uint8)
+    digit = cls == 1
+    flips = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    if not flips.size:
+        raise EdgeListError("empty input")
+    starts, ends = flips[0::2], flips[1::2]
+    # token starts and line breaks in byte order (the first is a break); a
+    # token begins a line when the event before it is a break
+    breaks = cls == 3
+    event = breaks.copy()
+    event[starts] = True
+    is_break = breaks[np.flatnonzero(event)]
+    first = np.flatnonzero(is_break[:-1][~is_break[1:]])
+    # token values by Horner's rule, reading each token right-aligned
+    lengths = ends - starts
+    longest = int(lengths.max())
+    value = np.zeros(len(starts), np.int64)
+    for k in range(min(longest, _DIGIT_MAX), 0, -1):
+        d = buf.take(ends - k, mode="clip") - 48
+        d[lengths < k] = 0
+        value *= 10
+        value += d
+    if longest > _DIGIT_MAX:
+        value = value.astype(object)
+        for i in np.flatnonzero(lengths > _DIGIT_MAX).tolist():
+            value[i] = int(data[starts[i] - 1:ends[i] - 1])
+    if (first[1] if len(first) > 1 else len(starts)) != 2:
+        raise EdgeListError(
+            f"bad header {_line_text(data, starts[0] - 1)!r}: expected 'n m'")
+    first = first[1:]  # of each edge line
+    n, m = int(value[0]), int(value[1])
+    if first.size != m:
+        raise EdgeListError(f"header claims {m} edges, found {first.size}")
+    counts = np.concatenate((first[1:], [len(starts)])) - first
+    u = value[first]
+    v = value[np.minimum(first + 1, len(starts) - 1)]
+    bad = (counts != 2) | (u >= v)
+    if bad.any():
+        i = int(np.argmax(bad))
+        text = _line_text(data, starts[first[i]] - 1)
+        if counts[i] != 2:
+            raise EdgeListError(f"malformed edge line {text!r}")
+        if u[i] == v[i]:
+            raise EdgeListError(f"self-loop {text!r}")
+        raise EdgeListError(f"edge line {text!r} must satisfy u < v")
+    return Graph.from_edges(n, value[2:].reshape(-1, 2))
+
+
 def serialize_edge_list(g: Graph) -> str:
-    """Canonical edge-list text: sorted edges, one per line."""
+    """Canonical edge-list text: edges in lexicographic order, one per line."""
     out = [f"{g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in sorted(g.edges()))
+    out.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(out) + "\n"

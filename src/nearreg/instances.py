@@ -137,13 +137,14 @@ def _sample_pairs(n: int, row_probs: Callable, seed: int) -> Graph:
     uniforms per vertex i, against ``row_probs(i)``: the probability of
     every pair (i, j > i), as a scalar or one entry per j. Consecutive rows
     continue one PCG64 stream, so the draws equal one call for all C(n, 2)
-    pairs, in O(n) memory beyond the edges."""
+    pairs, in O(n) memory beyond the edges, which go to `Graph.from_edges`
+    as one (m, 2) array."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    edges = []
-    for i in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - 1 - i) < row_probs(i))
-        edges.extend((i, j) for j in (hits + i + 1).tolist())
-    return Graph.from_edges(n, edges)
+    hits = [np.flatnonzero(rng.random(n - 1 - i) < row_probs(i))
+            for i in range(n - 1)]
+    u = np.repeat(np.arange(n - 1), [len(h) for h in hits])
+    v = np.concatenate([np.empty(0, np.intp), *hits]) + u + 1
+    return Graph.from_edges(n, np.column_stack((u, v)))
 
 
 def sample_gnp_bar(n: int, seed: int) -> Graph:

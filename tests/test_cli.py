@@ -114,6 +114,14 @@ def test_extract_malformed_file(tmp_path, capsys):
     assert code == 4
 
 
+def test_extract_file_that_is_not_utf8_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "bad.el"
+    path.write_bytes(b"3 1\n0 \xff1\n")
+    code, _, err = run_cli(["extract", "turan", str(path)], capsys)
+    assert code == 4
+    assert err.startswith("bad edge list: line 2: byte 0xff ")
+
+
 def test_extract_report_determinism(tmp_path, capsys):
     g = "6 7\n0 1\n0 2\n0 3\n1 2\n2 3\n2 5\n4 5\n"
     path = write_graph(tmp_path, "g.el", g)
