@@ -110,14 +110,18 @@ class Graph:
         e = e.reshape(-1, 2)
         lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
         bad = (lo < 0) | (hi >= n) | (lo == hi)
-        if bad.any():
-            raise _first_bad_edge(n, e, lo, hi, int(np.argmax(bad)))
+        stop = int(np.argmax(bad)) if bad.any() else len(e)
+        # the ids before `stop` lie in [0, n), so int64 holds them and the
+        # keys below, whatever the input's dtype
+        lo, hi = _int64(lo[:stop]), _int64(hi[:stop])
+        if stop < len(e):
+            raise _first_bad_edge(n, e, lo, hi)
         # both orientations of every edge as row << shift | column, sorted
         shift = max(n - 1, 0).bit_length()
         key = np.concatenate((lo << shift | hi, hi << shift | lo))
         key.sort()
         if (key[1:] == key[:-1]).any():
-            raise _first_bad_edge(n, e, lo, hi, len(e))
+            raise _first_bad_edge(n, e, lo, hi)
         _fill_rows(adj, shift, key)
         return Graph(n, tuple(adj), len(e))
 
@@ -442,19 +446,29 @@ def _from_pairs(n: int, edges) -> Graph:
     return Graph(n, tuple(adj), len(edges))
 
 
-def _first_bad_edge(n: int, e, lo, hi, stop: int) -> EdgeListError:
-    """The error of the first bad edge of ``e`` in input order. ``stop`` is
-    the index of the first edge out of range or a self-loop (``len(e)`` if
-    none), so a repeated edge is looked for only before it."""
-    key = lo[:stop] * n + hi[:stop]
+def _int64(ids):
+    """``ids``, all in [0, n), as an int64 array; an object array must
+    hold integers (`operator.index`)."""
+    if ids.dtype == object:
+        return np.fromiter(map(operator.index, ids.tolist()), np.int64,
+                           len(ids))
+    return ids.astype(np.int64, copy=False)
+
+
+def _first_bad_edge(n: int, e, lo, hi) -> EdgeListError:
+    """The error of the first bad edge of ``e`` in input order. ``lo`` and
+    ``hi`` hold the ordered ids of the edges before the first one out of
+    range or a self-loop (of all edges, if none is), so a repeated edge is
+    looked for only among them."""
+    key = lo * n + hi
     order = np.argsort(key, kind="stable")
     ranked = key[order]
     repeats = order[1:][ranked[1:] == ranked[:-1]]
     if repeats.size:
         u, v = e[repeats.min()]
         return EdgeListError(f"duplicate edge ({u}, {v})")
-    u, v = e[stop]
-    if lo[stop] < 0 or hi[stop] >= n:
+    u, v = e[len(lo)]
+    if min(u, v) < 0 or max(u, v) >= n:
         return EdgeListError(f"vertex id out of range: ({u}, {v}) with n={n}")
     return EdgeListError(f"self-loop at vertex {u}")
 
@@ -502,12 +516,13 @@ def _fill_rows(adj: list, shift: int, key) -> None:
         start = stop
 
 
+# The ASCII line breaks of str.splitlines (which also reads "\r\n" as one).
+_BREAKS = b"\n\r\x0b\x0c\x1c\x1d\x1e"
 # Byte classes of the wire format, as a bytes.translate table: 1 digit,
-# 2 blank, 3 line break (the ASCII breaks of str.splitlines), 0 refused.
+# 2 blank, 3 line break, 0 refused.
 _BYTE_CLASS = bytes(1 if 48 <= c < 58 else 2 if c in b" \t\x1f"
-                    else 3 if c in b"\n\r\x0b\x0c\x1c\x1d\x1e" else 0
-                    for c in range(256))
-_LINE_BREAK = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c-\x1e]")
+                    else 3 if c in _BREAKS else 0 for c in range(256))
+_LINE_BREAK = re.compile(rb"\r\n|[" + re.escape(_BREAKS) + rb"]")
 _DIGIT_MAX = 18  # longer digit runs may not fit in int64; read by int()
 # Inputs shorter than this many bytes, and graphs of fewer edges than
 # _FEW_EDGES, skip numpy (see parse_edge_list and Graph.from_edges).

@@ -112,9 +112,10 @@ BREAKS = st.sampled_from(["\n", "\r\n", "\x0c"])
 
 
 def numbers(hi):
-    # leading zeros are part of the format
+    # leading zeros are part of the format, and may make a token longer
+    # than any int64 value has digits
     return st.integers(0, hi).flatmap(
-        lambda x: st.sampled_from([str(x), "0" + str(x)]))
+        lambda x: st.sampled_from([str(x), "0" + str(x), "0" * 19 + str(x)]))
 
 
 @st.composite
@@ -207,6 +208,9 @@ def test_from_edges_matches_reference(case):
     # the first bad edge wins, a duplicate before an id out of range
     ("4 3\n0 1\n0 1\n0 9\n", "duplicate edge (0, 1)"),
     ("4 3\n0 1\n0 9\n0 1\n", "vertex id out of range: (0, 9) with n=4"),
+    ("3 2\n0 1\n0 00000000000000000000001\n", "duplicate edge (0, 1)"),
+    ("3 1\n0 00000000000000000000003\n",
+     "vertex id out of range: (0, 3) with n=3"),
     # ids beyond 64 bits stay exact
     ("3 1\n0 123456789012345678901234567890\n",
      "vertex id out of range: (0, 123456789012345678901234567890) with n=3"),
@@ -245,6 +249,21 @@ def test_parse_refuses_bytes_that_are_not_utf8():
         "'0 \ufffd1'")
 
 
+@pytest.mark.parametrize("name", [None, *PATHS])
+def test_parse_reads_zero_padded_tokens_longer_than_int64(name):
+    # big enough for numpy under the default size limits
+    n = 700
+    pad = "0" * 20
+    text = (f"{pad}{n} {pad}{n - 1}\n"
+            + "".join(f"{v} {v + 1}\n" for v in range(n - 2))
+            + f"{pad}0 {pad}{n - 1}\n")
+    assert len(text) >= graph._SMALL_INPUT and n - 1 >= graph._FEW_EDGES
+    want = reference_parse(text)
+    with path(name) if name else contextlib.nullcontext():
+        assert parse_edge_list(text) == want
+        assert parse_edge_list(text.encode("ascii")) == want
+
+
 def test_parse_reads_blanks_and_breaks_of_the_format():
     text = "\x1f4\t2\x1f\x1c\x1d0 3\x1e\x0b1\x1f2 \r"
     assert sorted(parse_edge_list(text).edges()) == [(0, 3), (1, 2)]
@@ -261,6 +280,19 @@ def test_from_edges_takes_arrays_lists_sets_and_both_orientations(name):
                   ((u, v) for u, v in [(1, 0), (1, 3), (69, 2)])):
         with path(name):
             assert Graph.from_edges(70, edges) == want
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.uint32, np.uint64])
+@pytest.mark.parametrize("name", PATHS)
+def test_from_edges_takes_every_integer_dtype(dtype, name):
+    # ids whose keys (row << bits of n | column) overflow 32 bits
+    n = np.iinfo(dtype).max if np.iinfo(dtype).bits == 16 else 100_000
+    pairs = [(0, v) for v in range(1, 600)] + [(n - 2, n - 1)]
+    with path(name):
+        assert (Graph.from_edges(n, np.array(pairs, dtype=dtype))
+                == reference_from_edges(n, pairs))
+        with pytest.raises(EdgeListError, match=r"^duplicate edge \(1, 0\)$"):
+            Graph.from_edges(n, np.array(pairs + [(1, 0)], dtype=dtype))
 
 
 @pytest.mark.parametrize("edges, message", [
