@@ -3,11 +3,12 @@
 Two primitives: delete-while-below-threshold (min-degree peel) and
 delete-while-at-or-above-threshold (max-degree peel), composed into the
 refine / reduce / pipeline operations. Thresholds are frozen when a round
-starts while degrees are recomputed after every single deletion; among
-eligible vertices the lowest id goes first, so traces are reproducible.
-Both primitives keep the degree of every live vertex exact, so the
-extractors read their survivors' statistics from the degrees the peel
-tracked, with no second pass over the adjacency rows.
+starts while degrees are recomputed after every single deletion. The
+min-degree peel takes the least degree first, the max-degree peel the
+eligible vertices by id; ties go to the lowest id, so traces are
+reproducible. Both primitives keep the degree of every live vertex exact,
+so the extractors read their survivors' statistics from the degrees the
+peel tracked, with no second pass over the adjacency rows.
 """
 
 from __future__ import annotations
@@ -62,34 +63,41 @@ class PeelTrace:
         }
 
 
-def peel_min(adj, alive: int, deg: list, threshold: Fraction, steps: list,
+def peel_min(adj, alive: int, deg: list, threshold: Real, steps: list,
              cap: Optional[int] = None) -> tuple:
-    """Delete vertices of degree < threshold from the live set ``alive`` of
-    the graph with bitmask rows ``adj``, lowest id first, recomputing the
-    live degrees ``deg`` (updated in place) after each deletion and
-    appending one round-0 `PeelStep` per deletion to ``steps``. Stops after
-    ``cap`` deletions if given. On return ``deg[v]`` is the degree of every
-    live vertex v within the live set.
+    """Smallest-last peel of the live set ``alive`` of the graph with bitmask
+    rows ``adj``: delete the least-degree live vertex, lowest id first on
+    ties, until its degree is at least ``threshold`` or ``cap`` deletions
+    are done, in O(m log n) through one lazy (degree, id) heap. Keeps the
+    live degrees ``deg`` exact in place; appends one round-0 `PeelStep` per
+    deletion to ``steps``.
+
+    The deleted set is the complement of the threshold-core, and the steps
+    are the whole order's (``threshold`` = ``math.inf``) up to its first
+    degree >= threshold. Peeling the subgraph induced on a suffix
+    ``order[i:]`` gives that suffix with the same degrees at removal, as
+    ``induced`` keeps ids in order.
 
     Returns (alive_mask, wants_more) where wants_more is True iff the cap was
     reached while an eligible vertex remained.
     """
-    heap = [v for v in bit_indices(alive) if deg[v] < threshold]
+    heap = [(deg[v], v) for v in bit_indices(alive)]
     heapq.heapify(heap)
     deleted = 0
     while heap:
-        v = heapq.heappop(heap)
-        if not alive >> v & 1:
-            continue
-        if cap is not None and deleted == cap:
+        d, v = heapq.heappop(heap)
+        if d != deg[v] or not alive >> v & 1:
+            continue  # stale: v was deleted or has lost degree since
+        if d >= threshold:
+            break
+        if deleted == cap:
             return alive, True
-        steps.append(PeelStep(v, deg[v], 0))
+        steps.append(PeelStep(v, d, 0))
         alive &= ~(1 << v)
         deleted += 1
         for u in bit_indices(adj[v] & alive):
             deg[u] -= 1
-            if deg[u] + 1 >= threshold > deg[u]:
-                heapq.heappush(heap, u)
+            heapq.heappush(heap, (deg[u], u))
     return alive, False
 
 
@@ -109,7 +117,7 @@ def _peel_max(adj, alive: int, deg: list, threshold: Fraction,
 
 
 def peel_below(g: Graph, threshold: Real) -> tuple:
-    """Delete vertices of degree below ``threshold`` until none remain.
+    """Delete least-degree vertices while their degree is below ``threshold``.
 
     Returns (subgraph, trace); the subgraph is relabelled 0..k-1 and the
     trace holds original ids, so survivors are recoverable either way.

@@ -10,9 +10,9 @@ an eps-fraction of its vertices whose density beats the current density by
 a factor of (1+eps), until no such subgraph exists. When every search along
 the way was exhaustive, the final graph provably has no overly dense large
 vertex set, which is exactly what the extraction step needs. Above the
-exhaustive size limit the candidates are the suffixes of one min-degree
-peel order (smallest-last, lowest id first on ties), which serves every
-round of the boost down to that limit.
+exhaustive size limit the candidates are the suffixes of one smallest-last
+order (`peeling.peel_min` with no threshold), which serves every round of
+the boost down to that limit.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ DEFAULT_EXACT_LIMIT = 24
 class BoostParams:
     """Knobs of the density boost: the boost factor eps, and the largest n
     for which the dense-subset search is exhaustive. Above it the
-    candidates are the suffixes of one min-degree peel order, which serves
+    candidates are the suffixes of one smallest-last order, which serves
     every round until the graph is down to ``exact_limit`` vertices and
     certifies nothing.
 
@@ -114,51 +114,23 @@ def _boost_target(n: int, m: int, eps: Fraction) -> Optional[tuple]:
     return target.numerator, target.denominator, max(2, math.ceil(eps * n))
 
 
-def _peel_order(g: Graph) -> tuple:
-    """Min-degree peel order, lowest id first on ties (the smallest-last
-    order), in O(m log n) through a lazy (degree, id) heap; returns (order,
-    degree-at-removal list).
-
-    Peeling the subgraph induced on a suffix ``order[i:]`` gives that suffix
-    again, with the same degrees at removal: ``induced`` keeps ids in order,
-    so every step breaks its tie on the same vertex.
-    """
-    deg = g.degrees()
-    heap = [(d, v) for v, d in enumerate(deg)]
-    heapq.heapify(heap)
-    alive = g.full_mask()
-    order, removed_deg = [], []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d != deg[v] or not alive >> v & 1:
-            continue  # stale: v was removed or has lost degree since
-        order.append(v)
-        removed_deg.append(d)
-        alive &= ~(1 << v)
-        for u in bit_indices(g.adj[v] & alive):
-            deg[u] -= 1
-            heapq.heappush(heap, (deg[u], u))
-    return order, removed_deg
-
-
-def _dense_cut(removed_deg: list, start: int, m: int,
+def _dense_cut(steps: list, start: int, m: int,
                eps: Fraction) -> Optional[tuple]:
-    """One heuristic boost round on the suffix ``order[start:]`` of a peel
-    order, which spans ``m`` edges; ``removed_deg`` is the order's
-    degree-at-removal list.
+    """One heuristic boost round on the suffix ``steps[start:]`` of the
+    smallest-last peel steps of a graph, a suffix spanning ``m`` edges.
 
-    Returns (i, edges spanned by ``order[i:]``) for the least i > start at
+    Returns (i, edges spanned by ``steps[i:]``) for the least i > start at
     which the suffix qualifies (at least an eps-fraction of the current
     vertices, and density beaten by a factor of 1+eps), or None.
     """
-    total = len(removed_deg)
+    total = len(steps)
     bar = _boost_target(total - start, m, eps)
     if bar is None:
         return None
     num, den, t_min = bar
     e = m
     for i in range(start + 1, total - t_min + 1):
-        e -= removed_deg[i - 1]
+        e -= steps[i - 1].degree
         t = total - i
         if e * den >= t * (t - 1) // 2 * num:
             return i, e
@@ -220,12 +192,12 @@ def density_boost(g: Graph, params: BoostParams) -> BoostOutcome:
     below (2/eps) * ln(1/p0) and the output keeps at least an eps^rounds
     fraction of the vertices; both are recorded in the bounds ledger.
 
-    Above ``params.exact_limit`` vertices every round is a cut of one peel
-    order computed once: a round's subgraph is a suffix of the order, and
-    the next round scans on from there (see `_peel_order`), so the rounds
-    take one O(m log n) peel and one O(n) scan in all, and the subgraph is
-    built once, when the graph is down to the limit or no cut qualifies.
-    The remaining rounds run `find_dense_subset` exhaustively.
+    Above ``params.exact_limit`` vertices every round is a cut of one
+    smallest-last order computed once: a round's subgraph is a suffix of the
+    order, and the next round scans on from there (see `peel_min`), so the
+    rounds take one O(m log n) peel and one O(n) scan in all, and the
+    subgraph is built once, when the graph is down to the limit or no cut
+    qualifies. The remaining rounds run `find_dense_subset` exhaustively.
     """
     params.validate()
     if g.m < 1:
@@ -237,10 +209,11 @@ def density_boost(g: Graph, params: BoostParams) -> BoostOutcome:
     boosting = True
     cur, vmap = g, tuple(range(g.n))
     if not certified:
-        order, removed_deg = _peel_order(g)
+        steps: list = []
+        peel_min(g.adj, g.full_mask(), g.degrees(), math.inf, steps)
         start, m = 0, g.m
         while boosting and g.n - start > params.exact_limit:
-            cut = _dense_cut(removed_deg, start, m, eps_f)
+            cut = _dense_cut(steps, start, m, eps_f)
             boosting = cut is not None
             if boosting:
                 start, m = cut
@@ -248,7 +221,7 @@ def density_boost(g: Graph, params: BoostParams) -> BoostOutcome:
                                   eps_f)
                 rounds += 1
         if start:
-            cur, vmap = induced(g, order[start:])
+            cur, vmap = induced(g, [s.vertex for s in steps[start:]])
             if cur.m != m:
                 raise AssertionError("tracked edge count differs from the "
                                      "induced subgraph's")

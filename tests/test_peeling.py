@@ -9,6 +9,7 @@ from nearreg import (
     Graph,
     PreconditionError,
     degree_stats,
+    induced,
     nearly_regular_check,
     peel_below,
     prop21_refine,
@@ -17,6 +18,8 @@ from nearreg import (
     sample_gnp_uniform,
     star,
 )
+from nearreg.graph import bit_indices
+from nearreg.peeling import peel_min
 
 
 def complete(n):
@@ -76,6 +79,62 @@ def test_peel_below_matches_networkx_k_core(seed):
         for k in range(7):
             _, trace = peel_below(g, k)
             assert trace.survivors(n) == frozenset(nx.k_core(ref, k))
+
+
+def _peel_shapes(seed):
+    """Seeded G(n, p) graphs with n <= 40, after stars, paths, cliques and
+    disjoint cliques, whose degrees tie everywhere."""
+    import random
+
+    yield from (star(9), complete(1), complete(6),
+                Graph.from_edges(12, [(v, v + 1) for v in range(11)]),
+                Graph.from_edges(15, [(c + a, c + b) for c in (0, 5, 10)
+                                      for a in range(5)
+                                      for b in range(a + 1, 5)]))
+    rng = random.Random(seed)
+    for _ in range(40):
+        yield sample_gnp_uniform(rng.randint(1, 40),
+                                 rng.choice((0.05, 0.1, 0.2, 0.4)),
+                                 rng.randrange(2**32))
+
+
+def _smallest_last_steps(g):
+    steps = []
+    peel_min(g.adj, g.full_mask(), g.degrees(), math.inf, steps)
+    return steps
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_threshold_peel_is_a_prefix_of_the_smallest_last_order(seed):
+    thresholds = (0, 1, Fraction(3, 2), 2, Fraction(7, 3), 3, Fraction(9, 2),
+                  6, math.inf)
+    for g in _peel_shapes(seed):
+        order = _smallest_last_steps(g)
+        for t in thresholds:
+            cut = next((i for i, s in enumerate(order) if s.degree >= t),
+                       len(order))
+            steps, deg = [], g.degrees()
+            alive, wants_more = peel_min(g.adj, g.full_mask(), deg, t, steps)
+            assert steps == order[:cut] and not wants_more
+            assert alive == sum(1 << s.vertex for s in order[cut:])
+            assert all(deg[v] == (g.adj[v] & alive).bit_count()
+                       for v in bit_indices(alive))
+            for cap in (0, cut // 2, cut):
+                steps = []
+                _, wants_more = peel_min(g.adj, g.full_mask(), g.degrees(),
+                                         t, steps, cap=cap)
+                assert steps == order[:cap] and wants_more == (cut > cap)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_peeling_a_suffix_of_the_order_gives_the_suffix_again(seed):
+    for g in _peel_shapes(seed):
+        order = _smallest_last_steps(g)
+        for i in range(0, g.n, 3):
+            sub, idmap = induced(g, [s.vertex for s in order[i:]])
+            again = _smallest_last_steps(sub)
+            assert [(idmap[s.vertex], s.degree) for s in again] == \
+                [(s.vertex, s.degree) for s in order[i:]]
 
 
 def test_prop21_on_k4_keeps_everything():

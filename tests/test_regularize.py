@@ -31,7 +31,8 @@ from nearreg import (
     turan_independent_set,
 )
 from nearreg.graph import as_fraction, bit_indices
-from nearreg.regularize import _dense_cut, _density, _peel_order
+from nearreg.peeling import peel_min
+from nearreg.regularize import _dense_cut, _density
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -73,12 +74,26 @@ def test_find_dense_subset_requires_an_edge():
         find_dense_subset(Graph.empty(5), 0.3)
 
 
+def _smallest_last_steps(g):
+    """The steps of `peel_min` with no threshold: the whole smallest-last
+    order of g with the degrees at removal."""
+    steps = []
+    peel_min(g.adj, g.full_mask(), g.degrees(), math.inf, steps)
+    return steps
+
+
+def _smallest_last(g):
+    steps = _smallest_last_steps(g)
+    return [s.vertex for s in steps], [s.degree for s in steps]
+
+
 def _heuristic_dense_subset(g, eps):
     """The boost's heuristic round on g: the longest proper suffix of the
-    min-degree peel order that qualifies, or None."""
-    order, removed_deg = _peel_order(g)
-    cut = _dense_cut(removed_deg, 0, g.m, as_fraction(eps))
-    return None if cut is None else frozenset(order[cut[0]:])
+    smallest-last order that qualifies, or None."""
+    steps = _smallest_last_steps(g)
+    cut = _dense_cut(steps, 0, g.m, as_fraction(eps))
+    return None if cut is None else frozenset(s.vertex
+                                              for s in steps[cut[0]:])
 
 
 def test_find_dense_subset_heuristic_mode():
@@ -205,7 +220,7 @@ def test_density_boost_matches_the_per_round_reference(seed):
         g = _tie_heavy_graph(rng)
         if g.m == 0:
             continue
-        assert _peel_order(g) == _peel_order_reference(g)
+        assert _smallest_last(g) == _peel_order_reference(g)
         for eps in (0.05, 0.1, 0.3):
             for exact_limit in (1, 4, 12):
                 params = BoostParams(eps, exact_limit)
@@ -283,7 +298,7 @@ def test_peel_order_on_all_tie_shapes():
     shapes += [complete(n) for n in (1, 2, 9, 40)]
     shapes += [_disjoint_cliques(6, 5)]
     for g in shapes:
-        assert _peel_order(g) == _peel_order_reference(g)
+        assert _smallest_last(g) == _peel_order_reference(g)
 
 
 def test_boundary_edgeless_is_true():
