@@ -2,11 +2,12 @@
 the experiments, emitting machine-readable JSON reports.
 
 Exit codes: 0 all guarantee checks passed, 1 a guarantee failed, 2 an
-algorithm precondition failed, 3 a search-size cap was exceeded, 4 file or
-format trouble, 5 an internal error (any other exception, reported on one
-line of stderr; a bug, never an input condition). Reports are
-byte-identical across runs of the same command and seed except for the
-wall_time_s field, which covers the whole command from the input read.
+algorithm precondition failed, 3 a search-size cap was exceeded or the
+input is too large to hold in memory, 4 file or format trouble, 5 an
+internal error (any other exception, reported on one line of stderr; a
+bug, never an input condition). Reports are byte-identical across runs of
+the same command and seed except for the wall_time_s field, which covers
+the whole command from the input read.
 
 All randomness flows from the single --seed flag: generators consume it
 directly; multi-part experiments derive substreams by fixed offsets
@@ -242,6 +243,8 @@ def _experiment_gnpbar_scan(args) -> dict:
 
 
 def _cmd_experiment(args, argv: list) -> int:
+    if args.seed < 0:
+        raise PreconditionError("--seed must be >= 0")
     report = _report_skeleton(args, argv)
     start = time.perf_counter()
     if args.name == "point-prob":
@@ -327,6 +330,10 @@ def main(argv: Optional[list] = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("size cap: the input is too large to hold in memory",
+              file=sys.stderr)
+        return 3
     except Exception as exc:  # noqa: BLE001 - the exit-code boundary
         print(f"internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)

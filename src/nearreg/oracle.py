@@ -27,7 +27,8 @@ HARD_VERTEX_CAP = 64       # bitset rows; beyond this the search is refused
 DEFAULT_VERTEX_CAP = 24
 LABELLED_ORDER_CAP = 7     # 2^21 labelled graphs at n = 7
 DEFAULT_EDGE_CAP = 20
-MC_CHUNK = 1 << 15
+MC_CHUNK = 1 << 15         # Monte Carlo rows drawn at once, at most,
+MC_CHUNK_CELLS = 1 << 20   # and draws at once (8 MiB), unless one row has more
 
 
 @dataclass(frozen=True)
@@ -272,10 +273,12 @@ def estimate_point_prob(rhos: Sequence[float], s: int, trials: int,
         return PointProbEstimate(0.0, 0.0, trials)
     rng = np.random.Generator(np.random.PCG64(seed))
     rho_row = np.asarray(rhos, dtype=float)
+    # PCG64 fills rows in one order whatever the chunk size: same estimate
+    rows = min(MC_CHUNK, max(1, MC_CHUNK_CELLS // max(t, 1)))
     hits = 0
     remaining = trials
     while remaining > 0:
-        chunk = min(MC_CHUNK, remaining)
+        chunk = min(rows, remaining)
         draws = rng.random((chunk, t)) < rho_row
         hits += int(np.count_nonzero(draws.sum(axis=1) == s))
         remaining -= chunk
@@ -308,10 +311,11 @@ def estimate_regular_prob(n: int, k: int, trials: int, seed: int) -> float:
         incidence[idx, i] = 1
         incidence[idx, j] = 1
     rng = np.random.Generator(np.random.PCG64(seed))
+    rows = min(MC_CHUNK, max(1, MC_CHUNK_CELLS // len(pairs)))
     hits = 0
     remaining = trials
     while remaining > 0:
-        chunk = min(MC_CHUNK, remaining)
+        chunk = min(rows, remaining)
         draws = rng.random((chunk, len(pairs))) < probs
         degrees = draws.astype(np.int16) @ incidence
         hits += int(np.count_nonzero(

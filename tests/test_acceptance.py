@@ -314,7 +314,8 @@ def test_c12_cli_determinism(tmp_path):
     a, b = str(tmp_path / "a.el"), str(tmp_path / "b.el")
     _run_cli(["gen", "gnp-bar", "--n", "50", "--seed", "7", "--out", a])
     _run_cli(["gen", "gnp-bar", "--n", "50", "--seed", "7", "--out", b])
-    same_files = open(a).read() == open(b).read()
+    same_files = (pathlib.Path(a).read_text()
+                  == pathlib.Path(b).read_text())
     extract_pair = [
         scrub.sub("T", _run_cli(["extract", "thm41", a]))
         for _ in range(2)

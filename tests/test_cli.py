@@ -309,3 +309,24 @@ def test_gen_refuses_a_negative_seed(kind, tmp_path, capsys):
                               str(tmp_path / "g.el")], capsys)
     assert code == 2 and out == ""
     assert "needs a seed >= 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["point-prob", "--t", "5", "--trials", "10", "--seed", "-1"],
+    ["regular-prob", "--n", "20", "--k", "6", "--trials", "10",
+     "--seed", "-1"],
+    ["gnpbar-scan", "--n", "5", "--samples", "1", "--seed", "-3"],
+])
+def test_experiment_refuses_a_negative_seed(argv, capsys):
+    code, out, err = run_cli(["experiment", *argv], capsys)
+    assert code == 2 and out == ""
+    assert err == "precondition: --seed must be >= 0\n"
+
+
+def test_extract_header_too_large_for_memory_is_a_size_cap(tmp_path, capsys):
+    # the vertex count alone asks for far more rows than any memory holds,
+    # so the allocation fails at once
+    path = write_graph(tmp_path, "big.el", "1000000000000000 0\n")
+    code, out, err = run_cli(["extract", "prop11", path], capsys)
+    assert code == 3 and out == ""
+    assert err == "size cap: the input is too large to hold in memory\n"

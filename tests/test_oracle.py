@@ -22,6 +22,7 @@ from nearreg import (
     sample_gnp_uniform,
     star,
 )
+from nearreg import oracle
 from nearreg.instances import p_bar
 from nearreg.oracle import largest_subset
 
@@ -161,6 +162,34 @@ def test_estimate_point_prob_exact_half():
 def test_estimate_point_prob_s_out_of_range():
     r = estimate_point_prob([0.5] * 4, 9, 10, 1)
     assert r.estimate == 0.0 and r.exact == 0.0
+
+
+@pytest.mark.parametrize("rows, cells", [(7, oracle.MC_CHUNK_CELLS),
+                                         (oracle.MC_CHUNK, 40)])
+def test_estimates_do_not_depend_on_the_chunk_size(rows, cells, monkeypatch):
+    rhos = [0.1 + 0.02 * i for i in range(30)]
+    args = [(rhos, 6, 1000, 5), (20, 6, 1000, 8)]
+    before = (estimate_point_prob(*args[0]), estimate_regular_prob(*args[1]))
+    monkeypatch.setattr(oracle, "MC_CHUNK", rows)
+    monkeypatch.setattr(oracle, "MC_CHUNK_CELLS", cells)
+    assert (estimate_point_prob(*args[0]),
+            estimate_regular_prob(*args[1])) == before
+
+
+def test_monte_carlo_chunks_stay_small_for_wide_rows(monkeypatch):
+    shapes = []
+
+    class Recording(np.random.Generator):
+        def random(self, size=None, *args, **kwargs):
+            shapes.append(size)
+            return super().random(size, *args, **kwargs)
+
+    monkeypatch.setattr(oracle.np.random, "Generator", Recording)
+    estimate_point_prob([0.5] * 10_000, 5_000, 300, 1)  # 2**20 // 10_000
+    assert shapes == [(104, 10_000)] * 2 + [(92, 10_000)]
+    shapes.clear()
+    estimate_regular_prob(20, 6, 40_000, 1)  # 15 draws a row
+    assert shapes == [(oracle.MC_CHUNK, 15), (40_000 - oracle.MC_CHUNK, 15)]
 
 
 def test_estimate_point_prob_converges_to_dp():
