@@ -62,8 +62,8 @@ def _rewrite():
     for old in REPORTS.glob("*.*.json"):
         old.unlink()
     table = {}
-    with tempfile.TemporaryDirectory() as scratch:
-        os.chdir(scratch)
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
         for graph in GRAPHS:
             for algorithm in EXTRACT_ALGORITHMS:
                 code, err, report = _extract(algorithm, graph)
