@@ -19,13 +19,10 @@ from a byte buffer holding only the bytes from the row's lowest to its
 highest neighbour, so an isolated vertex costs O(1) and nothing of size
 n * n / 8 is allocated beyond the rows themselves.
 `parse_edge_list` reads the ASCII decimal wire format from bytes with
-numpy: byte classes, digit runs and their values, and the line of each
-token; a byte outside digits, blanks (space, tab, 0x1f) and the ASCII
-line breaks of str.splitlines is refused with its line number. Inputs
-under 2.5 KiB, and graphs of fewer than 512 edges, are handled one line or
-edge at a time in Python instead, with the same checks and messages: in
-a fresh process numpy's first use of each operation costs more than
-such an input takes.
+numpy, whatever the input's size: byte classes, digit runs and their
+values, and the line of each token; a byte outside digits, blanks (space,
+tab, 0x1f) and the ASCII line breaks of str.splitlines is refused with its
+line number.
 """
 
 from __future__ import annotations
@@ -93,16 +90,13 @@ class Graph:
         All edges are checked at once (ids in range, no self-loop, no
         duplicate); the error names the first bad edge in input order.
         Every row is then read from a byte buffer holding the bytes from
-        its lowest to its highest neighbour. Fewer than `_FEW_EDGES`
-        edges are checked and set one at a time (see `parse_edge_list`).
+        its lowest to its highest neighbour.
         """
         n = operator.index(n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)  # sets and generators keep their order
-        if len(edges) < _FEW_EDGES:
-            return _from_pairs(n, edges)
         adj = [0] * n
         e = np.asarray(edges)
         if e.dtype.kind not in "iu":  # ids beyond 64 bits, floats:
@@ -427,25 +421,6 @@ class ExtractionResult:
         }
 
 
-def _from_pairs(n: int, edges) -> Graph:
-    """`Graph.from_edges` for a few edges, one at a time in Python (see
-    `parse_edge_list` for why numpy is skipped)."""
-    if isinstance(edges, np.ndarray):
-        edges = edges.tolist()
-    adj = [0] * n
-    for u, v in edges:
-        u, v = operator.index(u), operator.index(v)
-        if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListError(f"vertex id out of range: ({u}, {v}) with n={n}")
-        if u == v:
-            raise EdgeListError(f"self-loop at vertex {u}")
-        if adj[u] >> v & 1:
-            raise EdgeListError(f"duplicate edge ({u}, {v})")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(n, tuple(adj), len(edges))
-
-
 def _int64(ids):
     """``ids``, all in [0, n), as an int64 array; an object array must
     hold integers (`operator.index`)."""
@@ -524,10 +499,6 @@ _BYTE_CLASS = bytes(1 if 48 <= c < 58 else 2 if c in b" \t\x1f"
                     else 3 if c in _BREAKS else 0 for c in range(256))
 _LINE_BREAK = re.compile(rb"\r\n|[" + re.escape(_BREAKS) + rb"]")
 _DIGIT_MAX = 18  # longer digit runs may not fit in int64; read by int()
-# Inputs shorter than this many bytes, and graphs of fewer edges than
-# _FEW_EDGES, skip numpy (see parse_edge_list and Graph.from_edges).
-_SMALL_INPUT = 2560
-_FEW_EDGES = 512
 
 
 def _line_at(data: bytes, pos: int) -> tuple:
@@ -552,10 +523,8 @@ def parse_edge_list(data: Union[bytes, str]) -> Graph:
     str.splitlines; blank lines are skipped. Any other byte is refused
     with the number of its line, and so are bad counts, malformed lines,
     self-loops, ids out of range and duplicates (`EdgeListError`).
-
-    Inputs under `_SMALL_INPUT` bytes are read line by line in Python:
-    in a fresh process each distinct numpy operation costs tens of
-    microseconds on first use, more than such a file takes to parse.
+    Every input, whatever its size, is tokenised with numpy and built by
+    `Graph.from_edges`.
     """
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
@@ -566,36 +535,7 @@ def parse_edge_list(data: Union[bytes, str]) -> Graph:
         raise EdgeListError(
             f"line {number}: byte {data[pos]:#04x} is not an ASCII digit, "
             f"blank or line break: {line.decode('utf-8', 'replace')!r}")
-    if len(data) < _SMALL_INPUT:
-        return _parse_lines(data.decode("ascii"))
     return _parse_tokens(data, classes)
-
-
-def _parse_lines(text: str) -> Graph:
-    """`parse_edge_list` on a text of digits, blanks and line breaks only,
-    one line at a time."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise EdgeListError("empty input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise EdgeListError(f"bad header {lines[0]!r}: expected 'n m'")
-    n, m = int(head[0]), int(head[1])
-    if len(lines) - 1 != m:
-        raise EdgeListError(f"header claims {m} edges, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise EdgeListError(f"malformed edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if u == v:
-            raise EdgeListError(f"self-loop {ln!r}")
-        if not u < v:
-            raise EdgeListError(f"edge line {ln!r} must satisfy u < v")
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
 
 
 def _parse_tokens(data: bytes, classes: bytes) -> Graph:

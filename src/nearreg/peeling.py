@@ -17,7 +17,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import PreconditionError
 from .graph import (
@@ -35,8 +35,7 @@ from .graph import (
 Real = Union[int, float, Fraction]
 
 
-@dataclass(frozen=True)
-class PeelStep:
+class PeelStep(NamedTuple):
     vertex: int
     degree: int       # degree at deletion time
     round_index: int

@@ -60,7 +60,7 @@ class BoostParams:
     ``SizeCapError`` when it reaches an exhaustive round on more than 64
     vertices."""
 
-    epsilon: float
+    epsilon: Real
     exact_limit: int = DEFAULT_EXACT_LIMIT
 
     def validate(self) -> None:
@@ -362,19 +362,19 @@ def turan_independent_set(g: Graph) -> ExtractionResult:
     return ExtractionResult.from_induced(g, members, "Turan-greedy", checks)
 
 
-def _inner_epsilon(eps: Real) -> float:
-    """eps0 = eps^2/36, the boost and extraction parameter of the Thm 1.2 and
-    1.3 pipelines. Requires 0 < eps < 6, so that 0 < eps0 < 1 (an eps0 that
-    underflows to 0 is refused too)."""
+def _inner_epsilon(eps: Real) -> Fraction:
+    """eps0 = eps^2/36 exactly, the boost and extraction parameter of the
+    Thm 1.2 and 1.3 pipelines. Requires 0 < eps < 6, so that 0 < eps0 < 1
+    (an eps0 that underflows to 0 as a float is refused too, as are nan
+    and inf)."""
     epsf = float(eps)
-    eps0 = epsf * epsf / 36
-    if not (0 < epsf < 6 and 0 < eps0 < 1):
+    if not (0 < epsf < 6 and 0 < epsf * epsf / 36 < 1):
         raise PreconditionError(
             "epsilon must lie in (0, 6), so that eps^2/36 lies in (0, 1)")
-    return eps0
+    return as_fraction(eps) ** 2 / 36
 
 
-def _boost_then_extract(g: Graph, eps0: float, exact_limit: int) -> tuple:
+def _boost_then_extract(g: Graph, eps0: Fraction, exact_limit: int) -> tuple:
     """Shared pipeline body: boost at eps0, extract at eps0, map ids back."""
     bp = BoostParams(epsilon=eps0, exact_limit=exact_limit)
     boost = density_boost(g, bp)

@@ -1,6 +1,7 @@
 """CLI wiring: generation, extraction reports, experiments, exit codes,
 and byte-level determinism."""
 
+import gc
 import json
 import math
 import pathlib
@@ -8,6 +9,7 @@ import re
 
 import pytest
 
+from nearreg import cli
 from nearreg.cli import main
 
 
@@ -120,6 +122,37 @@ def test_extract_file_that_is_not_utf8_is_a_format_error(tmp_path, capsys):
     code, _, err = run_cli(["extract", "turan", str(path)], capsys)
     assert code == 4
     assert err.startswith("bad edge list: line 2: byte 0xff ")
+
+
+@pytest.mark.parametrize("caller_froze", [False, True])
+def test_main_leaves_the_collector_as_it_found_it(caller_froze, tmp_path,
+                                                  capsys, monkeypatch):
+    # main freezes the imports' objects out of the cyclic collector while a
+    # command runs, and thaws them on every way out; a caller's own freeze
+    # is neither added to nor undone
+    seen, load = [], cli._load_graph
+
+    def load_noting_the_freeze(path):
+        seen.append(gc.get_freeze_count())
+        return load(path)
+
+    monkeypatch.setattr(cli, "_load_graph", load_noting_the_freeze)
+    good = write_graph(tmp_path, "g.el", "3 1\n0 1\n")
+    bad = write_graph(tmp_path, "bad.el", "2 1\n0 0\n")
+    if caller_froze:
+        gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        assert run_cli(["extract", "turan", good], capsys)[0] == 0
+        assert gc.get_freeze_count() == before
+        assert run_cli(["extract", "turan", bad], capsys)[0] == 4
+        assert gc.get_freeze_count() == before
+    finally:
+        if caller_froze:
+            gc.unfreeze()
+    assert len(seen) == 2 and all(count > 0 for count in seen)
+    if caller_froze:
+        assert seen == [before, before]
 
 
 def test_extract_report_determinism(tmp_path, capsys):

@@ -32,7 +32,7 @@ from nearreg import (
 )
 from nearreg.graph import as_fraction, bit_indices
 from nearreg.peeling import peel_min
-from nearreg.regularize import _dense_cut, _density
+from nearreg.regularize import _dense_cut, _density, _inner_epsilon
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -323,6 +323,17 @@ def test_lemma25_on_large_clique():
     assert len(res.vertices) == 96
     assert res.ratio == 1
     assert all(c.passed for c in res.bounds)
+
+
+def test_lemma25_keeps_the_six_cycle_at_the_exact_inner_epsilon():
+    # at eps 0.5, eps0 = 1/144 puts the peel threshold 2.4 * (1 - 2 *
+    # sqrt(eps0)) exactly on the cycle's degree 2 and the cap at 1; an eps0
+    # computed in floats lands below 1/144, which made the cap 0 and the
+    # threshold's ceiling 3
+    cycle = Graph.from_edges(6, [(v, (v + 1) % 6) for v in range(6)])
+    eps0 = _inner_epsilon(0.5)
+    assert eps0 == Fraction(1, 144)
+    assert lemma25_extract(cycle, eps0).vertices == frozenset(range(6))
 
 
 def test_lemma25_star_hits_the_cap():
