@@ -234,6 +234,7 @@ def _experiment_gnpbar_scan(args) -> dict:
             "m": g.m,
             "largest_regular": res.value,
             "witness": sorted(res.witness),
+            "explored": res.explored,
         })
     return {
         "n": args.n,

@@ -142,15 +142,29 @@ def largest_subset(g: Graph, sizes: Iterable[int], prune: Callable,
 
 def exact_f(g: Graph, c: Real, size_cap: int = DEFAULT_VERTEX_CAP) -> OracleResult:
     """Largest induced c-nearly regular subgraph, by exhaustive search in
-    decreasing subset size with degree-spread pruning."""
+    decreasing subset size (``largest_subset``).
+
+    A node of the search dies when its chosen vertices already force the
+    degree spread past c: the largest degree among them, best_max, is a
+    floor on the completion's maximum, and the smallest degree any of them
+    can still reach, worst_hi, a ceiling on its minimum. Every degree of a
+    completion then lies in [best_max / c, c * worst_hi], so the node also
+    dies when fewer of the ids still to decide than are still to be picked
+    can end with a degree in that window (the viability bound). All bounds
+    are compared in integers. Neither test removes a valid subset, so the
+    value and the lexicographically least witness are those of the plain
+    search; only ``explored`` shrinks.
+    """
     if g.n > size_cap:
         raise SizeCapError(f"instance exceeds the size cap {size_cap}")
     c_num, c_den = _c_ratio(c)
+    n = g.n
 
     def spread_too_wide(t: int, e: int, rem: int, pos: int, chosen: list,
                         inner: list, after: list) -> bool:
-        # A partial choice dies when some chosen vertex is already forced
-        # above c times the best minimum degree any completion can reach.
+        # The completed subset's maximum degree is at least best_max, the
+        # largest degree among the chosen, and its minimum at most
+        # worst_hi, the smallest degree a chosen vertex can still reach.
         worst_hi = None
         best_max = 0
         for v in chosen:
@@ -163,9 +177,30 @@ def exact_f(g: Graph, c: Real, size_cap: int = DEFAULT_VERTEX_CAP) -> OracleResu
                 best_max = cur
         if worst_hi is None:
             return False
-        if worst_hi == 0:
-            return best_max != 0
-        return best_max * c_den > c_num * worst_hi
+        # some chosen vertex is forced above c times that minimum
+        if best_max * c_den > c_num * worst_hi:
+            return True
+        # Viability: every degree of the completion lies in [lo, hi]. A
+        # vertex u still to pick ends between inner[u] and inner[u] +
+        # min(after[u], rem - 1); the node dies unless rem of the ids
+        # pos..n-1 can land in the window. The count stops as soon as
+        # rem ids fit, or more than the n - pos - rem spare ones miss.
+        lo = -(-best_max * c_den // c_num)
+        hi = c_num * worst_hi // c_den
+        floor = lo - rem + 1
+        need = rem
+        spare = n - pos - rem
+        for u in range(pos, n):
+            cur = inner[u]
+            if floor <= cur <= hi and cur + after[u] >= lo:
+                need -= 1
+                if not need:
+                    return False
+            else:
+                spare -= 1
+                if spare < 0:
+                    return True
+        return True
 
     def valid(t: int, e: int, chosen: list, inner: list) -> bool:
         return _subset_valid((inner[v] for v in chosen), c_num, c_den)
@@ -303,21 +338,25 @@ def estimate_regular_prob(n: int, k: int, trials: int, seed: int) -> float:
     if k < 3:
         # 0, 1 or 2 vertices: every graph is regular
         return 1.0
-    ps = [float(p) for p in p_bar(n)[:k]]
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    probs = np.array([ps[i] * ps[j] for i, j in pairs])
-    incidence = np.zeros((len(pairs), k), dtype=np.int8)
-    for idx, (i, j) in enumerate(pairs):
-        incidence[idx, i] = 1
-        incidence[idx, j] = 1
+    ps = np.array([float(p) for p in p_bar(n)[:k]])
+    # one draw per pair i < j, in row-major order
+    first, second = np.triu_indices(k, 1)
+    probs = ps[first] * ps[second]
+    # row v of `incident` lists the draw columns of v's k - 1 pairs, so a
+    # vertex's degree is one gather and one sum: O(C(k, 2)) memory, where
+    # a pairs-by-vertices incidence matrix would take C(k, 2) * k
+    column = np.empty((k, k), dtype=np.intp)
+    column[first, second] = column[second, first] = np.arange(len(probs))
+    incident = column[~np.eye(k, dtype=bool)]
+    del column, first, second
     rng = np.random.Generator(np.random.PCG64(seed))
-    rows = min(MC_CHUNK, max(1, MC_CHUNK_CELLS // len(pairs)))
+    rows = min(MC_CHUNK, max(1, MC_CHUNK_CELLS // len(probs)))
     hits = 0
     remaining = trials
     while remaining > 0:
         chunk = min(rows, remaining)
-        draws = rng.random((chunk, len(pairs))) < probs
-        degrees = draws.astype(np.int16) @ incidence
+        draws = rng.random((chunk, len(probs))) < probs
+        degrees = draws[:, incident].reshape(chunk, k, k - 1).sum(axis=2)
         hits += int(np.count_nonzero(
             (degrees == degrees[:, :1]).all(axis=1)))
         remaining -= chunk

@@ -196,6 +196,20 @@ def test_experiment_gnpbar_scan_and_cap(capsys):
     assert code == 3
 
 
+def test_experiment_gnpbar_scan_counts_its_search_nodes(capsys):
+    argv = ["experiment", "gnpbar-scan", "--n", "12", "--samples", "3",
+            "--seed", "2"]
+    runs = []
+    for _ in range(2):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        rows = json.loads(out)["result"]["rows"]
+        runs.append([row["explored"] for row in rows])
+    assert len(runs[0]) == 3
+    assert all(isinstance(x, int) and x > 0 for x in runs[0])
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("argv", [
     ["experiment", "point-prob", "--t", "0"],
     ["experiment", "gnpbar-scan", "--samples", "0"],

@@ -1,6 +1,7 @@
 """Exact searches and Monte Carlo estimators against independent checks."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -68,6 +69,15 @@ def test_exact_f_matches_brute_force(seed):
         assert nearly_regular_check(sub, c)
 
 
+@pytest.mark.parametrize("n", [14, 15, 16])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_exact_f_matches_brute_force_on_gnp_bar(n, seed):
+    # the skewed model the gnpbar-scan experiment searches, at c = 1
+    g = sample_gnp_bar(n, seed)
+    r = exact_f(g, 1)
+    assert (r.value, r.witness) == brute_force_f(g, 1)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_exact_f_monotone_in_c(seed):
     g = sample_gnp_uniform(12, 0.5, 800 + seed)
@@ -85,10 +95,10 @@ def test_exact_f_caps():
 
 def test_exact_f_search_node_counts():
     # the node counts of the include-first search, ``explored``, pinned
-    cases = [(sample_gnp_uniform(12, 0.5, 800), 1, 6, 2157),
-             (sample_gnp_uniform(12, 0.5, 801), 1.5, 9, 469),
-             (blocks(2), 2, 7, 1377),
-             (sample_gnp_bar(14, 3), 1, 9, 1411)]
+    cases = [(sample_gnp_uniform(12, 0.5, 800), 1, 6, 1453),
+             (sample_gnp_uniform(12, 0.5, 801), 1.5, 9, 373),
+             (blocks(2), 2, 7, 941),
+             (sample_gnp_bar(14, 3), 1, 9, 577)]
     for g, c, value, explored in cases:
         r = exact_f(g, c)
         assert (r.value, r.explored) == (value, explored)
@@ -199,6 +209,53 @@ def test_estimate_point_prob_converges_to_dp():
     s = int(np.argmax(dist))
     r = estimate_point_prob(rhos, s, 100_000, 6)
     assert abs(r.estimate - r.exact) < 4 / math.sqrt(r.trials)
+
+
+def incidence_regular_prob(n, k, trials, seed):
+    """`estimate_regular_prob` as a pairs-by-vertices incidence product:
+    the same draws, the degrees by a matrix product."""
+    ps = [float(p) for p in p_bar(n)[:k]]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    probs = np.array([ps[i] * ps[j] for i, j in pairs])
+    incidence = np.zeros((len(pairs), k), dtype=np.int8)
+    for idx, (i, j) in enumerate(pairs):
+        incidence[idx, i] = 1
+        incidence[idx, j] = 1
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows = min(oracle.MC_CHUNK, max(1, oracle.MC_CHUNK_CELLS // len(pairs)))
+    hits = 0
+    remaining = trials
+    while remaining > 0:
+        chunk = min(rows, remaining)
+        draws = rng.random((chunk, len(pairs))) < probs
+        degrees = draws.astype(np.int16) @ incidence
+        hits += int(np.count_nonzero(
+            (degrees == degrees[:, :1]).all(axis=1)))
+        remaining -= chunk
+    return hits / trials
+
+
+@pytest.mark.parametrize("n, k, trials, seed", [
+    (20, 3, 5000, 1),
+    (20, 6, 40_000, 2),       # one full chunk of 2**15 rows and a rest
+    (12, 12, 3000, 3),        # k = n
+    (40, 17, 7777, 4),
+    (5, 5, 1, 5),
+])
+def test_regular_prob_matches_the_incidence_product(n, k, trials, seed):
+    assert estimate_regular_prob(n, k, trials, seed) == \
+        incidence_regular_prob(n, k, trials, seed)
+
+
+def test_regular_prob_memory_grows_with_the_pairs_not_pairs_times_k():
+    # C(300, 2) draws a row: an incidence matrix would hold 13 million cells
+    tracemalloc.start()
+    try:
+        estimate_regular_prob(300, 300, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_regular_prob_tiny_k():

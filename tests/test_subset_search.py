@@ -4,7 +4,9 @@ against a mask-based reference: the same nodes, sizes and witnesses.
 The reference below is the search as it was when every prune popcounted
 the adjacency rows of the chosen prefix and of the pool at each node. The
 search now tracks those counts incrementally; both must visit the same
-nodes, so ``explored`` is compared as well as the answer.
+nodes, so ``explored`` is compared as well as the answer. `exact_f`'s
+prune is also checked against the spread test alone, without the
+viability bound: the same answers, in no more nodes.
 """
 
 from fractions import Fraction
@@ -55,26 +57,55 @@ def reference_largest_subset(g, sizes, prune, accept):
     return 0, None, explored
 
 
-def reference_exact_f(g, c):
+def degree_window(adj, chosen, avail, rem):
+    """``(best_max, worst_hi)`` over the chosen vertices, None if none."""
+    worst_hi = None
+    best_max = 0
+    for v in bit_indices(chosen):
+        cur = (adj[v] & chosen).bit_count()
+        hi = cur + min((adj[v] & avail).bit_count(), rem)
+        if worst_hi is None or hi < worst_hi:
+            worst_hi = hi
+        if cur > best_max:
+            best_max = cur
+    return None if worst_hi is None else (best_max, worst_hi)
+
+
+def reference_exact_f(g, c, viability=True):
+    """The search `exact_f` makes; ``viability=False`` drops the viability
+    bound and keeps only the spread test."""
     cf = as_fraction(c)
     c_num, c_den = cf.numerator, cf.denominator
     adj = g.adj
 
-    def spread_too_wide(t, chosen, e, avail, rem):
-        worst_hi = None
-        best_max = 0
-        for v in bit_indices(chosen):
-            cur = (adj[v] & chosen).bit_count()
-            hi = cur + min((adj[v] & avail).bit_count(), rem)
-            if worst_hi is None or hi < worst_hi:
-                worst_hi = hi
-            if cur > best_max:
-                best_max = cur
-        if worst_hi is None:
+    def spread_only(t, chosen, e, avail, rem):
+        window = degree_window(adj, chosen, avail, rem)
+        if window is None:
             return False
+        best_max, worst_hi = window
         if worst_hi == 0:
             return best_max != 0
         return best_max * c_den > c_num * worst_hi
+
+    def unviable(t, chosen, e, avail, rem):
+        # fewer than rem ids still to decide can end with a degree d that
+        # has best_max <= c * d and d <= c * worst_hi
+        window = degree_window(adj, chosen, avail, rem)
+        if window is None:
+            return False
+        best_max, worst_hi = window
+        fits = 0
+        for u in bit_indices(avail):
+            low = (adj[u] & chosen).bit_count()
+            high = low + min((adj[u] & avail).bit_count(), rem - 1)
+            if (high * c_num >= best_max * c_den
+                    and low * c_den <= c_num * worst_hi):
+                fits += 1
+        return fits < rem
+
+    def spread_too_wide(t, chosen, e, avail, rem):
+        return spread_only(t, chosen, e, avail, rem) or (
+            viability and unviable(t, chosen, e, avail, rem))
 
     def valid(t, chosen, e):
         degrees = [(adj[v] & chosen).bit_count() for v in bit_indices(chosen)]
@@ -181,18 +212,26 @@ DENSE_SHAPES.update({f"G(20,{p})#{s}": sample_gnp_uniform(20, p, 950 + s)
                      for p in (0.2, 0.5) for s in range(2)})
 
 
+def check_exact_f_search(g, c):
+    run = exact_search(g, c)
+    assert run == reference_exact_f(g, c)
+    # the viability bound only drops nodes that hold no valid subset
+    spread = reference_exact_f(g, c, viability=False)
+    assert run[:2] == spread[:2]
+    assert run[2] <= spread[2]
+
+
 @pytest.mark.parametrize("name", sorted(SHAPES))
 @pytest.mark.parametrize("c", [1, Fraction(3, 2), 2, 5])
 def test_exact_f_search_matches_the_popcount_reference(name, c):
-    g = SHAPES[name]
-    assert exact_search(g, c) == reference_exact_f(g, c)
+    check_exact_f_search(SHAPES[name], c)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_exact_f_search_matches_the_popcount_reference_on_gnp(seed):
     g = sample_gnp_uniform(10 + seed % 5, 0.2 + 0.1 * (seed % 6), 970 + seed)
-    for c in (1, Fraction(3, 2), 2, 5):
-        assert exact_search(g, c) == reference_exact_f(g, c)
+    for c in (1, Fraction(5, 4), Fraction(3, 2), 2, 3, 5):
+        check_exact_f_search(g, c)
 
 
 @pytest.mark.parametrize("name", sorted(DENSE_SHAPES))
