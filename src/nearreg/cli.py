@@ -204,7 +204,11 @@ def _experiment_regular_prob(args) -> dict:
     caps = CalibrationConstants(c1_cap=args.c1_cap)
     caps.validate()
     est = estimate_regular_prob(args.n, args.k, args.trials, args.seed)
-    se = math.sqrt(max(est * (1 - est), 1e-300) / args.trials)
+    # an estimate of 0 or 1 is clamped into [1/(trials+1), 1 - 1/(trials+1)]
+    # first, so no run claims a zero error; an estimate strictly between
+    # 0 and 1 is at least 1/trials away from both ends and stays as it is
+    p = min(max(est, 1 / (args.trials + 1)), 1 - 1 / (args.trials + 1))
+    se = math.sqrt(p * (1 - p) / args.trials)
     return {
         "n": args.n,
         "k": args.k,

@@ -48,7 +48,6 @@ from .graph import (
     BoundCheck,
     ExtractionResult,
     Graph,
-    bit_indices,
     check,
     degree_stats,
     normalize_edge,
@@ -75,7 +74,7 @@ def bipartite_half(g: Graph) -> Bipartition:
     vertex keeping >= half its degree. Each vertex's neighbour list is
     computed once and serves every move."""
     n = g.n
-    nbrs = [list(bit_indices(row)) for row in g.adj]
+    nbrs = g.neighbor_lists()
     side = [v & 1 for v in range(n)]  # 0 = even start, 1 = odd start
     cross = [0] * n
     own = [0] * n
@@ -530,7 +529,7 @@ def matching_lower_bound(g: Graph) -> ExtractionResult:
     """
     best = frozenset()
     if g.m:
-        mate = _max_matching([list(g.neighbors(v)) for v in range(g.n)])
+        mate = _max_matching(g.neighbor_lists())
         best = frozenset((v, u) for v, u in enumerate(mate) if v < u)
     checks = require_bounds("matching_lower_bound", [
         check("Matching-size", len(best), ">=", -(-g.m // g.n) if g.n else 0)])

@@ -1,8 +1,12 @@
 """Core graph representation and shared result types.
 
 Graphs are immutable simple undirected graphs over dense ids 0..n-1.
-Adjacency is kept as one Python-int bitmask per vertex, which gives O(1)
-neighbourhood intersection at any n (the exhaustive searches rely on this).
+Adjacency is stored once, as read-only numpy CSR arrays: the neighbours of
+v, ascending, are ``indices[indptr[v]:indptr[v + 1]]``, so a graph takes
+O(n + m) memory at any n. Algorithms take every vertex's ascending
+neighbour list from `Graph.neighbor_lists` and track live sets as
+bytearrays; only the exhaustive search (`oracle.largest_subset`) builds
+bitmask rows, on demand, for at most 64 vertices.
 Average degree and density are carried as exact `Fraction`s so that peel
 thresholds never flip on float rounding. Every ledger entry is evaluated by
 `check`, exactly for integer, `Fraction` and a + b*sqrt(e) (`Surd`)
@@ -10,14 +14,12 @@ thresholds; only the five log/pow thresholds Prop2.2-size, Prop1.1-size,
 Lem2.3-rounds, Lem2.3-size and Thm1.2-size are floats, compared as they
 stand with no slack. `DegreeStats.of` builds every degree-statistics record
 from a degree sequence and an edge count, so an extractor that tracked its
-survivors' degrees hands them over instead of recounting adjacency rows.
+survivors' degrees hands them over instead of recounting adjacency.
 
 Graphs come from edges in one place, `Graph.from_edges`: it takes an
 (m, 2) integer array (or pairs), checks all edges at once and reports the
-first bad one in input order, then reads every row with `int.from_bytes`
-from a byte buffer holding only the bytes from the row's lowest to its
-highest neighbour, so an isolated vertex costs O(1) and nothing of size
-n * n / 8 is allocated beyond the rows themselves.
+first bad one in input order, and sorts both orientations of every edge as
+``row << shift | column`` keys, which are the CSR arrays once split.
 `parse_edge_list` reads the ASCII decimal wire format from bytes with
 numpy, whatever the input's size: byte classes, digit runs and their
 values, and the line of each token; a byte outside digits, blanks (space,
@@ -27,7 +29,6 @@ line number.
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 import re
@@ -35,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -62,24 +63,19 @@ def as_fraction(x: Union[int, float, Fraction, str]) -> Fraction:
     return Fraction(str(x))
 
 
-def bit_indices(mask: int) -> Iterator[int]:
-    """Yield set-bit positions of ``mask`` in increasing order."""
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
-
-
 def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple graph: ``n`` vertices, bitmask adjacency, ``m`` edges."""
+    """Immutable simple graph: ``n`` vertices, ``m`` edges, and the
+    ascending neighbours of v at ``indices[indptr[v]:indptr[v + 1]]``, two
+    read-only int64 arrays. Graphs compare equal by value."""
 
     n: int
-    adj: tuple  # tuple[int, ...], adj[v] = bitmask of neighbours of v
+    indptr: np.ndarray
+    indices: np.ndarray
     m: int
 
     @staticmethod
@@ -89,15 +85,12 @@ class Graph:
 
         All edges are checked at once (ids in range, no self-loop, no
         duplicate); the error names the first bad edge in input order.
-        Every row is then read from a byte buffer holding the bytes from
-        its lowest to its highest neighbour.
         """
         n = operator.index(n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)  # sets and generators keep their order
-        adj = [0] * n
         e = np.asarray(edges)
         if e.dtype.kind not in "iu":  # ids beyond 64 bits, floats:
             e = np.asarray(edges, dtype=object)  # compared as Python numbers
@@ -116,50 +109,55 @@ class Graph:
         key.sort()
         if (key[1:] == key[:-1]).any():
             raise _first_bad_edge(n, e, lo, hi)
-        _fill_rows(adj, shift, key)
-        return Graph(n, tuple(adj), len(e))
+        return _csr(n, key >> shift, key & ((1 << shift) - 1))
 
     @staticmethod
     def empty(n: int) -> "Graph":
-        return Graph(n, (0,) * n, 0)
+        return _csr(n, np.empty(0, np.int64), np.empty(0, np.int64))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.n == other.n and self.m == other.m
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
 
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def degrees(self) -> list:
-        return [a.bit_count() for a in self.adj]
+        return np.diff(self.indptr).tolist()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+    def neighbors(self, v: int) -> list:
+        """The ascending neighbours of ``v``."""
+        return self.indices[self.indptr[v]:self.indptr[v + 1]].tolist()
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return bit_indices(self.adj[v])
+    def neighbor_lists(self) -> list:
+        """Every vertex's ascending neighbour list, as Python ints. Each
+        call builds them anew in O(n + m): an algorithm takes them once."""
+        flat, ends = self.indices.tolist(), self.indptr.tolist()
+        return [flat[a:b] for a, b in zip(ends, ends[1:])]
 
-    def edges(self) -> Iterator[Edge]:
-        for u in range(self.n):
-            higher = self.adj[u] >> (u + 1) << (u + 1)
-            for v in bit_indices(higher):
-                yield (u, v)
+    def edges(self):
+        """Iterator over the edges (u, v), u < v, in lexicographic order."""
+        row = _row_ids(self)
+        upper = self.indices > row
+        return zip(row[upper].tolist(), self.indices[upper].tolist())
 
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edges())
 
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
+def _csr(n: int, row, col) -> Graph:
+    """The graph on n vertices whose adjacency entries, both orientations of
+    every edge, are (``row``, ``col``) in ascending (row, col) order."""
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    col = col.astype(np.int64, copy=False)
+    indptr.flags.writeable = col.flags.writeable = False
+    return Graph(n, indptr, col, len(col) // 2)
 
-    def count_edges_in(self, mask: int) -> int:
-        """Number of edges with both endpoints in the bitmask ``mask``."""
-        total = 0
-        for v in bit_indices(mask):
-            total += (self.adj[v] & mask).bit_count()
-        return total // 2
 
-    def count_edges_between(self, mask_a: int, mask_b: int) -> int:
-        """Number of edges with one endpoint in each (disjoint) mask."""
-        total = 0
-        for v in bit_indices(mask_a):
-            total += (self.adj[v] & mask_b).bit_count()
-        return total
+def _row_ids(g: Graph):
+    """The row of every entry of ``g.indices``."""
+    return np.repeat(np.arange(g.n), np.diff(g.indptr))
 
 
 @dataclass(frozen=True)
@@ -199,27 +197,21 @@ def degree_stats(g: Graph) -> DegreeStats:
 
 
 def induced(g: Graph, u: Iterable) -> tuple:
-    """Induced subgraph on ``u`` with ids relabelled 0..|u|-1.
+    """Induced subgraph on ``u`` with ids relabelled 0..|u|-1, in order.
 
     Returns ``(subgraph, id_map)`` where ``id_map[new_id] = old_id``.
     """
     members = sorted(set(u))
     if members and not (0 <= members[0] and members[-1] < g.n):
         raise ValueError(f"vertex id out of range in {members}")
-    id_map = tuple(members)
-    index = {old: new for new, old in enumerate(members)}
-    mask = 0
-    for v in members:
-        mask |= 1 << v
-    adj = [0] * len(members)
-    m = 0
-    for v in members:
-        for w in bit_indices(g.adj[v] & mask):
-            if w > v:
-                adj[index[v]] |= 1 << index[w]
-                adj[index[w]] |= 1 << index[v]
-                m += 1
-    return Graph(len(members), tuple(adj), m), id_map
+    inside = np.zeros(g.n, bool)
+    inside[members] = True
+    row = _row_ids(g)
+    kept = inside[row] & inside[g.indices]
+    # ids keep their order, so the kept entries stay sorted
+    new_id = np.cumsum(inside) - 1
+    sub = _csr(len(members), new_id[row[kept]], new_id[g.indices[kept]])
+    return sub, tuple(members)
 
 
 def subgraph_ratio(max_deg: int, min_deg: int) -> Fraction:
@@ -393,11 +385,9 @@ class ExtractionResult:
                      bounds: tuple = ()) -> "ExtractionResult":
         """Result for the subgraph of ``g`` induced on ``vertices``."""
         members = frozenset(vertices)
-        mask = sum(1 << v for v in members)
-        degs = [(g.adj[v] & mask).bit_count() for v in members]
-        return ExtractionResult.from_stats(
-            members, None, DegreeStats.of(degs, sum(degs) // 2), guarantee,
-            bounds)
+        sub, _ = induced(g, members)
+        return ExtractionResult.from_stats(members, None, degree_stats(sub),
+                                           guarantee, bounds)
 
     @staticmethod
     def from_edge_subgraph(edges: Iterable, guarantee: str,
@@ -446,49 +436,6 @@ def _first_bad_edge(n: int, e, lo, hi) -> EdgeListError:
     if min(u, v) < 0 or max(u, v) >= n:
         return EdgeListError(f"vertex id out of range: ({u}, {v}) with n={n}")
     return EdgeListError(f"self-loop at vertex {u}")
-
-
-# Bytes of adjacency rows packed at a time: building the rows holds no
-# more than the rows themselves plus this much (or one row, if wider).
-_ROW_CHUNK = 1 << 20
-
-
-def _fill_rows(adj: list, shift: int, key) -> None:
-    """Set ``adj[r]`` to the bitmask of r's neighbours, from the sorted keys
-    ``r << shift | c`` of all (row, column) entries; rows without
-    neighbours stay 0. Row r is packed into the bytes from its lowest to
-    its highest neighbour's, read with ``int.from_bytes`` and shifted into
-    place, so a row costs its span, not n / 8 bytes."""
-    if not key.size:
-        return
-    row = key >> shift
-    col = key & ((1 << shift) - 1)
-    # the entries of the i-th nonempty row are bounds[i]:bounds[i + 1]
-    bounds = np.concatenate(
-        ([0], np.flatnonzero(row[1:] != row[:-1]) + 1, [len(key)]))
-    low = col[bounds[:-1]] >> 3
-    span = (col[bounds[1:] - 1] >> 3) - low + 1
-    offset = np.concatenate(([0], span.cumsum()))
-    pos = np.repeat(offset[:-1] - low, bounds[1:] - bounds[:-1]) + (col >> 3)
-    bit = np.left_shift(1, col & 7).astype(np.uint8)
-    packed = np.zeros(min(offset[-1], max(_ROW_CHUNK, span.max())), np.uint8)
-    view = memoryview(packed)
-    rows, lift = row[bounds[:-1]].tolist(), (low << 3).tolist()
-    offsets, bounds = offset.tolist(), bounds.tolist()
-    start = 0
-    while start < len(rows):
-        base = offsets[start]
-        stop = max(start + 1,
-                   bisect.bisect_right(offsets, base + _ROW_CHUNK) - 1)
-        at = pos[bounds[start]:bounds[stop]] - base
-        np.add.at(packed, at, bit[bounds[start]:bounds[stop]])  # distinct bits
-        cut = (offset[start:stop + 1] - base).tolist()
-        for r, x in zip(rows[start:stop], [
-                int.from_bytes(view[a:b], "little") << s
-                for a, b, s in zip(cut, cut[1:], lift[start:stop])]):
-            adj[r] = x
-        packed[at] = 0
-        start = stop
 
 
 # The ASCII line breaks of str.splitlines (which also reads "\r\n" as one).

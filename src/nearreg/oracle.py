@@ -13,12 +13,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import PreconditionError, SizeCapError
-from .graph import Graph, as_fraction, bit_indices
+from .graph import Graph, as_fraction
 from .instances import p_bar
 
 Real = Union[int, float, Fraction]
@@ -54,6 +54,14 @@ class CalibrationConstants:
         if not (0 < self.c0_cap < math.inf and 0 < self.c1_cap < math.inf):
             raise PreconditionError(
                 "calibration caps must be positive and finite")
+
+
+def bit_indices(mask: int) -> Iterator[int]:
+    """Yield set-bit positions of ``mask`` in increasing order."""
+    while mask:
+        lsb = mask & -mask
+        yield lsb.bit_length() - 1
+        mask ^= lsb
 
 
 def _c_ratio(c: Real) -> tuple:
@@ -103,9 +111,9 @@ def largest_subset(g: Graph, sizes: Iterable[int], prune: Callable,
     """
     if g.n > HARD_VERTEX_CAP:
         raise SizeCapError(f"exact search is capped at {HARD_VERTEX_CAP} vertices")
-    n, adj = g.n, g.adj
-    nbrs = [list(bit_indices(row)) for row in adj]
-    after = [[(row >> pos).bit_count() for row in adj] for pos in range(n + 1)]
+    n, nbrs = g.n, g.neighbor_lists()
+    rows = [sum(1 << u for u in row) for row in nbrs]  # bitmask rows
+    after = [[(r >> pos).bit_count() for r in rows] for pos in range(n + 1)]
     inner = [0] * n
     chosen: list = []
     explored = 0

@@ -6,9 +6,11 @@ refine / reduce / pipeline operations. Thresholds are frozen when a round
 starts while degrees are recomputed after every single deletion. The
 min-degree peel takes the least degree first, the max-degree peel the
 eligible vertices by id; ties go to the lowest id, so traces are
-reproducible. Both primitives keep the degree of every live vertex exact,
-so the extractors read their survivors' statistics from the degrees the
-peel tracked, with no second pass over the adjacency rows.
+reproducible. Both primitives walk ascending neighbour lists
+(`Graph.neighbor_lists`) and mark the live set in a bytearray, 1 for live;
+they keep the degree of every live vertex exact, so the extractors read
+their survivors' statistics from the degrees the peel tracked, with no
+second pass over the adjacency.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple, Optional, Union
 
 from .errors import PreconditionError
@@ -25,7 +28,6 @@ from .graph import (
     ExtractionResult,
     Graph,
     as_fraction,
-    bit_indices,
     check,
     induced,
     ledger_ratio,
@@ -62,14 +64,15 @@ class PeelTrace:
         }
 
 
-def peel_min(adj, alive: int, deg: list, threshold: Real, steps: list,
-             cap: Optional[int] = None) -> tuple:
-    """Smallest-last peel of the live set ``alive`` of the graph with bitmask
-    rows ``adj``: delete the least-degree live vertex, lowest id first on
-    ties, until its degree is at least ``threshold`` or ``cap`` deletions
-    are done, in O(m log n) through one lazy (degree, id) heap. Keeps the
-    live degrees ``deg`` exact in place; appends one round-0 `PeelStep` per
-    deletion to ``steps``.
+def peel_min(nbrs: list, alive: bytearray, deg: list, threshold: Real,
+             steps: list, cap: Optional[int] = None) -> tuple:
+    """Smallest-last peel of the live set ``alive`` (a bytearray, 1 for
+    live, updated in place) of the graph with neighbour lists ``nbrs``:
+    delete the least-degree live vertex, lowest id first on ties, until its
+    degree is at least ``threshold`` or ``cap`` deletions are done, in
+    O(m log n) through one lazy (degree, id) heap. Keeps the live degrees
+    ``deg`` exact in place; appends one round-0 `PeelStep` per deletion to
+    ``steps``.
 
     The deleted set is the complement of the threshold-core, and the steps
     are the whole order's (``threshold`` = ``math.inf``) up to its first
@@ -77,42 +80,43 @@ def peel_min(adj, alive: int, deg: list, threshold: Real, steps: list,
     ``order[i:]`` gives that suffix with the same degrees at removal, as
     ``induced`` keeps ids in order.
 
-    Returns (alive_mask, wants_more) where wants_more is True iff the cap was
+    Returns (alive, wants_more) where wants_more is True iff the cap was
     reached while an eligible vertex remained.
     """
-    heap = [(deg[v], v) for v in bit_indices(alive)]
+    heap = [(deg[v], v) for v in compress(range(len(alive)), alive)]
     heapq.heapify(heap)
     deleted = 0
     while heap:
         d, v = heapq.heappop(heap)
-        if d != deg[v] or not alive >> v & 1:
+        if d != deg[v] or not alive[v]:
             continue  # stale: v was deleted or has lost degree since
         if d >= threshold:
             break
         if deleted == cap:
             return alive, True
         steps.append(PeelStep(v, d, 0))
-        alive &= ~(1 << v)
+        alive[v] = 0
         deleted += 1
-        for u in bit_indices(adj[v] & alive):
-            deg[u] -= 1
-            heapq.heappush(heap, (deg[u], u))
+        for u in nbrs[v]:
+            if alive[u]:
+                deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
     return alive, False
 
 
-def _peel_max(adj, alive: int, deg: list, threshold: Fraction,
-              round_index: int, steps: list) -> int:
-    """Delete vertices of degree >= threshold, lowest id first, recomputing
-    degrees after each deletion, so that ``deg`` stays exact for every live
-    vertex. Since degrees only drop, one ascending scan visits every vertex
-    that could ever be eligible."""
-    for v in bit_indices(alive):
+def _peel_max(nbrs: list, alive: bytearray, deg: list, threshold: Fraction,
+              round_index: int, steps: list) -> None:
+    """Delete vertices of degree >= threshold from ``alive``, lowest id
+    first, recomputing degrees after each deletion, so that ``deg`` stays
+    exact for every live vertex. Since degrees only drop, one ascending
+    scan visits every vertex that could ever be eligible."""
+    for v in compress(range(len(alive)), alive):
         if deg[v] >= threshold:
             steps.append(PeelStep(v, deg[v], round_index))
-            alive &= ~(1 << v)
-            for u in bit_indices(adj[v] & alive):
-                deg[u] -= 1
-    return alive
+            alive[v] = 0
+            for u in nbrs[v]:
+                if alive[u]:
+                    deg[u] -= 1
 
 
 def peel_below(g: Graph, threshold: Real) -> tuple:
@@ -125,13 +129,11 @@ def peel_below(g: Graph, threshold: Real) -> tuple:
     if thr < 0:
         raise PreconditionError("peel threshold must be nonnegative")
     trace = PeelTrace()
+    alive = bytearray(b"\1") * g.n
     if thr > 0 and g.n > 0:
         trace.thresholds.append(thr)
-        deg = g.degrees()
-        alive, _ = peel_min(g.adj, g.full_mask(), deg, thr, trace.steps)
-    else:
-        alive = g.full_mask()
-    sub, _ = induced(g, bit_indices(alive))
+        peel_min(g.neighbor_lists(), alive, g.degrees(), thr, trace.steps)
+    sub, _ = induced(g, compress(range(g.n), alive))
     return sub, trace
 
 
@@ -156,10 +158,10 @@ def prop21_refine(g: Graph, k: Real, alpha: Real) -> ExtractionResult:
             f"max degree {st.max_deg} exceeds k*avg = {float(kf * d0):.4g}; "
             "reduce first")
     steps: list = []
-    alive = g.full_mask()
+    alive = bytearray(b"\1") * g.n
     if d0 > 0:
-        alive, _ = peel_min(g.adj, alive, deg, af * d0, steps)
-    members = list(bit_indices(alive))
+        peel_min(g.neighbor_lists(), alive, deg, af * d0, steps)
+    members = list(compress(range(g.n), alive))
     kept_m = g.m - sum(s.degree for s in steps)
     kept = DegreeStats.of([deg[v] for v in members], kept_m)
     checks = require_bounds("prop21_refine", [
@@ -187,32 +189,35 @@ def prop22_reduce(g: Graph, k: Real) -> tuple:
     if not kf > 1:
         raise PreconditionError("k must be > 1")
     trace = PeelTrace()
-    alive = g.full_mask()
+    alive = bytearray(b"\1") * g.n
     deg = g.degrees()
+    nbrs = None  # built by the first round that peels
     m_alive = g.m
     kstar = (g.n - 1).bit_length() if g.n >= 1 else 0
     for i in range(kstar + 1):
-        n_i = alive.bit_count()
-        if n_i == 0:
+        live_deg = list(compress(deg, alive))
+        if not live_deg:
             break
-        max_i = max(deg[v] for v in bit_indices(alive))
-        d_i = Fraction(2 * m_alive, n_i)
-        if max_i <= kf * d_i:
+        d_i = Fraction(2 * m_alive, len(live_deg))
+        if max(live_deg) <= kf * d_i:
             break
         thr = kf * d_i / 2
         trace.thresholds.append(thr)
         before = len(trace.steps)
-        alive = _peel_max(g.adj, alive, deg, thr, i, trace.steps)
+        if nbrs is None:
+            nbrs = g.neighbor_lists()
+        _peel_max(nbrs, alive, deg, thr, i, trace.steps)
         m_alive -= sum(s.degree for s in trace.steps[before:])
-    n_out = alive.bit_count()
-    out_stats = DegreeStats.of([deg[v] for v in bit_indices(alive)], m_alive)
+    members = list(compress(range(g.n), alive))
+    n_out = len(members)
+    out_stats = DegreeStats.of([deg[v] for v in members], m_alive)
     size_thr = g.n ** (1 + math.log2(1 - 1 / float(kf))) if g.n > 0 else 0.0
     checks = require_bounds("prop22_reduce", [
         check("Prop2.2-spread", out_stats.max_deg, "<=",
               kf * out_stats.avg_deg),
         check("Prop2.2-size", n_out, ">=", size_thr),
     ])
-    sub, _ = induced(g, bit_indices(alive))
+    sub, _ = induced(g, members)
     return sub, trace, checks
 
 

@@ -19,11 +19,15 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain, compress
 from math import comb
 from operator import add
 from typing import Optional, Union
+
+import numpy as np
 
 from .errors import CapExceededError, PreconditionError
 from .graph import (
@@ -32,19 +36,20 @@ from .graph import (
     Graph,
     Surd,
     as_fraction,
-    bit_indices,
     check,
     degree_stats,
     induced,
     ledger_ratio,
     require_bounds,
 )
-from .oracle import largest_subset
+from .oracle import bit_indices, largest_subset
 from .peeling import peel_min
 
 Real = Union[int, float, Fraction]
 
 DEFAULT_EXACT_LIMIT = 24
+# Fewest lost-edge entries of one Turan pick that are counted with numpy.
+_NUMPY_COUNT = 256
 
 
 @dataclass(frozen=True)
@@ -210,7 +215,8 @@ def density_boost(g: Graph, params: BoostParams) -> BoostOutcome:
     cur, vmap = g, tuple(range(g.n))
     if not certified:
         steps: list = []
-        peel_min(g.adj, g.full_mask(), g.degrees(), math.inf, steps)
+        peel_min(g.neighbor_lists(), bytearray(b"\1") * g.n, g.degrees(),
+                 math.inf, steps)
         start, m = 0, g.m
         while boosting and g.n - start > params.exact_limit:
             cut = _dense_cut(steps, start, m, eps_f)
@@ -254,12 +260,10 @@ def check_edge_boundary(g: Graph, u, eps: Real) -> bool:
         raise PreconditionError(
             f"boundary check needs |u| = floor(eps*n) = {expected}, "
             f"got {len(members)}")
-    mask = 0
     for v in members:
         if not 0 <= v < g.n:
             raise PreconditionError(f"vertex {v} out of range")
-        mask |= 1 << v
-    crossing = g.count_edges_between(mask, g.full_mask() & ~mask)
+    crossing = sum(w not in members for v in members for w in g.neighbors(v))
     scale = eps_f * g.n * g.n * _density(g)
     return check("edge-boundary", crossing, "<=",
                  Surd(scale, 2 * scale, eps_f)).passed
@@ -290,25 +294,27 @@ def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:
     n = g.n
     np_ = n * _density(g)
     top_count = math.floor(eps_f * n)
-    by_degree = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    alive = g.full_mask()
+    nbrs = g.neighbor_lists()
     deg = g.degrees()
+    by_degree = sorted(range(n), key=lambda v: (-deg[v], v))
+    alive = bytearray(b"\1") * n
     deleted_edges = 0
     for v in by_degree[:top_count]:
-        alive &= ~(1 << v)
+        alive[v] = 0
         deleted_edges += deg[v]
-        for u in bit_indices(g.adj[v] & alive):
-            deg[u] -= 1
+        for u in nbrs[v]:
+            if alive[u]:
+                deg[u] -= 1
     min_deg_thr = Surd(np_, -2 * np_, eps_f)
     cap = math.isqrt(math.floor(4 * n * n * eps_f))  # floor(2*sqrt(eps)*n)
     steps: list = []
-    alive, wants_more = peel_min(g.adj, alive, deg, math.ceil(min_deg_thr),
-                                 steps, cap=cap)
+    _, wants_more = peel_min(nbrs, alive, deg, math.ceil(min_deg_thr), steps,
+                             cap=cap)
     if wants_more:
         raise CapExceededError(
             f"peel wanted more than the cap of {cap} deletions; the "
             "input violates the bounded-dense-subset condition")
-    members = list(bit_indices(alive))
+    members = list(compress(range(n), alive))
     kept_m = g.m - deleted_edges - sum(s.degree for s in steps)
     st = DegreeStats.of([deg[v] for v in members], kept_m)
     checks = require_bounds("lemma25_extract", [
@@ -330,36 +336,52 @@ def turan_independent_set(g: Graph) -> ExtractionResult:
     checked ``Turan-size`` entry.
 
     Picks come off a lazy (degree, id) heap. After each pick, every live
-    vertex next to the dropped ones gets its degree recounted and one new
-    entry, so the heap takes one push per such vertex, not one per edge.
+    vertex next to the dropped ones loses its edges into them and gets one
+    new entry, so the heap takes one push per such vertex, not one per edge.
+    The lost edges are counted over the dropped vertices' neighbour lists:
+    with numpy when they hold more than max(n, ``_NUMPY_COUNT``) entries,
+    so each O(n) count is paid for by the entries it reads, and in Python
+    otherwise, where numpy's fixed cost per call would dominate.
     """
-    adj = g.adj
+    nbrs = g.neighbor_lists()
     deg = g.degrees()
     heap = [(d, v) for v, d in enumerate(deg)]
     heapq.heapify(heap)
-    alive = g.full_mask()
+    alive = bytearray(b"\1") * g.n
+    live = alive.__getitem__
+    live_mask = np.frombuffer(alive, np.bool_)  # a view: follows ``alive``
+    bulk = max(g.n, _NUMPY_COUNT)
+    ends = g.indptr.tolist()
     picked = []
     while heap:
         d, v = heapq.heappop(heap)
-        if d != deg[v] or not alive >> v & 1:
+        if d != deg[v] or not alive[v]:
             continue  # stale: v was dropped or has lost degree since
         picked.append(v)
-        closed = (adj[v] | (1 << v)) & alive
-        alive &= ~closed
-        near = 0
-        for u in bit_indices(closed):
-            near |= adj[u]
-        for w in bit_indices(near & alive):
-            deg[w] = (adj[w] & alive).bit_count()
+        closed = [v, *filter(live, nbrs[v])]
+        for u in closed:
+            alive[u] = 0
+        if sum(map(len, map(nbrs.__getitem__, closed))) > bulk:
+            heads = np.concatenate([g.indices[ends[u]:ends[u + 1]]
+                                    for u in closed])
+            lost = np.bincount(heads[live_mask[heads]], minlength=g.n)
+            near = np.flatnonzero(lost)
+            counts = zip(near.tolist(), lost[near].tolist())
+        else:
+            counts = Counter(chain.from_iterable(
+                filter(live, nbrs[u]) for u in closed)).items()
+        for w, c in counts:
+            deg[w] -= c
             heapq.heappush(heap, (deg[w], w))
     members = frozenset(picked)
-    mask = sum(1 << v for v in members)
-    for v in members:
-        assert not g.adj[v] & mask, "greedy set is not independent"
+    assert not any(members.intersection(nbrs[v]) for v in picked), \
+        "greedy set is not independent"
     checks = require_bounds("turan_independent_set", [
         check("Turan-size", len(members), ">=",
               g.n / (degree_stats(g).avg_deg + 1))])
-    return ExtractionResult.from_induced(g, members, "Turan-greedy", checks)
+    return ExtractionResult.from_stats(
+        members, None, DegreeStats.of([0] * len(members), 0), "Turan-greedy",
+        checks)
 
 
 def _inner_epsilon(eps: Real) -> Fraction:

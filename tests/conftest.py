@@ -31,3 +31,36 @@ def watchdog(request):
                                       file=request.config.stash[_STDERR])
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+# --- bitmask adjacency, for the tests' exhaustive references -------------
+# The package stores neighbour arrays only; these helpers rebuild the
+# n-bit rows a reference counts with, from the public neighbour lists.
+
+def bitmask_rows(g) -> list:
+    """Row v is the bitmask of v's neighbours in ``g``."""
+    return [sum(1 << u for u in row) for row in g.neighbor_lists()]
+
+
+def full_mask(g) -> int:
+    return (1 << g.n) - 1
+
+
+def count_edges_between(g, mask_a: int, mask_b: int) -> int:
+    """Edges of ``g`` with one endpoint in each of two disjoint bitmasks."""
+    rows = bitmask_rows(g)
+    return sum((rows[v] & mask_b).bit_count()
+               for v in range(g.n) if mask_a >> v & 1)
+
+
+def count_edges_in(g, mask: int) -> int:
+    """Edges of ``g`` with both endpoints in the bitmask ``mask``."""
+    return count_edges_between(g, mask, mask) // 2
+
+
+def has_edge(g, u: int, v: int) -> bool:
+    return v in g.neighbors(u)
+
+
+def edge_set(g) -> frozenset:
+    return frozenset(g.edges())

@@ -20,6 +20,8 @@ import nearreg as nr
 from nearreg.cli import main as cli_main
 from nearreg.regularize import _density
 
+from conftest import bitmask_rows
+
 SAMPLE_N = 100
 
 
@@ -199,11 +201,12 @@ def test_c07_blocks_exhaustive_verification():
     s_param, k_param = 2, 2
     best = 0
     violations = 0
+    rows = bitmask_rows(g)
     for code in range(1 << g.n):
         members = [v for v in range(g.n) if code >> v & 1]
         if not members:
             continue
-        degs = [(g.adj[v] & code).bit_count() for v in members]
+        degs = [(rows[v] & code).bit_count() for v in members]
         mx, mn = max(degs), min(degs)
         if mx > k_param * mn:
             continue

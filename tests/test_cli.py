@@ -184,6 +184,18 @@ def test_experiment_regular_prob(capsys):
     assert 0 < body["estimate"] < 1
 
 
+@pytest.mark.parametrize("argv, se", [
+    (["--n", "20", "--k", "6", "--trials", "1"], 0.5),
+    (["--n", "40", "--k", "40", "--trials", "200"], 1 / 201),
+])
+def test_regular_prob_error_at_an_estimate_of_0_or_1(argv, se, capsys):
+    code, out, _ = run_cli(["experiment", "regular-prob", *argv], capsys)
+    assert code == 0
+    body = json.loads(out)["result"]
+    assert body["estimate"] in (0.0, 1.0)
+    assert body["standard_error"] == pytest.approx(se, rel=1e-12)
+
+
 def test_experiment_gnpbar_scan_and_cap(capsys):
     code, out, _ = run_cli(["experiment", "gnpbar-scan", "--n", "10",
                             "--samples", "3", "--seed", "5"], capsys)

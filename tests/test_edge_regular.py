@@ -28,7 +28,9 @@ from nearreg.edge_regular import (
     _sink_components,
     _workspace,
 )
-from nearreg.graph import bit_indices, normalize_edge
+from nearreg.graph import normalize_edge
+
+from conftest import edge_set, has_edge
 
 
 def complete(n):
@@ -74,7 +76,7 @@ def _half_reference(g):
     """Local switching with the mover found by a scan of every vertex."""
     side = [v & 1 for v in range(g.n)]
     while True:
-        own = [sum(side[u] == side[v] for u in bit_indices(g.adj[v]))
+        own = [sum(side[u] == side[v] for u in g.neighbors(v))
                for v in range(g.n)]
         mover = next((v for v in range(g.n) if 2 * own[v] > g.degree(v)),
                      None)
@@ -128,7 +130,7 @@ def test_half_is_a_bipartite_cut_keeping_half_of_each_degree(g):
 def natural_bipartition(k, n):
     g = complete_bipartite(k, n)
     return g, Bipartition(frozenset(range(k)), frozenset(range(k, n)),
-                          g.edge_set())
+                          edge_set(g))
 
 
 def assert_perfect_between(matching, s, t, edges):
@@ -168,7 +170,7 @@ def test_tight_set_on_full_k44():
 
 def test_tight_set_on_perfect_matching_sides():
     g = Graph.from_edges(6, [(0, 3), (1, 4), (2, 5)])
-    bp = Bipartition(frozenset({0, 1, 2}), frozenset({3, 4, 5}), g.edge_set())
+    bp = Bipartition(frozenset({0, 1, 2}), frozenset({3, 4, 5}), edge_set(g))
     s, t, m = min_tight_set(bp, bp.edges)
     assert s == frozenset({0}) and t == frozenset({3})
     assert m == frozenset({(0, 3)})
@@ -176,7 +178,7 @@ def test_tight_set_on_perfect_matching_sides():
 
 def test_tight_set_rejects_isolated_candidate():
     g = Graph.from_edges(5, [(0, 3), (1, 4)])
-    bp = Bipartition(frozenset({0, 1, 2}), frozenset({3, 4}), g.edge_set())
+    bp = Bipartition(frozenset({0, 1, 2}), frozenset({3, 4}), edge_set(g))
     with pytest.raises(PreconditionError):
         min_tight_set(bp, bp.edges)
 
@@ -188,7 +190,7 @@ def test_tight_set_minimality_beats_single_pass_greedy():
     edges = [(0, 4), (0, 6), (1, 4), (1, 6), (2, 5), (2, 7), (3, 5), (3, 7)]
     g = Graph.from_edges(8, edges)
     bp = Bipartition(frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7}),
-                     g.edge_set())
+                     edge_set(g))
     s, t, m = min_tight_set(bp, bp.edges)
     assert s == frozenset({0, 1}) and t == frozenset({4, 6})
     assert brute_force_is_minimal_tight(s, t, bp.edges, bp.side_b)
@@ -202,7 +204,7 @@ def test_tight_set_hall_violating_stable_set():
     edges += [(a, b) for a in (3, 4, 5) for b in (8, 9, 10, 11)]
     g = Graph.from_edges(12, edges)
     bp = Bipartition(frozenset(range(6)), frozenset(range(6, 12)),
-                     g.edge_set())
+                     edge_set(g))
     s, t, m = min_tight_set(bp, bp.edges)
     assert brute_force_is_minimal_tight(s, t, bp.edges, bp.side_b)
     assert_perfect_between(m, s, t, bp.edges)
@@ -230,7 +232,7 @@ def test_tight_set_minimal_on_seeded_bipartite(seed):
         edges.extend((a, b) for b in nbrs)
     g = Graph.from_edges(ka + kb, sorted(set(edges)))
     bp = Bipartition(frozenset(range(ka)), frozenset(range(ka, ka + kb)),
-                     g.edge_set())
+                     edge_set(g))
     s, t, m = min_tight_set(bp, bp.edges)
     assert brute_force_is_minimal_tight(s, t, bp.edges, bp.side_b)
     assert_perfect_between(m, s, t, bp.edges)
@@ -261,7 +263,7 @@ def test_cascade_on_k44_single_round():
 
 def test_cascade_on_matching_graph():
     g = Graph.from_edges(6, [(0, 3), (1, 4), (2, 5)])
-    bp = Bipartition(frozenset({0, 1, 2}), frozenset({3, 4, 5}), g.edge_set())
+    bp = Bipartition(frozenset({0, 1, 2}), frozenset({3, 4, 5}), edge_set(g))
     state = matching_cascade(bp, 1)
     assert state.sets[0][0] == frozenset({0})
     assert state.matchings[0] == frozenset({(0, 3)})
@@ -275,7 +277,7 @@ def test_cascade_zero_rounds():
 
 def test_cascade_rejects_low_degree():
     g = Graph.from_edges(4, [(0, 2), (1, 3)])
-    bp = Bipartition(frozenset({0, 1}), frozenset({2, 3}), g.edge_set())
+    bp = Bipartition(frozenset({0, 1}), frozenset({2, 3}), edge_set(g))
     with pytest.raises(PreconditionError):
         matching_cascade(bp, 2)
 
@@ -338,7 +340,7 @@ def test_theorem41_dense_sample_contract():
     assert float(res.ratio) <= 5
     assert len(res.edges) >= math.ceil(d * d / 4096)
     # the subgraph uses only edges of g
-    assert all(g.has_edge(u, v) for u, v in res.edges)
+    assert all(has_edge(g, u, v) for u, v in res.edges)
 
 
 @pytest.mark.parametrize("k", [3, 5])
@@ -350,7 +352,7 @@ def test_theorem41_complete_bipartite_ceiling(k):
 def test_matching_lower_bound_examples():
     assert len(matching_lower_bound(star(9)).edges) == 1
     pm = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-    assert matching_lower_bound(pm).edges == pm.edge_set()
+    assert matching_lower_bound(pm).edges == edge_set(pm)
     assert len(matching_lower_bound(complete(4)).edges) == 2
     assert matching_lower_bound(Graph.empty(3)).edges == frozenset()
 
@@ -362,7 +364,7 @@ def test_matching_lower_bound_seeded(seed):
     assert len(edges) >= -(-g.m // g.n)
     used = set()
     for u, v in edges:
-        assert g.has_edge(u, v)
+        assert has_edge(g, u, v)
         assert u not in used and v not in used
         used |= {u, v}
 
@@ -370,7 +372,7 @@ def test_matching_lower_bound_seeded(seed):
 def max_matching_edges(g):
     mate = _max_matching([list(g.neighbors(v)) for v in range(g.n)])
     matched = [v for v in range(g.n) if mate[v] >= 0]
-    assert all(mate[mate[v]] == v and g.has_edge(v, mate[v]) for v in matched)
+    assert all(mate[mate[v]] == v and has_edge(g, v, mate[v]) for v in matched)
     return len(matched) // 2
 
 
@@ -442,10 +444,10 @@ def test_adversarial_shapes(shape):
     edges = matching_lower_bound(g).edges
     assert len(edges) == maximum
     assert len({v for e in edges for v in e}) == 2 * maximum
-    assert all(g.has_edge(u, v) for u, v in edges)
+    assert all(has_edge(g, u, v) for u, v in edges)
     res, _ = theorem41(g)
     assert res.bounds and all(b.passed for b in res.bounds)
-    assert all(g.has_edge(u, v) for u, v in res.edges)
+    assert all(has_edge(g, u, v) for u, v in res.edges)
 
 
 # --- the cascade against a per-round rebuild -------------------------------

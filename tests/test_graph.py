@@ -231,6 +231,30 @@ def test_serialize_parse_identity(case):
     assert serialize_edge_list(back) == serialize_edge_list(g)
 
 
+@given(edge_sets, st.data())
+@settings(max_examples=80, deadline=None)
+def test_adjacency_and_induced_match_networkx(case, data):
+    nx = pytest.importorskip("networkx")
+    n, edges = case
+    g = Graph.from_edges(n, list(edges))
+    ref = nx.Graph()
+    ref.add_nodes_from(range(n))
+    ref.add_edges_from(edges)
+    lists = g.neighbor_lists()
+    assert lists == [sorted(ref[v]) for v in range(n)]
+    assert lists == [g.neighbors(v) for v in range(n)]
+    assert g.degrees() == [ref.degree(v) for v in range(n)]
+    assert g.degrees() == [g.degree(v) for v in range(n)]
+    assert list(g.edges()) == sorted(tuple(sorted(e)) for e in ref.edges())
+    members = data.draw(st.sets(st.integers(0, n - 1)))
+    sub, id_map = induced(g, members)
+    assert id_map == tuple(sorted(members))
+    new_id = {v: i for i, v in enumerate(id_map)}
+    assert sub.neighbor_lists() == [sorted(new_id[w] for w in ref[v]
+                                           if w in new_id) for v in id_map]
+    assert sub.m == ref.subgraph(members).number_of_edges()
+
+
 def test_edge_count_matches_half_degree_sum():
     g = parse_edge_list("5 5\n0 1\n0 2\n1 2\n2 3\n3 4")
     assert sum(g.degrees()) == 2 * g.m

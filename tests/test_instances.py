@@ -21,6 +21,8 @@ from nearreg import (
 )
 from nearreg.instances import blocks_minimal_s, p_bar, pair_probability_range
 
+from conftest import has_edge
+
 
 def test_blocks_s1():
     g = blocks(1)
@@ -68,7 +70,7 @@ def test_blocks_components_are_cliques():
         for a in members:
             for b in members:
                 if a < b:
-                    assert g.has_edge(a, b)
+                    assert has_edge(g, a, b)
 
 
 def test_blocks_padded_exact_fit():

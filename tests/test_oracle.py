@@ -27,6 +27,8 @@ from nearreg import oracle
 from nearreg.instances import p_bar
 from nearreg.oracle import largest_subset
 
+from conftest import bitmask_rows, count_edges_in, has_edge
+
 
 def complete(n):
     return Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
@@ -109,15 +111,15 @@ def test_largest_subset_carries_the_prefix_edge_count():
 
     def independent(t, e, chosen, inner):
         mask = sum(1 << v for v in chosen)
-        assert e == g.count_edges_in(mask)
-        assert inner == [(row & mask).bit_count() for row in g.adj]
+        assert e == count_edges_in(g, mask)
+        assert inner == [(row & mask).bit_count() for row in bitmask_rows(g)]
         return e == 0
 
     t, mask, _ = largest_subset(g, range(g.n, 0, -1),
                                 lambda *args: False, independent)
     expected = next(combo for k in range(g.n, 0, -1)
                     for combo in combinations(range(g.n), k)
-                    if not any(g.has_edge(u, v)
+                    if not any(has_edge(g, u, v)
                                for u, v in combinations(combo, 2)))
     assert (t, mask) == (len(expected), sum(1 << v for v in expected))
     assert largest_subset(g, [], None, None) == (0, None, 0)

@@ -17,7 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearreg import EdgeListError, Graph, graph, parse_edge_list, serialize_edge_list
+from nearreg import (
+    EdgeListError,
+    Graph,
+    parse_edge_list,
+    proposition11_pipeline,
+    serialize_edge_list,
+    turan_independent_set,
+)
+
+from conftest import bitmask_rows
 
 
 # --- reference: the line-by-line parse and the per-edge builder ----------
@@ -37,7 +46,12 @@ def reference_from_edges(n, edges):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
         m += 1
-    return Graph(n, tuple(adj), m)
+    return n, tuple(adj), m
+
+
+def rows_view(g):
+    """A graph in the reference's form: (n, bitmask rows, m)."""
+    return g.n, tuple(bitmask_rows(g)), g.m
 
 
 def reference_parse(text):
@@ -78,7 +92,7 @@ def outcome(build, *args):
         g = build(*args)
     except EdgeListError as exc:
         return "error", str(exc)
-    return "graph", g.n, g.adj, g.m
+    return ("graph", *(g if isinstance(g, tuple) else rows_view(g)))
 
 
 def int_array(edges, dtype=np.int64):
@@ -251,7 +265,8 @@ def test_parse_reads_zero_padded_tokens_longer_than_int64(name):
     text = (f"{pad}{n} {pad}{n - 1}\n"
             + "".join(f"{v} {v + 1}\n" for v in range(n - 2))
             + f"{pad}0 {pad}{n - 1}\n")
-    assert parse_edge_list(TEXT[name](text)) == reference_parse(text)
+    got = parse_edge_list(TEXT[name](text))
+    assert rows_view(got) == reference_parse(text)
 
 
 def test_parse_reads_blanks_and_breaks_of_the_format():
@@ -270,7 +285,7 @@ def test_from_edges_takes_arrays_lists_sets_and_both_orientations(name):
              "numpy": (np.array([[0, 1], [3, 1], [69, 2]], dtype=np.int32),
                        np.array([[1, 0], [1, 3], [69, 2]], dtype=np.int64))}
     for edges in forms[name]:
-        assert Graph.from_edges(70, edges) == want
+        assert rows_view(Graph.from_edges(70, edges)) == want
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.uint32, np.uint64])
@@ -284,7 +299,8 @@ def test_from_edges_takes_every_integer_dtype(dtype, name):
 
     n = np.iinfo(dtype).max if np.iinfo(dtype).bits == 16 else 100_000
     pairs = [(0, v) for v in range(1, 600)] + [(n - 2, n - 1)]
-    assert Graph.from_edges(n, form(pairs)) == reference_from_edges(n, pairs)
+    assert rows_view(Graph.from_edges(n, form(pairs))) == \
+        reference_from_edges(n, pairs)
     with pytest.raises(EdgeListError, match=r"^duplicate edge \(1, 0\)$"):
         Graph.from_edges(n, form(pairs + [(1, 0)]))
 
@@ -313,22 +329,16 @@ def test_from_edges_refuses_ids_that_are_not_integers(name):
         Graph.from_edges(3, np.array(edges) if name == "numpy" else edges)
 
 
-def test_rows_span_only_up_to_the_highest_neighbour():
+def test_from_edges_builds_the_neighbour_arrays_of_a_star_and_a_path():
     n = 3000
-    star = Graph.from_edges(n, [(0, v) for v in range(1, n)])
-    assert star.adj[0] == (1 << n) - 2
-    assert all(row == 1 for row in star.adj[1:])
+    star = Graph.from_edges(n, [(v, 0) for v in range(n - 1, 0, -1)])
+    assert star.indptr.tolist() == [0, *range(n - 1, 2 * n - 1)]
+    assert star.indices.tolist() == [*range(1, n), *[0] * (n - 1)]
+    assert star.neighbors(0) == list(range(1, n))
+    assert not star.indices.flags.writeable
     path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
-    assert path == reference_from_edges(n, [(v, v + 1) for v in range(n - 1)])
-
-
-def test_rows_are_packed_in_chunks(monkeypatch):
-    g = parse_edge_list(serialize_edge_list(
-        reference_from_edges(200, [(u, v) for u in range(200)
-                                   for v in range(u + 1, 200)
-                                   if (u * 7 + v * 3) % 5 == 0])))
-    monkeypatch.setattr(graph, "_ROW_CHUNK", 64)
-    assert parse_edge_list(serialize_edge_list(g)) == g
+    assert rows_view(path) == \
+        reference_from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def test_serialize_keeps_lexicographic_order():
@@ -348,12 +358,25 @@ def peak_bytes(build):
 
 
 def test_parse_of_a_huge_edgeless_graph_is_linear_in_n():
-    # n * n / 8 would be 125 GB; the list and tuple of rows are 16 MB
+    # n * n / 8 would be 125 GB; indptr is 8 MB
     assert peak_bytes(lambda: parse_edge_list("1000000 0")) < 40 * 2**20
 
 
 def test_parse_of_a_large_star_is_linear_in_n():
     n = 10**5
     text = f"{n} {n - 1}\n" + "".join(f"0 {v}\n" for v in range(1, n))
-    # n * n / 8 would be 1.25 GB; the hub row is 12.5 kB, every leaf one byte
+    # n * n / 8 would be 1.25 GB; indptr and indices are 2.4 MB
     assert peak_bytes(lambda: parse_edge_list(text)) < 64 * 2**20
+
+
+def test_a_long_path_is_parsed_and_peeled_in_linear_memory():
+    n = 20000
+    text = f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1))
+
+    def parse_and_extract():
+        g = parse_edge_list(text)
+        proposition11_pipeline(g, 3)
+        turan_independent_set(g)
+
+    # n-bit rows would take n * n / 16 bytes, 24 MiB
+    assert peak_bytes(parse_and_extract) < 8 * 2**20

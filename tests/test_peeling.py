@@ -18,8 +18,9 @@ from nearreg import (
     sample_gnp_uniform,
     star,
 )
-from nearreg.graph import bit_indices
 from nearreg.peeling import peel_min
+
+from conftest import bitmask_rows
 
 
 def complete(n):
@@ -98,9 +99,13 @@ def _peel_shapes(seed):
                                  rng.randrange(2**32))
 
 
+def _all_alive(g):
+    return bytearray(b"\1") * g.n
+
+
 def _smallest_last_steps(g):
     steps = []
-    peel_min(g.adj, g.full_mask(), g.degrees(), math.inf, steps)
+    peel_min(g.neighbor_lists(), _all_alive(g), g.degrees(), math.inf, steps)
     return steps
 
 
@@ -114,15 +119,18 @@ def test_threshold_peel_is_a_prefix_of_the_smallest_last_order(seed):
             cut = next((i for i, s in enumerate(order) if s.degree >= t),
                        len(order))
             steps, deg = [], g.degrees()
-            alive, wants_more = peel_min(g.adj, g.full_mask(), deg, t, steps)
+            alive, wants_more = peel_min(g.neighbor_lists(), _all_alive(g),
+                                         deg, t, steps)
             assert steps == order[:cut] and not wants_more
-            assert alive == sum(1 << s.vertex for s in order[cut:])
-            assert all(deg[v] == (g.adj[v] & alive).bit_count()
-                       for v in bit_indices(alive))
+            kept = sorted(s.vertex for s in order[cut:])
+            assert [v for v in range(g.n) if alive[v]] == kept
+            mask = sum(1 << v for v in kept)
+            rows = bitmask_rows(g)
+            assert all(deg[v] == (rows[v] & mask).bit_count() for v in kept)
             for cap in (0, cut // 2, cut):
                 steps = []
-                _, wants_more = peel_min(g.adj, g.full_mask(), g.degrees(),
-                                         t, steps, cap=cap)
+                _, wants_more = peel_min(g.neighbor_lists(), _all_alive(g),
+                                         g.degrees(), t, steps, cap=cap)
                 assert steps == order[:cap] and wants_more == (cut > cap)
 
 

@@ -30,9 +30,17 @@ from nearreg import (
     theorem13_pipeline,
     turan_independent_set,
 )
-from nearreg.graph import as_fraction, bit_indices
+from nearreg.graph import as_fraction
+from nearreg.oracle import bit_indices
 from nearreg.peeling import peel_min
 from nearreg.regularize import _dense_cut, _density, _inner_epsilon
+
+from conftest import (
+    bitmask_rows,
+    count_edges_between,
+    count_edges_in,
+    full_mask,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -51,7 +59,7 @@ def qualifies(g, members, eps):
     mask = 0
     for v in members:
         mask |= 1 << v
-    e = g.count_edges_in(mask)
+    e = count_edges_in(g, mask)
     return (len(members) >= Fraction(str(eps)) * g.n and len(members) >= 2
             and e >= comb(len(members), 2) * p * (1 + Fraction(str(eps))))
 
@@ -78,7 +86,8 @@ def _smallest_last_steps(g):
     """The steps of `peel_min` with no threshold: the whole smallest-last
     order of g with the degrees at removal."""
     steps = []
-    peel_min(g.adj, g.full_mask(), g.degrees(), math.inf, steps)
+    peel_min(g.neighbor_lists(), bytearray(b"\1") * g.n, g.degrees(),
+             math.inf, steps)
     return steps
 
 
@@ -139,7 +148,8 @@ def _peel_order_reference(g):
     """Min-degree peel order by a full scan of the live vertices per step,
     lowest id first on ties; returns (order, degree-at-removal list)."""
     deg = g.degrees()
-    alive = g.full_mask()
+    rows = bitmask_rows(g)
+    alive = full_mask(g)
     order, removed_deg = [], []
     for _ in range(g.n):
         best = None
@@ -149,7 +159,7 @@ def _peel_order_reference(g):
         order.append(best)
         removed_deg.append(deg[best])
         alive &= ~(1 << best)
-        for u in bit_indices(g.adj[best] & alive):
+        for u in bit_indices(rows[best] & alive):
             deg[u] -= 1
     return order, removed_deg
 
@@ -250,7 +260,7 @@ def _dense_subset_brute_force(g, eps):
     target = _density(g) * (1 + eps_f)
     for t in range(g.n, max(2, math.ceil(eps_f * g.n)) - 1, -1):
         for combo in combinations(range(g.n), t):
-            if g.count_edges_in(sum(1 << v for v in combo)) >= \
+            if count_edges_in(g, sum(1 << v for v in combo)) >= \
                     comb(t, 2) * target:
                 return frozenset(combo)
     return None
@@ -451,10 +461,10 @@ def _expected_joint_edges(g, members, x):
     mask = 0
     for v in members:
         mask |= 1 << v
-    comp = g.full_mask() & ~mask
-    e1 = g.count_edges_in(mask)
-    e2 = g.count_edges_between(mask, comp)
-    e3 = g.count_edges_in(comp)
+    comp = full_mask(g) & ~mask
+    e1 = count_edges_in(g, mask)
+    e2 = count_edges_between(g, mask, comp)
+    e3 = count_edges_in(g, comp)
     rest = g.n - len(members)
     return (Fraction(e1) + Fraction(x, rest) * e2
             + Fraction(x * (x - 1), rest * (rest - 1)) * e3)
@@ -512,7 +522,8 @@ def _turan_reference(g):
     """The greedy independent set by a full scan of the live vertices per
     pick."""
     deg = g.degrees()
-    alive = g.full_mask()
+    rows = bitmask_rows(g)
+    alive = full_mask(g)
     picked = []
     while alive:
         best = None
@@ -520,18 +531,19 @@ def _turan_reference(g):
             if best is None or deg[v] < deg[best]:
                 best = v
         picked.append(best)
-        closed = (g.adj[best] | (1 << best)) & alive
+        closed = (rows[best] | (1 << best)) & alive
         alive &= ~closed
         for u in bit_indices(closed):
-            for w in bit_indices(g.adj[u] & alive):
+            for w in bit_indices(rows[u] & alive):
                 deg[w] -= 1
     return frozenset(picked)
 
 
 @pytest.mark.parametrize("build", [lambda: _path(2000), lambda: star(1000),
                                    lambda: _disjoint_cliques(40, 25),
-                                   lambda: sample_gnp_uniform(300, 0.05, 7)],
-                         ids=["path", "star", "cliques", "gnp"])
+                                   lambda: sample_gnp_uniform(300, 0.05, 7),
+                                   lambda: sample_gnp_uniform(200, 0.5, 8)],
+                         ids=["path", "star", "cliques", "gnp", "gnp-dense"])
 def test_turan_matches_the_scan_reference(build):
     g = build()
     assert turan_independent_set(g).vertices == _turan_reference(g)

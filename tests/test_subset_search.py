@@ -23,16 +23,18 @@ from nearreg import (
     sample_gnp_uniform,
 )
 from nearreg import regularize
-from nearreg.graph import as_fraction, bit_indices
-from nearreg.oracle import largest_subset
+from nearreg.graph import as_fraction
+from nearreg.oracle import bit_indices, largest_subset
 from nearreg.regularize import _boost_target
+
+from conftest import bitmask_rows, full_mask
 
 
 # --- reference: the popcount search and its two callers' prunes ---------
 
 def reference_largest_subset(g, sizes, prune, accept):
-    n, adj = g.n, g.adj
-    suffix = [g.full_mask() >> pos << pos for pos in range(n + 1)]
+    n, adj = g.n, bitmask_rows(g)
+    suffix = [full_mask(g) >> pos << pos for pos in range(n + 1)]
     explored = 0
 
     def dfs(pos, chosen, rem, e):
@@ -76,7 +78,7 @@ def reference_exact_f(g, c, viability=True):
     bound and keeps only the spread test."""
     cf = as_fraction(c)
     c_num, c_den = cf.numerator, cf.denominator
-    adj = g.adj
+    adj = bitmask_rows(g)
 
     def spread_only(t, chosen, e, avail, rem):
         window = degree_window(adj, chosen, avail, rem)
@@ -122,7 +124,7 @@ def reference_dense_search(g, eps):
     if bar is None:
         return None
     num, den, t_min = bar
-    adj = g.adj
+    adj = bitmask_rows(g)
 
     def short_of_edges(t, chosen, e, avail, rem):
         universe = chosen | avail
