@@ -1,9 +1,11 @@
-"""Pinned `extract` reports: every algorithm on a few small fixed graphs
-gives the stored report (apart from `wall_time_s`), exit code and stderr.
+"""Pinned reports: every `extract` algorithm on a few small fixed graphs
+gives the stored report (apart from `wall_time_s`), exit code and stderr,
+and each `experiment` at one small fixed size gives its stored report.
 
 The fixtures live in `fixtures/reports/`: the input graphs as edge lists,
-one report per call that writes one, and `outcomes.json` with the exit code
-and stderr of every call. A change that means to alter reports rewrites
+one report per call that writes one (`experiment.<name>.json` for the
+experiments), and `outcomes.json` with the exit code and stderr of every
+`extract` call. A change that means to alter reports rewrites
 them with `PYTHONPATH=src python tests/test_reports.py` and says why.
 """
 
@@ -23,22 +25,36 @@ from nearreg.cli import EXTRACT_ALGORITHMS, main
 REPORTS = pathlib.Path(__file__).parent / "fixtures" / "reports"
 GRAPHS = ("k4-plus-2", "star-9", "path-12", "gnp-uniform-40-0.2-s3",
           "gnp-bar-30-s1", "k-3-5")
+EXPERIMENTS = {
+    "point-prob": ["--t", "30", "--trials", "2000", "--seed", "1"],
+    "regular-prob": ["--n", "20", "--k", "6", "--trials", "2000",
+                     "--seed", "1"],
+    "gnpbar-scan": ["--n", "12", "--samples", "2", "--seed", "1"],
+}
 WALL_TIME = re.compile(r'"wall_time_s": [0-9.e-]+')
 
 
-def _extract(algorithm, graph):
-    """One in-process `nearreg extract` call in the current directory, on
-    relative names; returns (exit code, stderr, report text with its wall
-    time zeroed, or None when no report was written)."""
+def _call(argv):
+    """One in-process `nearreg` call in the current directory, writing its
+    report to a relative name; returns (exit code, stderr, report text with
+    its wall time zeroed, or None when no report was written)."""
     out = pathlib.Path("report.json")
     out.unlink(missing_ok=True)
-    shutil.copy(REPORTS / f"{graph}.el", f"{graph}.el")
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(["extract", algorithm, f"{graph}.el", "--out", out.name])
+        code = main([*argv, "--out", out.name])
     report = (WALL_TIME.sub('"wall_time_s": 0', out.read_text())
               if out.exists() else None)
     return code, err.getvalue(), report
+
+
+def _extract(algorithm, graph):
+    shutil.copy(REPORTS / f"{graph}.el", f"{graph}.el")
+    return _call(["extract", algorithm, f"{graph}.el"])
+
+
+def _experiment(name):
+    return _call(["experiment", name, *EXPERIMENTS[name]])
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +73,14 @@ def test_extract_report_is_pinned(algorithm, graph, outcomes, tmp_path,
     assert report == (pinned.read_text() if pinned.exists() else None)
 
 
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_experiment_report_is_pinned(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, err, report = _experiment(name)
+    assert [code, err] == [0, ""]
+    assert report == (REPORTS / f"experiment.{name}.json").read_text()
+
+
 def _rewrite():
     """Rewrite every pinned report and outcomes.json from the current code."""
     for old in REPORTS.glob("*.*.json"):
@@ -70,6 +94,9 @@ def _rewrite():
                 table[f"{graph} {algorithm}"] = [code, err]
                 if report is not None:
                     (REPORTS / f"{graph}.{algorithm}.json").write_text(report)
+        for name in EXPERIMENTS:
+            _, _, report = _experiment(name)
+            (REPORTS / f"experiment.{name}.json").write_text(report)
     (REPORTS / "outcomes.json").write_text(
         json.dumps(table, indent=2, sort_keys=True) + "\n")
 
