@@ -2,12 +2,13 @@
 the experiments, emitting machine-readable JSON reports.
 
 Exit codes: 0 all guarantee checks passed, 1 a guarantee failed, 2 an
-algorithm precondition failed, 3 a search-size cap was exceeded or the
-input is too large to hold in memory, 4 file or format trouble, 5 an
-internal error (any other exception, reported on one line of stderr; a
-bug, never an input condition). Reports are byte-identical across runs of
-the same command and seed except for the wall_time_s field, which covers
-the whole command from the input read.
+algorithm precondition failed or argparse refused the command line (an
+unknown option, say), 3 a search-size cap was exceeded or the input is
+too large to hold in memory, 4 file or format trouble, 5 an internal error
+(any other exception, reported on one line of stderr; a bug, never an
+input condition). Reports are byte-identical across runs of the same
+command and seed except for the wall_time_s field, which covers the whole
+command from the input read.
 
 All randomness flows from the single --seed flag: generators consume it
 directly; multi-part experiments derive substreams by fixed offsets
@@ -36,9 +37,10 @@ from .errors import (
     SizeCapError,
 )
 from .graph import Graph, degree_stats, parse_edge_list, serialize_edge_list
-from .instances import ModelParams, generate
+from .instances import ModelParams, generate, sample_gnp_bar
 from .oracle import (
-    CalibrationConstants,
+    C0_CAP,
+    VERTEX_CAP,
     estimate_point_prob,
     estimate_regular_prob,
     exact_f,
@@ -51,7 +53,6 @@ from .peeling import (
     proposition11_pipeline,
 )
 from .regularize import (
-    BoostParams,
     density_boost,
     lemma25_extract,
     theorem12_pipeline,
@@ -61,8 +62,15 @@ from .regularize import (
 
 SCHEMA = "nearreg-report/1"
 
-EXTRACT_ALGORITHMS = ("prop21", "prop22", "prop11", "boost", "lemma25",
-                      "thm12", "thm13", "thm41", "turan", "matching")
+# every extract algorithm, with the options it takes after the graph, which
+# its report echoes as ``params``
+EXTRACT_PARAMS = {
+    "prop21": ("k", "alpha"), "prop22": ("k",), "prop11": ("c",),
+    "boost": ("epsilon", "exact_limit"), "lemma25": ("epsilon",),
+    "thm12": ("epsilon", "exact_limit"), "thm13": ("epsilon", "exact_limit"),
+    "thm41": (), "turan": (), "matching": (),
+}
+EXTRACT_ALGORITHMS = tuple(EXTRACT_PARAMS)
 
 
 def _graph_summary(g: Graph) -> dict:
@@ -121,41 +129,27 @@ def _load_graph(path: str) -> Graph:
 
 
 def _run_extract(args, g: Graph):
-    """Dispatch one extraction; returns (result_json, bounds, params_json)."""
+    """Dispatch one extraction; returns (result_json, bounds, params_json).
+    The extractors are looked up at call time, so that a rebinding of this
+    module's names (as a tracer does) reaches every one of them."""
     algo = args.algorithm
-    if algo == "prop21":
-        res = prop21_refine(g, args.k, args.alpha)
-        return res.to_json(), res.bounds, {"k": args.k, "alpha": args.alpha}
+    params = {name: getattr(args, name) for name in EXTRACT_PARAMS[algo]}
     if algo == "prop22":
         sub, trace, checks = prop22_reduce(g, args.k)
         out = {"subgraph": _graph_summary(sub), "trace": trace.to_json()}
-        return out, checks, {"k": args.k}
-    if algo == "prop11":
-        res = proposition11_pipeline(g, args.c)
-        return res.to_json(), res.bounds, {"c": args.c}
-    if algo == "boost":
-        params = BoostParams(args.epsilon, args.exact_limit)
-        outcome = density_boost(g, params)
-        return outcome.to_json(), outcome.bounds, {
-            "epsilon": args.epsilon, "exact_limit": args.exact_limit}
-    if algo == "lemma25":
-        res = lemma25_extract(g, args.epsilon)
-        return res.to_json(), res.bounds, {"epsilon": args.epsilon}
-    if algo in ("thm12", "thm13"):
-        fn = theorem12_pipeline if algo == "thm12" else theorem13_pipeline
-        res = fn(g, args.epsilon, exact_limit=args.exact_limit)
-        return res.to_json(), res.bounds, {
-            "epsilon": args.epsilon, "exact_limit": args.exact_limit}
+        return out, checks, params
     if algo == "thm41":
         res, cascade = theorem41(g)
         out = res.to_json()
         out["cascade"] = cascade.to_json()
-        return out, res.bounds, {}
-    if algo in ("turan", "matching"):
-        fn = turan_independent_set if algo == "turan" else matching_lower_bound
-        res = fn(g)
-        return res.to_json(), res.bounds, {}
-    raise PreconditionError(f"unknown algorithm {algo!r}")
+        return out, res.bounds, params
+    fn = {"prop21": prop21_refine, "prop11": proposition11_pipeline,
+          "boost": density_boost, "lemma25": lemma25_extract,
+          "thm12": theorem12_pipeline, "thm13": theorem13_pipeline,
+          "turan": turan_independent_set,
+          "matching": matching_lower_bound}[algo]
+    res = fn(g, *params.values())
+    return res.to_json(), res.bounds, params
 
 
 def _cmd_extract(args, argv: list) -> int:
@@ -178,31 +172,28 @@ def _cmd_extract(args, argv: list) -> int:
 def _experiment_point_prob(args) -> dict:
     if args.t < 1:
         raise PreconditionError("--t must be at least 1")
-    caps = CalibrationConstants(c0_cap=args.c0_cap)
-    caps.validate()
     rng = np.random.Generator(np.random.PCG64(args.seed))
     lo, hi = 1 / 16, 9 / 16
     rhos = lo + (hi - lo) * rng.random(args.t)
     dist = point_prob_distribution(rhos)
     s_star = int(np.argmax(dist))
+    exact = float(dist[s_star])
     est = estimate_point_prob(list(rhos), s_star, args.trials, args.seed + 1)
-    cap_bound = caps.c0_cap / math.sqrt(args.t)
+    cap_bound = C0_CAP / math.sqrt(args.t)
     return {
         "t": args.t,
         "trials": args.trials,
         "argmax_s": s_star,
-        "max_exact": float(dist[s_star]),
-        "mc_estimate": est.estimate,
-        "mc_dp_gap": abs(est.estimate - est.exact),
+        "max_exact": exact,
+        "mc_estimate": est,
+        "mc_dp_gap": abs(est - exact),
         "gap_bound": 4 / math.sqrt(args.trials),
         "calibration_cap": cap_bound,
-        "within_calibration_cap": bool(dist.max() <= cap_bound),
+        "within_calibration_cap": exact <= cap_bound,
     }
 
 
 def _experiment_regular_prob(args) -> dict:
-    caps = CalibrationConstants(c1_cap=args.c1_cap)
-    caps.validate()
     est = estimate_regular_prob(args.n, args.k, args.trials, args.seed)
     # an estimate of 0 or 1 is clamped into [1/(trials+1), 1 - 1/(trials+1)]
     # first, so no run claims a zero error; an estimate strictly between
@@ -215,23 +206,20 @@ def _experiment_regular_prob(args) -> dict:
         "trials": args.trials,
         "estimate": est,
         "standard_error": se,
-        "calibration_reference": regular_prob_reference(args.n, args.k, caps),
+        "calibration_reference": regular_prob_reference(args.n, args.k),
     }
 
 
 def _experiment_gnpbar_scan(args) -> dict:
-    from .instances import sample_gnp_bar
-
     if args.samples < 1:
         raise PreconditionError("--samples must be at least 1")
-    if args.n > args.size_cap:
+    if args.n > VERTEX_CAP:
         raise SizeCapError(
-            f"scan instances of {args.n} vertices exceed the cap "
-            f"{args.size_cap}")
+            f"scan instances of {args.n} vertices exceed the cap {VERTEX_CAP}")
     rows = []
     for i in range(args.samples):
         g = sample_gnp_bar(args.n, args.seed + i)
-        res = exact_f(g, 1, size_cap=args.size_cap)
+        res = exact_f(g, 1)
         rows.append({
             "sample": i,
             "seed": args.seed + i,
@@ -283,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
 
     ext = sub.add_parser("extract", help="run one extraction on a graph file")
-    ext.add_argument("algorithm", choices=list(EXTRACT_ALGORITHMS))
+    ext.add_argument("algorithm", choices=EXTRACT_ALGORITHMS)
     ext.add_argument("graph", help="edge-list file")
     ext.add_argument("--k", type=float, default=2.0)
     ext.add_argument("--alpha", type=float, default=0.4)
@@ -303,9 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--trials", type=int, default=100000)
     exp.add_argument("--samples", type=int, default=10)
     exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--size-cap", type=int, default=24)
-    exp.add_argument("--c0-cap", type=float, default=3.0)
-    exp.add_argument("--c1-cap", type=float, default=16.0)
     exp.add_argument("--out", default=None)
     exp.add_argument("--format", choices=["json", "text"], default="json")
     return parser

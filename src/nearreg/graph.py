@@ -29,6 +29,7 @@ line number.
 
 from __future__ import annotations
 
+import gc
 import math
 import operator
 import re
@@ -134,9 +135,20 @@ class Graph:
 
     def neighbor_lists(self) -> list:
         """Every vertex's ascending neighbour list, as Python ints. Each
-        call builds them anew in O(n + m): an algorithm takes them once."""
-        flat, ends = self.indices.tolist(), self.indptr.tolist()
-        return [flat[a:b] for a, b in zip(ends, ends[1:])]
+        call builds them anew in O(n + m): an algorithm takes them once.
+
+        The cyclic garbage collector is paused while the lists are built,
+        and left as the caller had it on every way out: lists of ints hold
+        no cycles, and on large graphs the n new lists would otherwise set
+        off repeated full collections."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            flat, ends = self.indices.tolist(), self.indptr.tolist()
+            return [flat[a:b] for a, b in zip(ends, ends[1:])]
+        finally:
+            if enabled:
+                gc.enable()
 
     def edges(self):
         """Iterator over the edges (u, v), u < v, in lexicographic order."""

@@ -10,7 +10,6 @@ dynamic program where one exists.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -24,11 +23,17 @@ from .instances import p_bar
 Real = Union[int, float, Fraction]
 
 HARD_VERTEX_CAP = 64       # bitset rows; beyond this the search is refused
-DEFAULT_VERTEX_CAP = 24
+VERTEX_CAP = 24            # exact_f and the gnpbar-scan experiment
 LABELLED_ORDER_CAP = 7     # 2^21 labelled graphs at n = 7
-DEFAULT_EDGE_CAP = 20
+EDGE_CAP = 20              # 2^20 edge subsets at most
 MC_CHUNK = 1 << 15         # Monte Carlo rows drawn at once, at most,
 MC_CHUNK_CELLS = 1 << 20   # and draws at once (8 MiB), unless one row has more
+# Stand-ins for the unspecified absolute constants of the probabilistic
+# estimates: the point-probability cap C0_CAP / sqrt(t) and the
+# induced-regularity reference n * (C1_CAP / k)^(k/2). Comparisons against
+# them are calibration checks, never verified claims.
+C0_CAP = 3.0
+C1_CAP = 16.0
 
 
 @dataclass(frozen=True)
@@ -39,21 +44,6 @@ class OracleResult:
     value: int
     witness: frozenset
     explored: int
-
-
-@dataclass(frozen=True)
-class CalibrationConstants:
-    """User caps standing in for the unspecified absolute constants in the
-    probabilistic estimates; comparisons against them are calibration checks,
-    never verified claims."""
-
-    c0_cap: float = 3.0
-    c1_cap: float = 16.0
-
-    def validate(self) -> None:
-        if not (0 < self.c0_cap < math.inf and 0 < self.c1_cap < math.inf):
-            raise PreconditionError(
-                "calibration caps must be positive and finite")
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -148,9 +138,10 @@ def largest_subset(g: Graph, sizes: Iterable[int], prune: Callable,
     return 0, None, explored
 
 
-def exact_f(g: Graph, c: Real, size_cap: int = DEFAULT_VERTEX_CAP) -> OracleResult:
+def exact_f(g: Graph, c: Real) -> OracleResult:
     """Largest induced c-nearly regular subgraph, by exhaustive search in
-    decreasing subset size (``largest_subset``).
+    decreasing subset size (``largest_subset``). Graphs above
+    ``VERTEX_CAP`` vertices raise ``SizeCapError``.
 
     A node of the search dies when its chosen vertices already force the
     degree spread past c: the largest degree among them, best_max, is a
@@ -163,8 +154,8 @@ def exact_f(g: Graph, c: Real, size_cap: int = DEFAULT_VERTEX_CAP) -> OracleResu
     value and the lexicographically least witness are those of the plain
     search; only ``explored`` shrinks.
     """
-    if g.n > size_cap:
-        raise SizeCapError(f"instance exceeds the size cap {size_cap}")
+    if g.n > VERTEX_CAP:
+        raise SizeCapError(f"instance exceeds the size cap {VERTEX_CAP}")
     c_num, c_den = _c_ratio(c)
     n = g.n
 
@@ -234,12 +225,14 @@ def _labelled_graphs(n: int):
         yield adj
 
 
-def exact_f_n(n: int, c: Real, order_cap: int = LABELLED_ORDER_CAP) -> int:
-    """Minimum of exact_f over every labelled graph on n vertices."""
+def exact_f_n(n: int, c: Real) -> int:
+    """Minimum of exact_f over every labelled graph on n vertices; orders
+    above ``LABELLED_ORDER_CAP`` raise ``SizeCapError``."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    if n > order_cap:
-        raise SizeCapError(f"labelled enumeration capped at {order_cap} vertices")
+    if n > LABELLED_ORDER_CAP:
+        raise SizeCapError(
+            f"labelled enumeration capped at {LABELLED_ORDER_CAP} vertices")
     c_num, c_den = _c_ratio(c)
     subsets_by_size = [
         [sum(1 << v for v in combo)
@@ -263,12 +256,12 @@ def exact_f_n(n: int, c: Real, order_cap: int = LABELLED_ORDER_CAP) -> int:
     return best
 
 
-def exact_edge_regular(g: Graph, c: Real,
-                       edge_cap: int = DEFAULT_EDGE_CAP) -> OracleResult:
+def exact_edge_regular(g: Graph, c: Real) -> OracleResult:
     """Most edges over all edge subsets whose subgraph on covered vertices is
-    c-nearly regular (not necessarily induced)."""
-    if g.m > edge_cap:
-        raise SizeCapError(f"edge enumeration capped at {edge_cap} edges")
+    c-nearly regular (not necessarily induced). Graphs above ``EDGE_CAP``
+    edges raise ``SizeCapError``."""
+    if g.m > EDGE_CAP:
+        raise SizeCapError(f"edge enumeration capped at {EDGE_CAP} edges")
     c_num, c_den = _c_ratio(c)
     edge_list = sorted(g.edges())
     explored = 0
@@ -297,23 +290,16 @@ def point_prob_distribution(rhos: Sequence[float]) -> np.ndarray:
     return dist
 
 
-@dataclass(frozen=True)
-class PointProbEstimate:
-    estimate: float
-    exact: float
-    trials: int
-
-
 def estimate_point_prob(rhos: Sequence[float], s: int, trials: int,
-                        seed: int) -> PointProbEstimate:
-    """Monte Carlo estimate of Pr[sum of Bernoulli(rho_i) = s] together with
-    the exact value from the convolution program."""
+                        seed: int) -> float:
+    """Monte Carlo estimate of Pr[sum of Bernoulli(rho_i) = s] from
+    ``trials`` rows of draws; 0.0 when s lies outside 0..len(rhos). The
+    exact value is ``point_prob_distribution(rhos)[s]``."""
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     t = len(rhos)
-    exact = float(point_prob_distribution(rhos)[s]) if 0 <= s <= t else 0.0
     if not 0 <= s <= t:
-        return PointProbEstimate(0.0, 0.0, trials)
+        return 0.0
     rng = np.random.Generator(np.random.PCG64(seed))
     rho_row = np.asarray(rhos, dtype=float)
     # PCG64 fills rows in one order whatever the chunk size: same estimate
@@ -325,15 +311,13 @@ def estimate_point_prob(rhos: Sequence[float], s: int, trials: int,
         draws = rng.random((chunk, t)) < rho_row
         hits += int(np.count_nonzero(draws.sum(axis=1) == s))
         remaining -= chunk
-    return PointProbEstimate(hits / trials, exact, trials)
+    return hits / trials
 
 
-def regular_prob_reference(n: int, k: int,
-                           constants: CalibrationConstants) -> float:
-    """Calibration reference n * (c1_cap / k)^(k/2) for the induced-regularity
+def regular_prob_reference(n: int, k: int) -> float:
+    """Calibration reference n * (C1_CAP / k)^(k/2) for the induced-regularity
     probability; a cap to compare against, not a verified value."""
-    constants.validate()
-    return n * (constants.c1_cap / k) ** (k / 2)
+    return n * (C1_CAP / k) ** (k / 2)
 
 
 def estimate_regular_prob(n: int, k: int, trials: int, seed: int) -> float:

@@ -65,7 +65,7 @@ class PeelTrace:
 
 
 def peel_min(nbrs: list, alive: bytearray, deg: list, threshold: Real,
-             steps: list, cap: Optional[int] = None) -> tuple:
+             steps: list, cap: Optional[int] = None) -> bool:
     """Smallest-last peel of the live set ``alive`` (a bytearray, 1 for
     live, updated in place) of the graph with neighbour lists ``nbrs``:
     delete the least-degree live vertex, lowest id first on ties, until its
@@ -80,8 +80,8 @@ def peel_min(nbrs: list, alive: bytearray, deg: list, threshold: Real,
     ``order[i:]`` gives that suffix with the same degrees at removal, as
     ``induced`` keeps ids in order.
 
-    Returns (alive, wants_more) where wants_more is True iff the cap was
-    reached while an eligible vertex remained.
+    Returns wants_more: True iff the cap was reached while an eligible
+    vertex remained.
     """
     heap = [(deg[v], v) for v in compress(range(len(alive)), alive)]
     heapq.heapify(heap)
@@ -93,7 +93,7 @@ def peel_min(nbrs: list, alive: bytearray, deg: list, threshold: Real,
         if d >= threshold:
             break
         if deleted == cap:
-            return alive, True
+            return True
         steps.append(PeelStep(v, d, 0))
         alive[v] = 0
         deleted += 1
@@ -101,7 +101,7 @@ def peel_min(nbrs: list, alive: bytearray, deg: list, threshold: Real,
             if alive[u]:
                 deg[u] -= 1
                 heapq.heappush(heap, (deg[u], u))
-    return alive, False
+    return False
 
 
 def _peel_max(nbrs: list, alive: bytearray, deg: list, threshold: Fraction,

@@ -53,29 +53,6 @@ _NUMPY_COUNT = 256
 
 
 @dataclass(frozen=True)
-class BoostParams:
-    """Knobs of the density boost: the boost factor eps, and the largest n
-    for which the dense-subset search is exhaustive. Above it the
-    candidates are the suffixes of one smallest-last order, which serves
-    every round until the graph is down to ``exact_limit`` vertices and
-    certifies nothing.
-
-    The exhaustive search is capped at 64 vertices (``HARD_VERTEX_CAP`` of
-    `oracle.largest_subset`), so a limit above 64 makes the boost raise
-    ``SizeCapError`` when it reaches an exhaustive round on more than 64
-    vertices."""
-
-    epsilon: Real
-    exact_limit: int = DEFAULT_EXACT_LIMIT
-
-    def validate(self) -> None:
-        if not 0 < self.epsilon < 1:
-            raise PreconditionError("epsilon must lie in (0, 1)")
-        if self.exact_limit < 1:
-            raise PreconditionError("exact_limit must be >= 1")
-
-
-@dataclass(frozen=True)
 class BoostOutcome:
     """Result of the density boost.
 
@@ -190,27 +167,34 @@ def _raised(prev: Fraction, new: Fraction, eps: Fraction) -> Fraction:
     return new
 
 
-def density_boost(g: Graph, params: BoostParams) -> BoostOutcome:
-    """Iterate the dense-subset replacement until no subset qualifies.
+def density_boost(g: Graph, eps: Real,
+                  exact_limit: int = DEFAULT_EXACT_LIMIT) -> BoostOutcome:
+    """Iterate the dense-subset replacement until no subset qualifies, with
+    boost factor ``eps`` in (0, 1) and ``exact_limit`` >= 1.
 
     Density rises by a factor >= (1+eps) per round, so the round count stays
     below (2/eps) * ln(1/p0) and the output keeps at least an eps^rounds
     fraction of the vertices; both are recorded in the bounds ledger.
 
-    Above ``params.exact_limit`` vertices every round is a cut of one
-    smallest-last order computed once: a round's subgraph is a suffix of the
-    order, and the next round scans on from there (see `peel_min`), so the
-    rounds take one O(m log n) peel and one O(n) scan in all, and the
-    subgraph is built once, when the graph is down to the limit or no cut
-    qualifies. The remaining rounds run `find_dense_subset` exhaustively.
+    Above ``exact_limit`` vertices every round is a cut of one smallest-last
+    order computed once: a round's subgraph is a suffix of the order, and
+    the next round scans on from there (see `peel_min`), so the rounds take
+    one O(m log n) peel and one O(n) scan in all, and the subgraph is built
+    once, when the graph is down to the limit or no cut qualifies. Such
+    rounds certify nothing. The remaining rounds run `find_dense_subset`
+    exhaustively; that search is capped at 64 vertices, so a limit above 64
+    raises ``SizeCapError`` once an exhaustive round has more vertices.
     """
-    params.validate()
+    if not 0 < eps < 1:
+        raise PreconditionError("epsilon must lie in (0, 1)")
+    if exact_limit < 1:
+        raise PreconditionError("exact_limit must be >= 1")
     if g.m < 1:
         raise PreconditionError("density boost needs at least one edge")
-    eps_f = as_fraction(params.epsilon)
+    eps_f = as_fraction(eps)
     p0 = _density(g)
     density, rounds = p0, 0
-    certified = g.n <= params.exact_limit
+    certified = g.n <= exact_limit
     boosting = True
     cur, vmap = g, tuple(range(g.n))
     if not certified:
@@ -218,7 +202,7 @@ def density_boost(g: Graph, params: BoostParams) -> BoostOutcome:
         peel_min(g.neighbor_lists(), bytearray(b"\1") * g.n, g.degrees(),
                  math.inf, steps)
         start, m = 0, g.m
-        while boosting and g.n - start > params.exact_limit:
+        while boosting and g.n - start > exact_limit:
             cut = _dense_cut(steps, start, m, eps_f)
             boosting = cut is not None
             if boosting:
@@ -232,7 +216,7 @@ def density_boost(g: Graph, params: BoostParams) -> BoostOutcome:
                 raise AssertionError("tracked edge count differs from the "
                                      "induced subgraph's")
     while boosting:
-        subset = find_dense_subset(cur, params.epsilon)
+        subset = find_dense_subset(cur, eps)
         if subset is None:
             break
         cur, idmap = induced(cur, subset)
@@ -241,7 +225,7 @@ def density_boost(g: Graph, params: BoostParams) -> BoostOutcome:
         density = _raised(density, _density(cur), eps_f)
     # Density stays <= 1 and grows by (1+eps) a round, so
     # rounds <= ln(1/p0) / ln(1+eps) <= (2/eps) * ln(1/p0).
-    rounds_thr = (2 / params.epsilon) * math.log(1 / float(p0))
+    rounds_thr = (2 / eps) * math.log(1 / float(p0))
     checks = require_bounds("density_boost", [
         check("Lem2.3-rounds", rounds, "<=", rounds_thr),
         check("Lem2.3-size", cur.n, ">=", float(eps_f) ** rounds_thr * g.n),
@@ -308,9 +292,7 @@ def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:
     min_deg_thr = Surd(np_, -2 * np_, eps_f)
     cap = math.isqrt(math.floor(4 * n * n * eps_f))  # floor(2*sqrt(eps)*n)
     steps: list = []
-    _, wants_more = peel_min(nbrs, alive, deg, math.ceil(min_deg_thr), steps,
-                             cap=cap)
-    if wants_more:
+    if peel_min(nbrs, alive, deg, math.ceil(min_deg_thr), steps, cap=cap):
         raise CapExceededError(
             f"peel wanted more than the cap of {cap} deletions; the "
             "input violates the bounded-dense-subset condition")
@@ -398,8 +380,7 @@ def _inner_epsilon(eps: Real) -> Fraction:
 
 def _boost_then_extract(g: Graph, eps0: Fraction, exact_limit: int) -> tuple:
     """Shared pipeline body: boost at eps0, extract at eps0, map ids back."""
-    bp = BoostParams(epsilon=eps0, exact_limit=exact_limit)
-    boost = density_boost(g, bp)
+    boost = density_boost(g, eps0, exact_limit)
     inner = lemma25_extract(boost.subgraph, eps0)
     host_order = sorted(boost.vertices)
     host_vertices = frozenset(host_order[v] for v in inner.vertices)

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from nearreg import cli
+from nearreg import cli, oracle
 from nearreg.cli import main
 
 
@@ -232,26 +232,42 @@ def test_experiment_rejects_empty_runs(argv, capsys):
     assert "precondition" in err
 
 
+def test_experiment_gnpbar_scan_refuses_instances_above_the_cap(tmp_path,
+                                                                 capsys):
+    report = tmp_path / "scan.json"
+    code, out, err = run_cli(["experiment", "gnpbar-scan", "--n", "25",
+                              "--out", str(report)], capsys)
+    assert code == 3 and out == ""
+    assert err == "size cap: scan instances of 25 vertices exceed the cap 24\n"
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("argv", [
-    ["experiment", "point-prob", "--t", "10", "--c0-cap", "-1"],
-    ["experiment", "regular-prob", "--trials", "10", "--c1-cap", "0"],
+    ["experiment", "point-prob", "--t", "10", "--c0-cap", "3"],
+    ["experiment", "regular-prob", "--trials", "10", "--c1-cap", "16"],
+    ["experiment", "gnpbar-scan", "--n", "8", "--size-cap", "24"],
 ])
-def test_experiment_rejects_nonpositive_calibration_caps(argv, capsys):
-    code, out, err = run_cli(argv, capsys)
-    assert code == 2 and out == ""
-    assert "calibration caps must be positive" in err
+def test_experiment_refuses_the_removed_cap_options(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: nearreg")
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
 
 
-def test_regular_prob_validates_the_cap_before_sampling(capsys, monkeypatch):
-    def sampled(*args):
-        raise AssertionError("the Monte Carlo ran before the cap check")
-
-    monkeypatch.setattr("nearreg.cli.estimate_regular_prob", sampled)
-    code, out, err = run_cli(["experiment", "regular-prob", "--n", "20",
-                              "--k", "6", "--trials", "1000000",
-                              "--c1-cap", "0"], capsys)
-    assert code == 2 and out == ""
-    assert "calibration caps must be positive" in err
+def test_calibration_figures_come_from_the_constants(capsys):
+    code, out, _ = run_cli(["experiment", "point-prob", "--t", "25",
+                            "--trials", "100"], capsys)
+    assert code == 0
+    body = json.loads(out)["result"]
+    assert body["calibration_cap"] == oracle.C0_CAP / 5
+    assert body["mc_dp_gap"] == abs(body["mc_estimate"] - body["max_exact"])
+    code, out, _ = run_cli(["experiment", "regular-prob", "--n", "20",
+                            "--k", "4", "--trials", "10"], capsys)
+    assert code == 0
+    body = json.loads(out)["result"]
+    assert body["calibration_reference"] == 20 * (oracle.C1_CAP / 4) ** 2
 
 
 def test_extract_boost_above_the_search_cap_is_refused(tmp_path, capsys):
@@ -324,9 +340,8 @@ def test_out_file(tmp_path, capsys):
     ["extract", "prop11", "G", "--c", "inf"],
     ["extract", "lemma25", "G", "--epsilon", "nan"],
     ["extract", "lemma25", "G", "--epsilon", "inf"],
-    ["experiment", "point-prob", "--t", "10", "--trials", "10",
-     "--c0-cap", "nan"],
-    ["experiment", "regular-prob", "--trials", "10", "--c1-cap", "nan"],
+    ["extract", "boost", "G", "--epsilon", "nan"],
+    ["extract", "thm13", "G", "--epsilon", "inf"],
 ])
 def test_non_finite_numbers_are_preconditions(argv, tmp_path, capsys):
     path = write_graph(tmp_path, "k4.el", "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")

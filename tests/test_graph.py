@@ -1,5 +1,6 @@
 """Core graph type, statistics, induced views, and the edge-list format."""
 
+import gc
 import math
 from fractions import Fraction
 
@@ -258,6 +259,42 @@ def test_adjacency_and_induced_match_networkx(case, data):
 def test_edge_count_matches_half_degree_sum():
     g = parse_edge_list("5 5\n0 1\n0 2\n1 2\n2 3\n3 4")
     assert sum(g.degrees()) == 2 * g.m
+
+
+class _FailingIndices:
+    def tolist(self):
+        raise MemoryError
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_neighbor_lists_leave_the_collector_as_they_found_it(enabled):
+    # the lists are built with the cyclic collector paused, so 10^4 new
+    # lists start no collection, and its state comes back as it was, after
+    # a failure too
+    g = parse_edge_list("5 4\n0 1\n0 4\n1 2\n3 4")
+    path = Graph.from_edges(10**4, [(v, v + 1) for v in range(10**4 - 1)])
+    failing = Graph(g.n, g.indptr, _FailingIndices(), g.m)
+    starts = []
+
+    def note(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    gc.callbacks.append(note)
+    try:
+        lists = g.neighbor_lists()
+        assert gc.isenabled() is enabled
+        assert len(path.neighbor_lists()) == 10**4
+        assert starts == [] and gc.isenabled() is enabled
+        with pytest.raises(MemoryError):
+            failing.neighbor_lists()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(note)
+        (gc.enable if was else gc.disable)()
+    assert lists == [[1, 4], [0, 2], [1], [4], [0, 3]]
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])

@@ -88,11 +88,11 @@ def test_exact_f_monotone_in_c(seed):
 
 
 def test_exact_f_caps():
+    with pytest.raises(SizeCapError, match="size cap 24"):
+        exact_f(Graph.empty(oracle.VERTEX_CAP + 1), 1)
     with pytest.raises(SizeCapError):
-        exact_f(Graph.empty(30), 1)
-    with pytest.raises(SizeCapError):
-        exact_f(Graph.empty(70), 1, size_cap=100)
-    assert exact_f(Graph.empty(30), 1, size_cap=32).value == 30
+        exact_f(Graph.empty(70), 1)
+    assert exact_f(Graph.empty(oracle.VERTEX_CAP), 1).value == 24
 
 
 def test_exact_f_search_node_counts():
@@ -166,14 +166,13 @@ def test_point_prob_distribution_simple():
 
 
 def test_estimate_point_prob_exact_half():
+    assert point_prob_distribution([0.5, 0.5])[1] == 0.5
     r = estimate_point_prob([0.5, 0.5], 1, 50_000, 3)
-    assert r.exact == 0.5
-    assert abs(r.estimate - 0.5) < 4 / math.sqrt(r.trials)
+    assert abs(r - 0.5) < 4 / math.sqrt(50_000)
 
 
 def test_estimate_point_prob_s_out_of_range():
-    r = estimate_point_prob([0.5] * 4, 9, 10, 1)
-    assert r.estimate == 0.0 and r.exact == 0.0
+    assert estimate_point_prob([0.5] * 4, 9, 10, 1) == 0.0
 
 
 @pytest.mark.parametrize("rows, cells", [(7, oracle.MC_CHUNK_CELLS),
@@ -210,7 +209,7 @@ def test_estimate_point_prob_converges_to_dp():
     dist = point_prob_distribution(rhos)
     s = int(np.argmax(dist))
     r = estimate_point_prob(rhos, s, 100_000, 6)
-    assert abs(r.estimate - r.exact) < 4 / math.sqrt(r.trials)
+    assert abs(r - float(dist[s])) < 4 / math.sqrt(100_000)
 
 
 def incidence_regular_prob(n, k, trials, seed):

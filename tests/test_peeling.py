@@ -118,10 +118,9 @@ def test_threshold_peel_is_a_prefix_of_the_smallest_last_order(seed):
         for t in thresholds:
             cut = next((i for i, s in enumerate(order) if s.degree >= t),
                        len(order))
-            steps, deg = [], g.degrees()
-            alive, wants_more = peel_min(g.neighbor_lists(), _all_alive(g),
-                                         deg, t, steps)
-            assert steps == order[:cut] and not wants_more
+            steps, deg, alive = [], g.degrees(), _all_alive(g)
+            wants_more = peel_min(g.neighbor_lists(), alive, deg, t, steps)
+            assert steps == order[:cut] and wants_more is False
             kept = sorted(s.vertex for s in order[cut:])
             assert [v for v in range(g.n) if alive[v]] == kept
             mask = sum(1 << v for v in kept)
@@ -129,8 +128,8 @@ def test_threshold_peel_is_a_prefix_of_the_smallest_last_order(seed):
             assert all(deg[v] == (rows[v] & mask).bit_count() for v in kept)
             for cap in (0, cut // 2, cut):
                 steps = []
-                _, wants_more = peel_min(g.neighbor_lists(), _all_alive(g),
-                                         g.degrees(), t, steps, cap=cap)
+                wants_more = peel_min(g.neighbor_lists(), _all_alive(g),
+                                      g.degrees(), t, steps, cap=cap)
                 assert steps == order[:cap] and wants_more == (cut > cap)
 
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearreg import (
-    BoostParams,
     BoundViolationError,
     CapExceededError,
     Graph,
@@ -121,22 +120,33 @@ def test_find_dense_subset_exact_result_qualifies(seed):
 
 
 def test_density_boost_clique_zero_rounds():
-    out = density_boost(complete(7), BoostParams(0.3))
+    out = density_boost(complete(7), 0.3)
     assert out.rounds == 0 and out.certified and out.density == 1
     assert out.vertices == frozenset(range(7))
 
 
 def test_density_boost_lands_on_the_clique():
-    out = density_boost(k4_plus_isolated(), BoostParams(0.5))
+    out = density_boost(k4_plus_isolated(), 0.5)
     assert out.vertices == frozenset(range(4))
     assert out.density == 1 and out.certified
+
+
+@pytest.mark.parametrize("eps, exact_limit, message", [
+    (0, 24, r"epsilon must lie in \(0, 1\)"),
+    (1, 24, r"epsilon must lie in \(0, 1\)"),
+    (float("nan"), 24, r"epsilon must lie in \(0, 1\)"),
+    (0.3, 0, "exact_limit must be >= 1"),
+])
+def test_density_boost_checks_its_arguments(eps, exact_limit, message):
+    with pytest.raises(PreconditionError, match=message):
+        density_boost(complete(7), eps, exact_limit)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_density_boost_certified_contract(seed):
     g = sample_gnp_uniform(20, 0.5, seed)
     p0 = _density(g)
-    out = density_boost(g, BoostParams(0.3, exact_limit=24))
+    out = density_boost(g, 0.3, exact_limit=24)
     assert out.certified
     bound = (2 / 0.3) * math.log(1 / float(p0))
     assert out.rounds < bound
@@ -164,10 +174,10 @@ def _peel_order_reference(g):
     return order, removed_deg
 
 
-def _find_dense_subset_reference(g, eps, params):
+def _find_dense_subset_reference(g, eps, exact_limit):
     """The heuristic search above ``exact_limit`` with a fresh peel of g:
     the longest proper suffix of the peel order that qualifies."""
-    if g.n <= params.exact_limit:
+    if g.n <= exact_limit:
         return find_dense_subset(g, eps)
     eps_f = Fraction(str(eps))
     target = _density(g) * (1 + eps_f)
@@ -182,13 +192,13 @@ def _find_dense_subset_reference(g, eps, params):
     return None
 
 
-def _density_boost_reference(g, params):
+def _density_boost_reference(g, eps, exact_limit):
     """One search and one induced subgraph per round."""
     cur, vmap, rounds = g, tuple(range(g.n)), 0
     certified = True
     while True:
-        certified = certified and cur.n <= params.exact_limit
-        subset = _find_dense_subset_reference(cur, params.epsilon, params)
+        certified = certified and cur.n <= exact_limit
+        subset = _find_dense_subset_reference(cur, eps, exact_limit)
         if subset is None:
             break
         cur, idmap = induced(cur, subset)
@@ -233,13 +243,12 @@ def test_density_boost_matches_the_per_round_reference(seed):
         assert _smallest_last(g) == _peel_order_reference(g)
         for eps in (0.05, 0.1, 0.3):
             for exact_limit in (1, 4, 12):
-                params = BoostParams(eps, exact_limit)
                 if g.n > exact_limit:
-                    assert (_heuristic_dense_subset(g, eps)
-                            == _find_dense_subset_reference(g, eps, params))
-                out = density_boost(g, params)
+                    assert (_heuristic_dense_subset(g, eps) ==
+                            _find_dense_subset_reference(g, eps, exact_limit))
+                out = density_boost(g, eps, exact_limit)
                 sub, certified, rounds, vertices = \
-                    _density_boost_reference(g, params)
+                    _density_boost_reference(g, eps, exact_limit)
                 assert out.subgraph == sub
                 assert out.to_json() == {
                     "n": sub.n, "m": sub.m,
@@ -288,8 +297,7 @@ def test_find_dense_subset_refuses_graphs_above_64_vertices():
     with pytest.raises(SizeCapError):
         find_dense_subset(g, 0.1)
     with pytest.raises(SizeCapError):
-        density_boost(sample_gnp_uniform(70, 0.1, 3),
-                      BoostParams(0.1, exact_limit=100))
+        density_boost(sample_gnp_uniform(70, 0.1, 3), 0.1, exact_limit=100)
 
 
 def _path(n):
@@ -445,7 +453,7 @@ def test_lemma25_peel_matches_the_exact_predicate(g, eps):
 def test_lemma25_bounds_on_certified_boost_outputs(seed):
     eps = 0.2  # Lemma 2.5 needs eps < 1/4
     g = sample_gnp_uniform(20, 0.5, seed)
-    out = density_boost(g, BoostParams(eps))
+    out = density_boost(g, eps)
     res = lemma25_extract(out.subgraph, eps)
     n, p = out.subgraph.n, float(out.density)
     se = math.sqrt(eps)
@@ -479,7 +487,7 @@ def test_boundary_restates_the_dense_subset_condition(seed):
 
     eps = 0.3
     g = sample_gnp_uniform(20, 0.5, 300 + seed)
-    out = density_boost(g, BoostParams(eps))
+    out = density_boost(g, eps)
     sub = out.subgraph
     n = sub.n
     u_size = int(Fraction(str(eps)) * n)
