@@ -10,8 +10,9 @@ input condition). Reports are byte-identical across runs of the same
 command and seed except for the wall_time_s field, which covers the whole
 command from the input read.
 
-All randomness flows from the single --seed flag: generators consume it
-directly; multi-part experiments derive substreams by fixed offsets
+`extract` draws nothing at random. The randomness of `gen` and
+`experiment` flows from their --seed flag: the random generators consume
+it directly; multi-part experiments derive substreams by fixed offsets
 (point-prob draws its weight vector at seed and its trials at seed+1,
 gnpbar-scan samples graph i at seed+i).
 """
@@ -29,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import instances
 from .edge_regular import matching_lower_bound, theorem41
 from .errors import (
     BoundViolationError,
@@ -37,7 +39,6 @@ from .errors import (
     SizeCapError,
 )
 from .graph import Graph, degree_stats, parse_edge_list, serialize_edge_list
-from .instances import ModelParams, generate, sample_gnp_bar
 from .oracle import (
     C0_CAP,
     VERTEX_CAP,
@@ -72,6 +73,18 @@ EXTRACT_PARAMS = {
 }
 EXTRACT_ALGORITHMS = tuple(EXTRACT_PARAMS)
 
+# every gen kind, with the name of its generator in `instances` and the
+# options that generator takes, in its argument order
+GEN_KINDS = {
+    "blocks": ("blocks", ("s",)),
+    "blocks-padded": ("blocks_padded", ("n",)),
+    "gnp-bar": ("sample_gnp_bar", ("n", "seed")),
+    "gnp-uniform": ("sample_gnp_uniform", ("n", "p", "seed")),
+    "complete-bipartite": ("complete_bipartite", ("k", "n")),
+    "star": ("star", ("n",)),
+}
+GEN_OPTIONS = ("s", "n", "k", "p", "seed")
+
 
 def _graph_summary(g: Graph) -> dict:
     st = degree_stats(g)
@@ -80,44 +93,35 @@ def _graph_summary(g: Graph) -> dict:
     return out
 
 
-def _emit(report: dict, args) -> None:
-    if getattr(args, "format", "json") == "text":
-        lines = [f"{k}: {json.dumps(v, sort_keys=True)}"
-                 for k, v in sorted(report.items())]
-        payload = "\n".join(lines) + "\n"
-    else:
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _emit(report: dict, out: Optional[str]) -> None:
+    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
 
 
-def _report_skeleton(args, argv: list) -> dict:
-    return {
-        "schema": SCHEMA,
-        "command": argv,
-        "seed": getattr(args, "seed", None),
-        "wall_time_s": 0.0,
-    }
+def _report_skeleton(argv: list) -> dict:
+    return {"schema": SCHEMA, "command": argv, "wall_time_s": 0.0}
 
 
 def _cmd_gen(args, argv: list) -> int:
-    params = ModelParams(
-        kind=args.kind.replace("-", "_"),
-        s=args.s, n=args.n, k=args.k, p=args.p, seed=args.seed,
-    )
-    g = generate(params)
-    text = serialize_edge_list(g)
+    """Run the kind's generator, looked up in `instances` at call time (so
+    a rebinding of its names reaches it), on the options it takes; the
+    sidecar's ``params`` echo every option given."""
+    generator, names = GEN_KINDS[args.kind]
+    for name in names:
+        if getattr(args, name) is None:
+            raise PreconditionError(f"gen {args.kind} needs --{name}")
+    g = getattr(instances, generator)(*(getattr(args, name) for name in names))
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    sidecar = {
-        "schema": "nearreg-gen/1",
-        "params": params.to_json(),
-        "n": g.n,
-        "m": g.m,
-    }
+        fh.write(serialize_edge_list(g))
+    params = {"kind": args.kind.replace("-", "_")}
+    params.update((name, getattr(args, name)) for name in GEN_OPTIONS
+                  if getattr(args, name) is not None)
+    sidecar = {"schema": "nearreg-gen/1", "params": params,
+               "n": g.n, "m": g.m}
     with open(args.out + ".json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return 0
@@ -155,7 +159,7 @@ def _run_extract(args, g: Graph):
 def _cmd_extract(args, argv: list) -> int:
     start = time.perf_counter()
     g = _load_graph(args.graph)
-    report = _report_skeleton(args, argv)
+    report = _report_skeleton(argv)
     result, bounds, params = _run_extract(args, g)
     report.update({
         "algorithm": args.algorithm,
@@ -165,7 +169,7 @@ def _cmd_extract(args, argv: list) -> int:
         "bounds": [c.to_json() for c in bounds],
     })
     report["wall_time_s"] = round(time.perf_counter() - start, 6)
-    _emit(report, args)
+    _emit(report, args.out)
     return 0
 
 
@@ -218,7 +222,7 @@ def _experiment_gnpbar_scan(args) -> dict:
             f"scan instances of {args.n} vertices exceed the cap {VERTEX_CAP}")
     rows = []
     for i in range(args.samples):
-        g = sample_gnp_bar(args.n, args.seed + i)
+        g = instances.sample_gnp_bar(args.n, args.seed + i)
         res = exact_f(g, 1)
         rows.append({
             "sample": i,
@@ -237,9 +241,7 @@ def _experiment_gnpbar_scan(args) -> dict:
 
 
 def _cmd_experiment(args, argv: list) -> int:
-    if args.seed < 0:
-        raise PreconditionError("--seed must be >= 0")
-    report = _report_skeleton(args, argv)
+    report = _report_skeleton(argv)
     start = time.perf_counter()
     if args.name == "point-prob":
         body = _experiment_point_prob(args)
@@ -247,27 +249,27 @@ def _cmd_experiment(args, argv: list) -> int:
         body = _experiment_regular_prob(args)
     else:
         body = _experiment_gnpbar_scan(args)
-    report.update({"experiment": args.name, "result": body})
+    report.update({"experiment": args.name, "seed": args.seed,
+                   "result": body})
     report["wall_time_s"] = round(time.perf_counter() - start, 6)
-    _emit(report, args)
+    _emit(report, args.out)
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The top-level parser, and each command's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="nearreg",
         description="Nearly regular subgraph extraction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance as an edge list")
-    gen.add_argument("kind", choices=["blocks", "blocks-padded", "gnp-bar",
-                                      "gnp-uniform", "complete-bipartite",
-                                      "star"])
-    gen.add_argument("--s", type=int, default=None)
-    gen.add_argument("--n", type=int, default=None)
-    gen.add_argument("--k", type=int, default=None)
-    gen.add_argument("--p", type=float, default=None)
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("kind", choices=GEN_KINDS)
+    gen.add_argument("--s", type=int)
+    gen.add_argument("--n", type=int)
+    gen.add_argument("--k", type=int)
+    gen.add_argument("--p", type=float)
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--out", required=True)
 
     ext = sub.add_parser("extract", help="run one extraction on a graph file")
@@ -278,9 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--c", type=float, default=3.0)
     ext.add_argument("--epsilon", type=float, default=0.1)
     ext.add_argument("--exact-limit", type=int, default=24)
-    ext.add_argument("--seed", type=int, default=0)
     ext.add_argument("--out", default=None)
-    ext.add_argument("--format", choices=["json", "text"], default="json")
 
     exp = sub.add_parser("experiment", help="run a statistical experiment")
     exp.add_argument("name", choices=["point-prob", "regular-prob",
@@ -292,8 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--samples", type=int, default=10)
     exp.add_argument("--seed", type=int, default=0)
     exp.add_argument("--out", default=None)
-    exp.add_argument("--format", choices=["json", "text"], default="json")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -316,9 +315,14 @@ def main(argv: Optional[list] = None) -> int:
 
 def _run(argv: Optional[list]) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # refused with the usage of the command they were given to
+        commands[args.command].error(
+            "unrecognized arguments: " + " ".join(extra))
     try:
+        if (getattr(args, "seed", None) or 0) < 0:  # gen and experiment
+            raise PreconditionError("--seed must be >= 0")
         if args.command == "gen":
             return _cmd_gen(args, argv)
         if args.command == "extract":

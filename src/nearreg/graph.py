@@ -86,10 +86,13 @@ class Graph:
 
         All edges are checked at once (ids in range, no self-loop, no
         duplicate); the error names the first bad edge in input order.
+        The degree offsets are allocated first, so an ``n`` that memory
+        cannot hold is a MemoryError before any edge is looked at.
         """
         n = operator.index(n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        indptr = _offsets(n)
         if not isinstance(edges, np.ndarray):
             edges = list(edges)  # sets and generators keep their order
         e = np.asarray(edges)
@@ -110,11 +113,11 @@ class Graph:
         key.sort()
         if (key[1:] == key[:-1]).any():
             raise _first_bad_edge(n, e, lo, hi)
-        return _csr(n, key >> shift, key & ((1 << shift) - 1))
+        return _csr(indptr, key >> shift, key & ((1 << shift) - 1))
 
     @staticmethod
     def empty(n: int) -> "Graph":
-        return _csr(n, np.empty(0, np.int64), np.empty(0, np.int64))
+        return _csr(_offsets(n), np.empty(0, np.int64), np.empty(0, np.int64))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -157,10 +160,21 @@ class Graph:
         return zip(row[upper].tolist(), self.indices[upper].tolist())
 
 
-def _csr(n: int, row, col) -> Graph:
-    """The graph on n vertices whose adjacency entries, both orientations of
-    every edge, are (``row``, ``col``) in ascending (row, col) order."""
-    indptr = np.zeros(n + 1, np.int64)
+def _offsets(n: int):
+    """n + 1 zeroed int64 degree offsets; an n beyond numpy's largest array
+    is a MemoryError, as one beyond the memory at hand already is."""
+    try:
+        return np.zeros(n + 1, np.int64)
+    except ValueError:
+        raise MemoryError(f"no array holds {n} + 1 offsets") from None
+
+
+def _csr(indptr, row, col) -> Graph:
+    """The graph on n = len(indptr) - 1 vertices whose adjacency entries,
+    both orientations of every edge, are (``row``, ``col``) in ascending
+    (row, col) order; ``indptr`` comes from `_offsets` and takes the
+    offsets."""
+    n = len(indptr) - 1
     np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
     col = col.astype(np.int64, copy=False)
     indptr.flags.writeable = col.flags.writeable = False
@@ -222,7 +236,8 @@ def induced(g: Graph, u: Iterable) -> tuple:
     kept = inside[row] & inside[g.indices]
     # ids keep their order, so the kept entries stay sorted
     new_id = np.cumsum(inside) - 1
-    sub = _csr(len(members), new_id[row[kept]], new_id[g.indices[kept]])
+    sub = _csr(_offsets(len(members)), new_id[row[kept]],
+               new_id[g.indices[kept]])
     return sub, tuple(members)
 
 

@@ -7,9 +7,8 @@ seed) triple always reproduces the same graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -17,56 +16,6 @@ from .errors import PreconditionError
 from .graph import Graph, induced
 
 BLOCKS_MAX_S = 20
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Parameters of one generator invocation (CLI-facing record)."""
-
-    kind: str                 # blocks | blocks_padded | gnp_bar | gnp_uniform
-    #                         # | complete_bipartite | star
-    s: Optional[int] = None
-    n: Optional[int] = None
-    k: Optional[int] = None
-    p: Optional[float] = None
-    seed: Optional[int] = None
-
-    def validate(self) -> None:
-        if self.kind == "blocks":
-            if self.s is None or self.s < 0:
-                raise PreconditionError("blocks needs s >= 0")
-        elif self.kind == "blocks_padded":
-            if self.n is None or self.n < 1:
-                raise PreconditionError("blocks_padded needs n >= 1")
-        elif self.kind == "gnp_bar":
-            if self.n is None or self.n < 2:
-                raise PreconditionError("gnp_bar needs n >= 2")
-            if self.seed is None or self.seed < 0:
-                raise PreconditionError("gnp_bar needs a seed >= 0")
-        elif self.kind == "gnp_uniform":
-            if self.n is None or self.n < 1:
-                raise PreconditionError("gnp_uniform needs n >= 1")
-            if self.p is None or not 0 <= self.p <= 1:
-                raise PreconditionError("gnp_uniform needs p in [0, 1]")
-            if self.seed is None or self.seed < 0:
-                raise PreconditionError("gnp_uniform needs a seed >= 0")
-        elif self.kind == "complete_bipartite":
-            if self.k is None or self.n is None or not 1 <= self.k <= self.n // 2:
-                raise PreconditionError(
-                    "complete_bipartite needs 1 <= k <= n/2")
-        elif self.kind == "star":
-            if self.n is None or self.n < 2:
-                raise PreconditionError("star needs n >= 2")
-        else:
-            raise PreconditionError(f"unknown generator kind {self.kind!r}")
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        for name in ("s", "n", "k", "p", "seed"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
 
 
 def blocks(s: int) -> Graph:
@@ -182,18 +131,3 @@ def star(n: int) -> Graph:
         raise PreconditionError("star needs n >= 2")
     return Graph.from_edges(n, [(0, v) for v in range(1, n)])
 
-
-def generate(params: ModelParams) -> Graph:
-    """Dispatch a validated ModelParams to its generator."""
-    params.validate()
-    if params.kind == "blocks":
-        return blocks(params.s)
-    if params.kind == "blocks_padded":
-        return blocks_padded(params.n)
-    if params.kind == "gnp_bar":
-        return sample_gnp_bar(params.n, params.seed)
-    if params.kind == "gnp_uniform":
-        return sample_gnp_uniform(params.n, params.p, params.seed)
-    if params.kind == "complete_bipartite":
-        return complete_bipartite(params.k, params.n)
-    return star(params.n)

@@ -46,6 +46,64 @@ def test_gen_star_needs_two_vertices(tmp_path, capsys):
     assert "precondition" in err
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["blocks"], "s"),
+    (["blocks-padded", "--s", "2"], "n"),
+    # a missing --seed would otherwise seed from OS entropy
+    (["gnp-bar", "--n", "10"], "seed"),
+    (["gnp-uniform", "--n", "10", "--seed", "1"], "p"),
+    (["complete-bipartite", "--n", "8"], "k"),
+    (["complete-bipartite", "--k", "3"], "n"),
+    (["star", "--k", "3"], "n"),
+])
+def test_gen_refuses_a_missing_option(argv, missing, tmp_path, capsys):
+    out = tmp_path / "g.el"
+    code, stdout, err = run_cli(["gen", *argv, "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"precondition: gen {argv[0]} needs --{missing}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["blocks", "--s", "-1"],
+    ["blocks", "--s", "21"],
+    ["blocks-padded", "--n", "0"],
+    ["gnp-bar", "--n", "1", "--seed", "0"],
+    ["gnp-uniform", "--n", "0", "--p", "0.5", "--seed", "0"],
+    ["gnp-uniform", "--n", "5", "--p", "1.5", "--seed", "0"],
+    ["gnp-uniform", "--n", "5", "--p", "nan", "--seed", "0"],
+    ["complete-bipartite", "--k", "0", "--n", "8"],
+    ["complete-bipartite", "--k", "8", "--n", "8"],
+    ["star", "--n", "1"],
+    ["blocks", "--s", "2", "--seed", "-1"],
+])
+def test_gen_refuses_options_out_of_range(argv, tmp_path, capsys):
+    out = tmp_path / "g.el"
+    code, stdout, err = run_cli(["gen", *argv, "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("precondition: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k, m", [(1, 7), (5, 15), (7, 7)])
+def test_gen_complete_bipartite_takes_k_up_to_n_minus_one(k, m, tmp_path,
+                                                          capsys):
+    out = tmp_path / "kb.el"
+    code, _, err = run_cli(["gen", "complete-bipartite", "--k", str(k),
+                            "--n", "8", "--out", str(out)], capsys)
+    assert code == 0 and err == ""
+    assert out.read_text().splitlines()[0] == f"8 {m}"
+
+
+def test_gen_refuses_an_unknown_kind(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "mystery", "--n", "5", "--out", str(tmp_path / "g.el")])
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert err.startswith("usage: nearreg gen")
+    assert "invalid choice: 'mystery'" in err
+
+
 def write_graph(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -252,8 +310,24 @@ def test_experiment_refuses_the_removed_cap_options(argv, capsys):
         main(argv)
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
-    assert err.startswith("usage: nearreg")
+    assert err.startswith("usage: nearreg experiment")
     assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "turan", "g.el", "--seed", "1"],
+    ["extract", "turan", "g.el", "--format", "text"],
+    ["experiment", "point-prob", "--t", "10", "--format", "text"],
+    ["gen", "star", "--n", "9", "--out", "s.el", "--format", "json"],
+])
+def test_removed_options_are_refused_with_the_command_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith(f"usage: nearreg {argv[0]} ")
+    assert err.endswith(f"nearreg {argv[0]}: error: unrecognized arguments: "
+                        f"{argv[-2]} {argv[-1]}\n")
 
 
 def test_calibration_figures_come_from_the_constants(capsys):
@@ -311,14 +385,6 @@ def test_experiment_determinism(capsys):
     _, second, _ = run_cli(argv, capsys)
     scrub = re.compile(r'"wall_time_s": [0-9.e-]+')
     assert scrub.sub("T", first) == scrub.sub("T", second)
-
-
-def test_text_format(tmp_path, capsys):
-    path = write_graph(tmp_path, "e.el", "4 0\n")
-    code, out, _ = run_cli(["extract", "turan", path, "--format", "text"],
-                           capsys)
-    assert code == 0
-    assert out.startswith("algorithm:")
 
 
 def test_out_file(tmp_path, capsys):
@@ -382,7 +448,7 @@ def test_gen_refuses_a_negative_seed(kind, tmp_path, capsys):
                               "--seed", "-1", "--out",
                               str(tmp_path / "g.el")], capsys)
     assert code == 2 and out == ""
-    assert "needs a seed >= 0" in err
+    assert err == "precondition: --seed must be >= 0\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -398,9 +464,11 @@ def test_experiment_refuses_a_negative_seed(argv, capsys):
 
 
 def test_extract_header_too_large_for_memory_is_a_size_cap(tmp_path, capsys):
-    # the vertex count alone asks for far more rows than any memory holds,
-    # so the allocation fails at once
-    path = write_graph(tmp_path, "big.el", "1000000000000000 0\n")
-    code, out, err = run_cli(["extract", "prop11", path], capsys)
-    assert code == 3 and out == ""
-    assert err == "size cap: the input is too large to hold in memory\n"
+    # the vertex count alone asks for far more offsets than any memory
+    # holds, so the allocation fails at once; beyond 2^63 / 8 offsets no
+    # numpy array can hold them, and beyond int64 no key either
+    for n in (10**15, 2**63, 10**20):
+        path = write_graph(tmp_path, "big.el", f"{n} 0\n")
+        code, out, err = run_cli(["extract", "prop11", path], capsys)
+        assert code == 3 and out == ""
+        assert err == "size cap: the input is too large to hold in memory\n"

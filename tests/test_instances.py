@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from nearreg import (
-    ModelParams,
     PreconditionError,
     blocks,
     blocks_padded,
@@ -189,23 +188,3 @@ def test_star_shape():
     with pytest.raises(PreconditionError):
         star(1)
 
-
-def test_model_params_validation():
-    ModelParams(kind="blocks", s=2).validate()
-    with pytest.raises(PreconditionError):
-        ModelParams(kind="blocks", s=-1).validate()
-    with pytest.raises(PreconditionError):
-        ModelParams(kind="star", n=1).validate()
-    with pytest.raises(PreconditionError):
-        ModelParams(kind="complete_bipartite", k=5, n=8).validate()
-    with pytest.raises(PreconditionError):
-        ModelParams(kind="gnp_bar", n=10).validate()
-    with pytest.raises(PreconditionError):
-        ModelParams(kind="mystery").validate()
-
-
-@pytest.mark.parametrize("kind", ["gnp_bar", "gnp_uniform"])
-def test_model_params_refuse_a_negative_seed(kind):
-    ModelParams(kind=kind, n=10, p=0.5, seed=0).validate()
-    with pytest.raises(PreconditionError, match="seed >= 0"):
-        ModelParams(kind=kind, n=10, p=0.5, seed=-1).validate()
