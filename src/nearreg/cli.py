@@ -83,6 +83,7 @@ GEN_KINDS = {
     "complete-bipartite": ("complete_bipartite", ("k", "n")),
     "star": ("star", ("n",)),
 }
+# the options of gen, all unset by default; --p is a float, the others ints
 GEN_OPTIONS = ("s", "n", "k", "p", "seed")
 
 
@@ -265,11 +266,8 @@ def _build_parser() -> tuple:
 
     gen = sub.add_parser("gen", help="generate an instance as an edge list")
     gen.add_argument("kind", choices=GEN_KINDS)
-    gen.add_argument("--s", type=int)
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--k", type=int)
-    gen.add_argument("--p", type=float)
-    gen.add_argument("--seed", type=int)
+    for name in GEN_OPTIONS:
+        gen.add_argument(f"--{name}", type=float if name == "p" else int)
     gen.add_argument("--out", required=True)
 
     ext = sub.add_parser("extract", help="run one extraction on a graph file")
