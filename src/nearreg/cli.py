@@ -83,7 +83,7 @@ GEN_KINDS = {
     "complete-bipartite": ("complete_bipartite", ("k", "n")),
     "star": ("star", ("n",)),
 }
-# the options of gen, all unset by default; --p is a float, the others ints
+# every option of gen; the sidecar echoes each one given
 GEN_OPTIONS = ("s", "n", "k", "p", "seed")
 
 
@@ -104,13 +104,16 @@ def _emit(report: dict, out: Optional[str]) -> None:
 
 
 def _report_skeleton(argv: list) -> dict:
-    return {"schema": SCHEMA, "command": argv, "wall_time_s": 0.0}
+    return {
+        "schema": SCHEMA,
+        "command": argv,
+        "wall_time_s": 0.0,
+    }
 
 
 def _cmd_gen(args, argv: list) -> int:
     """Run the kind's generator, looked up in `instances` at call time (so
-    a rebinding of its names reaches it), on the options it takes; the
-    sidecar's ``params`` echo every option given."""
+    a rebinding of its names reaches it), on the options it takes."""
     generator, names = GEN_KINDS[args.kind]
     for name in names:
         if getattr(args, name) is None:
@@ -121,8 +124,12 @@ def _cmd_gen(args, argv: list) -> int:
     params = {"kind": args.kind.replace("-", "_")}
     params.update((name, getattr(args, name)) for name in GEN_OPTIONS
                   if getattr(args, name) is not None)
-    sidecar = {"schema": "nearreg-gen/1", "params": params,
-               "n": g.n, "m": g.m}
+    sidecar = {
+        "schema": "nearreg-gen/1",
+        "params": params,
+        "n": g.n,
+        "m": g.m,
+    }
     with open(args.out + ".json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return 0
