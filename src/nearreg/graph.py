@@ -81,7 +81,7 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
-        """Build and validate a graph from an (m, 2) integer array or an
+        """Build and check a graph from an (m, 2) integer array or an
         iterable of (u, v) integer pairs, in either orientation.
 
         All edges are checked at once (ids in range, no self-loop, no
