@@ -83,7 +83,8 @@ GEN_KINDS = {
     "complete-bipartite": ("complete_bipartite", ("k", "n")),
     "star": ("star", ("n",)),
 }
-# every option of gen; the sidecar echoes each one given
+# every option of gen; a kind refuses those it does not take, and the
+# sidecar echoes the ones it takes
 GEN_OPTIONS = ("s", "n", "k", "p", "seed")
 
 
@@ -113,17 +114,20 @@ def _report_skeleton(argv: list) -> dict:
 
 def _cmd_gen(args, argv: list) -> int:
     """Run the kind's generator, looked up in `instances` at call time (so
-    a rebinding of its names reaches it), on the options it takes."""
+    a rebinding of its names reaches it), on the options it takes; an
+    option it does not take is refused."""
     generator, names = GEN_KINDS[args.kind]
     for name in names:
         if getattr(args, name) is None:
             raise PreconditionError(f"gen {args.kind} needs --{name}")
+    for name in GEN_OPTIONS:
+        if name not in names and getattr(args, name) is not None:
+            raise PreconditionError(f"gen {args.kind} does not take --{name}")
     g = getattr(instances, generator)(*(getattr(args, name) for name in names))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_edge_list(g))
     params = {"kind": args.kind.replace("-", "_")}
-    params.update((name, getattr(args, name)) for name in GEN_OPTIONS
-                  if getattr(args, name) is not None)
+    params.update((name, getattr(args, name)) for name in names)
     sidecar = {
         "schema": "nearreg-gen/1",
         "params": params,

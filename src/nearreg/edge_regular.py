@@ -21,11 +21,22 @@ sink strongly connected component. A plain single-pass greedy deletion can
 return a non-minimal set (two disjoint tight blocks survive it), which
 would break the perfect-matching step downstream.
 
+The sink taken is the one holding the least vertex. When the least vertex
+u0 of the round lies in a sink, two frontier searches of whole sets prove
+it, with no per-arc Python: forward from u0 over the rows, and back to u0
+over each side-B vertex's set of side-A neighbours, kept inside what the
+forward search reached; the sink is that set when the two agree. Only
+otherwise are the arcs listed and the sinks found by an iterative Tarjan.
+On dense graphs every round is settled by the proof. Most augmenting
+searches of a round end at once too: a free vertex in the root's own row
+is matched to it without touching the search arrays.
+
 The cascade does not rebuild the residual graph between rounds. It keeps
-one ascending row of side-B neighbours per side-A vertex, built once, and
-after each round deletes from each row of S the partner S was matched to;
-the next round's candidates are S, whose rows then hold exactly their
-residual edges. ``min_tight_set`` builds the rows from a residual edge set
+one ascending row of side-B neighbours per side-A vertex and one set of
+side-A neighbours per side-B vertex, built once, and after each round
+deletes each matched pair of S from the other's row or set; the next
+round's candidates are S, whose rows then hold exactly their residual
+edges. ``min_tight_set`` builds the rows and sets from a residual edge set
 and runs the same per-round core, so there is one code path for both.
 """
 
@@ -33,21 +44,19 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Optional
 
-from .errors import (
-    BoundViolationError,
-    HallViolationError,
-    PreconditionError,
-)
+import numpy as np
+
+from .errors import BoundViolationError, PreconditionError
 from .graph import (
     BoundCheck,
     ExtractionResult,
     Graph,
+    _row_ids,
     check,
     degree_stats,
     normalize_edge,
@@ -71,22 +80,20 @@ def bipartite_half(g: Graph) -> Bipartition:
     split: while some vertex has strictly more neighbours on its own side
     than across, move the lowest-id such vertex (found through a heap of
     violating ids). The cut grows every move, so this terminates with every
-    vertex keeping >= half its degree. Each vertex's neighbour list is
-    computed once and serves every move."""
+    vertex keeping >= half its degree. The starting own/cross counts and
+    the kept edges come from the CSR arrays at once; each vertex's
+    neighbour list is computed once and serves every move."""
     n = g.n
     nbrs = g.neighbor_lists()
+    row = _row_ids(g)
+    deg = np.diff(g.indptr)
+    own_start = np.bincount(row[((row ^ g.indices) & 1) == 0], minlength=n)
+    own = own_start.tolist()
+    cross = (deg - own_start).tolist()
     side = [v & 1 for v in range(n)]  # 0 = even start, 1 = odd start
-    cross = [0] * n
-    own = [0] * n
-    for v in range(n):
-        for u in nbrs[v]:
-            if side[u] == side[v]:
-                own[v] += 1
-            else:
-                cross[v] += 1
     # every violating vertex has an entry here; a vertex turns violating only
     # when its own count rises, and then gets one (ascending: already a heap)
-    heap = [v for v in range(n) if own[v] > cross[v]]
+    heap = np.flatnonzero(own_start > deg - own_start).tolist()
     while heap:
         mover = heapq.heappop(heap)
         if own[mover] <= cross[mover]:
@@ -102,13 +109,14 @@ def bipartite_half(g: Graph) -> Bipartition:
             else:
                 own[u] -= 1
                 cross[u] += 1
-    zeros = frozenset(v for v in range(n) if side[v] == 0)
-    ones = frozenset(range(n)) - zeros
+    assert all(map(int.__ge__, cross, own)), \
+        "switching exited with a violating vertex"
+    sides = np.array(side, dtype=np.int64)
+    zeros = frozenset(np.flatnonzero(sides == 0).tolist())
+    ones = frozenset(np.flatnonzero(sides).tolist())
     side_a, side_b = (zeros, ones) if len(zeros) >= len(ones) else (ones, zeros)
-    kept = frozenset((u, v) for u in range(n) for v in nbrs[u]
-                     if u < v and side[u] != side[v])
-    for v in range(n):
-        assert cross[v] >= own[v], "switching exited with a violating vertex"
+    cut = (row < g.indices) & (sides[row] != sides[g.indices])
+    kept = frozenset(zip(row[cut].tolist(), g.indices[cut].tolist()))
     return Bipartition(side_a, side_b, kept)
 
 
@@ -157,7 +165,16 @@ def _augment_from(root: int, nbrs: list, mate: list, ws: tuple) -> bool:
     the entries of vertices the search labels are ever written, and those
     are put back to their reset values before returning, so a search costs
     the part of the graph it reaches, not O(k).
+
+    A free vertex in the root's own row is matched to the root at once,
+    without touching ``ws``: the search scans that row before any queued
+    vertex and labels no other free vertex before, so the first free
+    neighbour is exactly the edge it would flip.
     """
+    for u in nbrs[root]:
+        if mate[u] < 0:
+            mate[root], mate[u] = u, root
+            return True
     label, link, base, seen = ws
     queue = [root]  # the outer vertices, in the order they are searched
     inner: list = []  # queue and inner hold every vertex the search labels
@@ -290,19 +307,45 @@ def _sink_components(nodes: list, succ: list) -> list:
     return sinks
 
 
-def _tight_round(rows: list, cand: list, ws: tuple) -> tuple:
+def _sink_holding(u0: int, rows: list, cols: list, mate: list):
+    """``(S, N(S))`` if ``u0`` lies in a sink component S of the
+    orientation a -> mate[b] of each residual edge a-b, else None.
+
+    The vertices u0 reaches form a closed set F, found with N(F) by a
+    forward frontier search over whole rows; u0's component is the part of
+    F that reaches u0 back, found by a backward search over the column
+    sets of the partners, kept inside F. It is a sink exactly when it is
+    all of F. Every step is a set union, difference or intersection, with
+    no per-arc Python."""
+    reach, nbhd = {u0}, set()
+    frontier = [u0]
+    while frontier:
+        new_b = set().union(*map(rows.__getitem__, frontier))
+        new_b -= nbhd
+        nbhd |= new_b
+        frontier = set(map(mate.__getitem__, new_b))
+        frontier -= reach
+        reach |= frontier
+    back = {u0}
+    frontier = [u0]
+    while frontier and len(back) < len(reach):
+        pred = set().union(*(cols[mate[a]] for a in frontier))
+        pred &= reach
+        pred -= back
+        back |= pred
+        frontier = pred
+    return (reach, nbhd) if len(back) == len(reach) else None
+
+
+def _tight_round(rows: list, cols: list, cand: list, ws: tuple) -> tuple:
     """One tight-set round on the residual graph given by ``rows``, a list
     indexed by vertex id in which each candidate's entry is its ascending
-    list of side-B neighbours. ``cand`` is the ascending candidate list and
-    ``ws`` a ``_workspace`` over ``len(rows)`` vertices. Returns
-    ``(S, N(S), M_S, mate)``, with ``mate`` the round's matching."""
-    if not cand:
-        raise PreconditionError("empty candidate set")
-    for a in cand:
-        if not rows[a]:
-            raise PreconditionError(f"candidate {a} has no residual edge")
-    if len(set().union(*(rows[a] for a in cand))) > len(cand):
-        raise PreconditionError("candidate set is not tight")
+    list of side-B neighbours, and ``cols``, in which each side-B vertex's
+    entry is the set of its residual side-A neighbours (other side-A
+    vertices may appear there too). ``cand`` is the ascending candidate
+    list, nonempty, tight and with no empty row, and ``ws`` a
+    ``_workspace`` over ``len(rows)`` vertices. Returns ``(S, N(S), M_S,
+    mate)``, with ``mate`` the round's matching."""
     # Match the candidates one at a time in ascending id. Which candidate
     # first fails to join the lower ones depends only on the graph, not on
     # the paths the search picks, so neither does the tight set below.
@@ -325,29 +368,38 @@ def _tight_round(rows: list, cand: list, ws: tuple) -> tuple:
                 reach_b.add(b)
                 owner = mate[b]
                 if owner < 0:
-                    raise HallViolationError(
+                    raise BoundViolationError(
                         "augmenting path escaped a maximum matching")
                 if owner not in reach_a:
                     reach_a.add(owner)
                     frontier.append(owner)
         universe = sorted(reach_a - {a0})
         if not universe:
-            raise HallViolationError("tight candidate shrank to nothing")
-    # Orient each residual edge a-b toward b's partner: a -> mate[b].
+            raise BoundViolationError("tight candidate shrank to nothing")
+    # Orient each residual edge a-b toward b's partner: a -> mate[b], and
+    # take the sink component holding the least vertex.
     node_set = set(universe)
-    succ: list = [()] * len(rows)
-    for a in universe:
-        out = list(map(mate.__getitem__, rows[a]))
-        out.remove(a)  # the arc through a's own partner
-        if not node_set.issuperset(out):
-            raise HallViolationError("orientation left the matched universe")
-        succ[a] = out
-    chosen = min(_sink_components(universe, succ), key=min)
+    found = _sink_holding(universe[0], rows, cols, mate)
+    if found is not None:
+        chosen, neighbourhood = found
+        if not node_set.issuperset(chosen):
+            raise BoundViolationError("orientation left the matched universe")
+    else:  # the least vertex is in no sink: list the sinks by Tarjan
+        succ: list = [()] * len(rows)
+        for a in universe:
+            out = list(map(mate.__getitem__, rows[a]))
+            out.remove(a)  # the arc through a's own partner
+            if not node_set.issuperset(out):
+                raise BoundViolationError(
+                    "orientation left the matched universe")
+            succ[a] = out
+        chosen = min(_sink_components(universe, succ), key=min)
+        neighbourhood = set().union(*(rows[a] for a in chosen))
     # A sink component's neighbours are all matched inside it, so the
     # matching restricted to it is perfect onto N(S).
-    neighbourhood = frozenset().union(*(rows[a] for a in chosen))
-    matching = frozenset(normalize_edge(a, mate[a]) for a in chosen)
-    return frozenset(chosen), neighbourhood, matching, mate
+    matching = frozenset(map(normalize_edge, chosen,
+                             map(mate.__getitem__, chosen)))
+    return frozenset(chosen), frozenset(neighbourhood), matching, mate
 
 
 def min_tight_set(bp: Bipartition, residual_edges: Iterable,
@@ -362,27 +414,38 @@ def min_tight_set(bp: Bipartition, residual_edges: Iterable,
     candidates that the first such candidate competes with; among the
     minimal sets found, S is the one containing the smallest vertex id.
 
-    This builds the residual rows from ``residual_edges`` and runs one
-    round of the core that ``matching_cascade`` runs on its persistent
-    rows.
+    This builds the residual rows and columns from ``residual_edges`` and
+    runs one round of the core that ``matching_cascade`` runs on its
+    persistent ones.
     """
     cand = sorted(candidates if candidates is not None else bp.side_a)
-    rows = _residual_rows(bp, residual_edges, set(cand))
-    return _tight_round(rows, cand, _workspace(len(rows)))[:3]
+    if not cand:
+        raise PreconditionError("empty candidate set")
+    rows, cols = _residual_rows(bp, residual_edges, set(cand))
+    for a in cand:
+        if not rows[a]:
+            raise PreconditionError(f"candidate {a} has no residual edge")
+    if len(set().union(*(rows[a] for a in cand))) > len(cand):
+        raise PreconditionError("candidate set is not tight")
+    return _tight_round(rows, cols, cand, _workspace(len(rows)))[:3]
 
 
-def _residual_rows(bp: Bipartition, edges: Iterable, cand_set) -> list:
-    """Each candidate's ascending list of its side-B neighbours over
-    ``edges``, in a list indexed by vertex id (empty for other ids)."""
-    rows: list = [[] for _ in range(1 + max(bp.side_a | bp.side_b,
-                                            default=-1))]
+def _residual_rows(bp: Bipartition, edges: Iterable, cand_set) -> tuple:
+    """``(rows, cols)`` over ``edges``, two lists indexed by vertex id:
+    each candidate's ascending list of its side-B neighbours, and each
+    side-B vertex's set of its candidate neighbours (empty for other
+    ids)."""
+    k = 1 + max(bp.side_a | bp.side_b, default=-1)
+    rows: list = [[] for _ in range(k)]
+    cols: list = [set() for _ in range(k)]
     for u, v in edges:
         a, b = (u, v) if u in cand_set else (v, u)
         if a in cand_set and b in bp.side_b:
             rows[a].append(b)
+            cols[b].add(a)
     for row in rows:
         row.sort()
-    return rows
+    return rows, cols
 
 
 @dataclass
@@ -417,32 +480,36 @@ def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
     one, so the process provably completes all requested rounds.
 
     The residual graph is kept, not rebuilt: each side-A vertex's ascending
-    row of side-B neighbours is built once, and after a round each vertex
-    of S loses its matched partner from its row. The next round's
-    candidates are S, whose rows then hold exactly their residual edges.
-    All rounds share one search workspace.
+    row of side-B neighbours and each side-B vertex's set of side-A
+    neighbours are built once, and after a round each matched pair of S
+    leaves the other's row or set. The next round's candidates are S,
+    whose rows then hold exactly their residual edges. All rounds share one
+    search workspace.
     """
     if rounds < 0:
         raise PreconditionError("rounds must be >= 0")
     sets: list = []
     matchings: list = []
     if rounds > 0:
-        deg = Counter(chain.from_iterable(bp.edges))
-        min_deg = min((deg[v] for v in bp.side_a | bp.side_b), default=0)
+        rows, cols = _residual_rows(bp, bp.edges, bp.side_a)
+        min_deg = min(chain(map(len, map(rows.__getitem__, bp.side_a)),
+                            map(len, map(cols.__getitem__, bp.side_b))),
+                      default=0)
         if min_deg < rounds:
             raise PreconditionError(
                 f"minimum kept degree {min_deg} is below {rounds} rounds")
-        rows = _residual_rows(bp, bp.edges, bp.side_a)
         ws = _workspace(len(rows))
         cand = sorted(bp.side_a)
         for _ in range(rounds):
-            s, t, matching, mate = _tight_round(rows, cand, ws)
+            s, t, matching, mate = _tight_round(rows, cols, cand, ws)
             if sets and not s <= sets[-1][0]:
                 raise BoundViolationError("tight sets stopped nesting")
             if len(s) != len(t) or len(matching) != len(s):
                 raise BoundViolationError("tight pair sizes diverged")
             for a in s:
-                rows[a].remove(mate[a])
+                b = mate[a]
+                rows[a].remove(b)
+                cols[b].discard(a)
             sets.append((s, t))
             matchings.append(matching)
             cand = sorted(s)

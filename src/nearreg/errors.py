@@ -36,10 +36,6 @@ class BoundViolationError(NearRegError):
         self.checks = checks
 
 
-class HallViolationError(BoundViolationError):
-    """A matching expected to be perfect came up short (upstream bug)."""
-
-
 class SizeCapError(NearRegError):
     """An exhaustive search was asked to exceed its instance-size cap."""
 

@@ -15,17 +15,28 @@ import numpy as np
 from .errors import PreconditionError
 from .graph import Graph, induced
 
-BLOCKS_MAX_S = 20
+# the most edges `blocks` builds: its edge list costs about 200 bytes an
+# edge while it is built, so s = 10 (1,042,432 edges) is the largest s
+BLOCKS_EDGE_CAP = 1 << 20
+
+
+def blocks_edge_count(s: int) -> int:
+    """Edges of ``blocks(s)``: sum over i of 2^(s-i) * C(2^i, 2), which is
+    2^(s-1) * (2^(s+1) - s - 2)."""
+    return ((1 << (s + 1)) - s - 2) << s >> 1
 
 
 def blocks(s: int) -> Graph:
     """Layered clique blocks: parts V_0..V_s of 2^s vertices each, part V_i
     holding 2^(s-i) disjoint cliques of size 2^i, no edges anywhere else.
-    Ids run part by part, clique by clique, ascending."""
+    Ids run part by part, clique by clique, ascending. Refused, before
+    anything is allocated, above ``BLOCKS_EDGE_CAP`` edges."""
     if s < 0:
         raise PreconditionError("s must be >= 0")
-    if s > BLOCKS_MAX_S:
-        raise PreconditionError(f"s capped at {BLOCKS_MAX_S}")
+    if blocks_edge_count(s) > BLOCKS_EDGE_CAP:
+        raise PreconditionError(
+            f"blocks with s = {s} has {blocks_edge_count(s)} edges, above "
+            f"the cap {BLOCKS_EDGE_CAP}")
     part = 1 << s
     n = (s + 1) * part
     edges = []

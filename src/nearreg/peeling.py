@@ -64,6 +64,13 @@ class PeelTrace:
         }
 
 
+def _int_threshold(threshold: Real) -> Real:
+    """The least integer at least ``threshold`` (``math.inf`` as it is):
+    an integer degree is >= threshold exactly when it is >= this, and
+    comparing two ints is cheaper than comparing with a `Fraction`."""
+    return threshold if threshold == math.inf else math.ceil(threshold)
+
+
 def peel_min(nbrs: list, alive: bytearray, deg: list, threshold: Real,
              steps: list, cap: Optional[int] = None) -> bool:
     """Smallest-last peel of the live set ``alive`` (a bytearray, 1 for
@@ -83,6 +90,7 @@ def peel_min(nbrs: list, alive: bytearray, deg: list, threshold: Real,
     Returns wants_more: True iff the cap was reached while an eligible
     vertex remained.
     """
+    stop = _int_threshold(threshold)
     heap = [(deg[v], v) for v in compress(range(len(alive)), alive)]
     heapq.heapify(heap)
     deleted = 0
@@ -90,7 +98,7 @@ def peel_min(nbrs: list, alive: bytearray, deg: list, threshold: Real,
         d, v = heapq.heappop(heap)
         if d != deg[v] or not alive[v]:
             continue  # stale: v was deleted or has lost degree since
-        if d >= threshold:
+        if d >= stop:
             break
         if deleted == cap:
             return True
@@ -110,8 +118,9 @@ def _peel_max(nbrs: list, alive: bytearray, deg: list, threshold: Fraction,
     first, recomputing degrees after each deletion, so that ``deg`` stays
     exact for every live vertex. Since degrees only drop, one ascending
     scan visits every vertex that could ever be eligible."""
+    stop = _int_threshold(threshold)
     for v in compress(range(len(alive)), alive):
-        if deg[v] >= threshold:
+        if deg[v] >= stop:
             steps.append(PeelStep(v, deg[v], round_index))
             alive[v] = 0
             for u in nbrs[v]:

@@ -85,6 +85,39 @@ def test_gen_refuses_options_out_of_range(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["star", "--n", "4", "--seed", "5", "--p", "0.3", "--k", "2"], "k"),
+    (["blocks", "--s", "2", "--n", "9"], "n"),
+    (["blocks-padded", "--n", "9", "--seed", "1"], "seed"),
+    (["gnp-bar", "--n", "10", "--seed", "1", "--p", "0.5"], "p"),
+    (["gnp-uniform", "--n", "10", "--p", "0.5", "--seed", "1", "--s", "3"],
+     "s"),
+    (["complete-bipartite", "--k", "3", "--n", "8", "--seed", "0"], "seed"),
+])
+def test_gen_refuses_an_option_its_kind_does_not_take(argv, option,
+                                                       tmp_path, capsys):
+    out = tmp_path / "g.el"
+    code, stdout, err = run_cli(["gen", *argv, "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"precondition: gen {argv[0]} does not take --{option}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["blocks", "--s", "11"],
+    ["blocks", "--s", "20"],
+    # s = 16, about 4.3e9 edges
+    ["blocks-padded", "--n", "1000000"],
+])
+def test_gen_refuses_blocks_above_the_edge_cap(argv, tmp_path, capsys):
+    out = tmp_path / "g.el"
+    code, stdout, err = run_cli(["gen", *argv, "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("precondition: blocks with s = ")
+    assert err.endswith(f"above the cap {1 << 20}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("k, m", [(1, 7), (5, 15), (7, 7)])
 def test_gen_complete_bipartite_takes_k_up_to_n_minus_one(k, m, tmp_path,
                                                           capsys):

@@ -520,10 +520,11 @@ def _scc_reference(nodes, succ):
     return sccs
 
 
-def _tight_set_reference(bp, residual_edges, candidates=None):
-    """One round rebuilt from the whole residual edge set: the residual
-    rows, the ascending matching, the alternating-reachability shrink, and
-    the sink component with the smallest id of the orientation."""
+def _orientation_reference(bp, residual_edges, candidates=None):
+    """One round's orientation rebuilt from the whole residual edge set:
+    the residual rows, the ascending matching and the alternating-
+    reachability shrink. Returns ``(universe, succ, rows, mate)``, with
+    ``succ[a]`` the ascending heads of the arcs a -> mate[b]."""
     cand = sorted(candidates if candidates is not None else bp.side_a)
     cand_set = set(cand)
     rows = [[] for _ in range(1 + max(bp.side_a | bp.side_b))]
@@ -550,6 +551,14 @@ def _tight_set_reference(bp, residual_edges, candidates=None):
                         frontier.append(mate[b])
         universe = sorted(reach_a - {a0})
     succ = {a: sorted({mate[b] for b in rows[a]} - {a}) for a in universe}
+    return universe, succ, rows, mate
+
+
+def _tight_set_reference(bp, residual_edges, candidates=None):
+    """One round rebuilt from the whole residual edge set: the sink
+    component with the smallest id of the orientation."""
+    universe, succ, rows, mate = _orientation_reference(bp, residual_edges,
+                                                        candidates)
     sccs = _scc_reference(universe, succ)
     comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
     sinks = [comp for i, comp in enumerate(sccs)
@@ -668,6 +677,66 @@ def test_sink_components_on_long_chains_and_cycles():
     two += [[50 + (v + 1) % 50] for v in range(50)]
     two[7].append(80)
     assert_sinks_match(nx, list(range(100)), two)
+
+
+def _random_residual(rng, ka, kb):
+    """A bipartition of ka >= kb vertices, so side A is a tight candidate
+    set, each A vertex joined to 1..4 random B vertices, with a random
+    share of the edges deleted as if earlier rounds had matched them (each
+    A vertex keeps one)."""
+    side_b = range(ka, ka + kb)
+    edges = {(a, b) for a in range(ka)
+             for b in rng.sample(side_b, rng.randint(1, min(kb, 4)))}
+    edges |= {(rng.randrange(ka), b) for b in side_b}
+    gone = {e for e in edges if rng.random() < 0.3}
+    kept = {a: [e for e in edges - gone if e[0] == a] for a in range(ka)}
+    gone -= {min(e for e in edges if e[0] == a)
+             for a in range(ka) if not kept[a]}
+    bp = Bipartition(frozenset(range(ka)), frozenset(side_b),
+                     frozenset(edges))
+    return bp, frozenset(edges - gone)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tight_set_is_the_least_attracting_component(seed):
+    # S is the attracting component (a sink of the condensation) of the
+    # round's orientation that holds the least id, found here by networkx,
+    # on balanced and unbalanced residual graphs
+    import random
+
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    for _ in range(50):
+        ka = rng.randint(1, 30)
+        bp, residual = _random_residual(rng, ka, rng.randint(1, ka))
+        universe, succ, _, _ = _orientation_reference(bp, residual)
+        digraph = nx.DiGraph()
+        digraph.add_nodes_from(universe)
+        digraph.add_edges_from((a, w) for a in universe for w in succ[a])
+        expected = min(nx.attracting_components(digraph), key=min)
+        assert min_tight_set(bp, residual)[0] == expected
+
+
+def test_cascade_rounds_take_the_set_proof_or_tarjan(monkeypatch):
+    # a round lists the sinks by Tarjan only when the least vertex of its
+    # universe lies in no sink; every other round is settled by the two set
+    # searches, which on the dense input is all 16 rounds
+    from nearreg import edge_regular
+
+    tarjan = edge_regular._sink_components
+    calls = []
+    monkeypatch.setattr(edge_regular, "_sink_components",
+                        lambda nodes, succ: calls.append(len(nodes))
+                        or tarjan(nodes, succ))
+    fallback = set()
+    for name, build in CASCADE_INPUTS.items():
+        bp = build()
+        calls.clear()
+        matching_cascade(bp, min(_kept_min_degree(bp), 16))
+        if calls:
+            fallback.add(name)
+    assert fallback == {"gnp-sparse", "unbalanced-a"}
+    assert _kept_min_degree(CASCADE_INPUTS["gnp-dense"]()) >= 16
 
 
 def assert_sinks_match(nx, nodes, succ):

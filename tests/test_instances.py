@@ -18,7 +18,13 @@ from nearreg import (
     serialize_edge_list,
     star,
 )
-from nearreg.instances import blocks_minimal_s, p_bar, pair_probability_range
+from nearreg.instances import (
+    BLOCKS_EDGE_CAP,
+    blocks_edge_count,
+    blocks_minimal_s,
+    p_bar,
+    pair_probability_range,
+)
 
 from conftest import has_edge
 
@@ -39,6 +45,21 @@ def test_blocks_s2():
 def test_blocks_edge_count_formula(s):
     g = blocks(s)
     assert g.m == sum((1 << (s - i)) * comb(1 << i, 2) for i in range(s + 1))
+
+
+@pytest.mark.parametrize("s", range(12))
+def test_blocks_edge_count_closed_form(s):
+    assert blocks_edge_count(s) == sum((1 << (s - i)) * comb(1 << i, 2)
+                                       for i in range(s + 1))
+
+
+def test_blocks_edge_cap_admits_s_up_to_ten():
+    # s = 10 has 1,042,432 edges, s = 11 four times as many
+    assert blocks_edge_count(10) <= BLOCKS_EDGE_CAP < blocks_edge_count(11)
+    with pytest.raises(PreconditionError, match="above the cap"):
+        blocks(11)
+    with pytest.raises(PreconditionError, match="s = 16 has 4294377472"):
+        blocks_padded(10**6)
 
 
 @pytest.mark.parametrize("s", range(4))
