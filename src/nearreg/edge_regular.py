@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
@@ -491,13 +492,12 @@ def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
     sets: list = []
     matchings: list = []
     if rounds > 0:
-        rows, cols = _residual_rows(bp, bp.edges, bp.side_a)
-        min_deg = min(chain(map(len, map(rows.__getitem__, bp.side_a)),
-                            map(len, map(cols.__getitem__, bp.side_b))),
-                      default=0)
+        deg = Counter(chain.from_iterable(bp.edges))
+        min_deg = min((deg[v] for v in bp.side_a | bp.side_b), default=0)
         if min_deg < rounds:
             raise PreconditionError(
                 f"minimum kept degree {min_deg} is below {rounds} rounds")
+        rows, cols = _residual_rows(bp, bp.edges, bp.side_a)
         ws = _workspace(len(rows))
         cand = sorted(bp.side_a)
         for _ in range(rounds):

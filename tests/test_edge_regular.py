@@ -728,15 +728,15 @@ def test_cascade_rounds_take_the_set_proof_or_tarjan(monkeypatch):
     monkeypatch.setattr(edge_regular, "_sink_components",
                         lambda nodes, succ: calls.append(len(nodes))
                         or tarjan(nodes, succ))
-    fallback = set()
+    runs = {}
     for name, build in CASCADE_INPUTS.items():
         bp = build()
         calls.clear()
-        matching_cascade(bp, min(_kept_min_degree(bp), 16))
-        if calls:
-            fallback.add(name)
-    assert fallback == {"gnp-sparse", "unbalanced-a"}
-    assert _kept_min_degree(CASCADE_INPUTS["gnp-dense"]()) >= 16
+        state = matching_cascade(bp, min(_kept_min_degree(bp), 16))
+        runs[name] = (len(calls), state.rounds)
+    assert {name for name, (tarjans, _) in runs.items() if tarjans} == {
+        "gnp-sparse", "unbalanced-a"}
+    assert runs["gnp-dense"] == (0, 16)
 
 
 def assert_sinks_match(nx, nodes, succ):
