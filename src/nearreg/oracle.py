@@ -78,9 +78,10 @@ def largest_subset(g: Graph, sizes: Iterable[int], prune: Callable,
                    accept: Callable) -> tuple:
     """Largest accepted vertex subset of ``g``, by exhaustive search.
 
-    Tries each size t of ``sizes`` in the order given (callers list them
-    largest first) with one include-first DFS over ascending ids, so the
-    witness found at a size is the lexicographically least one there. At
+    Tries each size t of ``sizes`` in the order given (`exact_f` lists
+    them largest first; `find_dense_subset` passes one size per call) with
+    one include-first DFS over ascending ids, so the witness found at a
+    size is the lexicographically least one there. At
     the node deciding id ``pos`` the DFS holds
     - ``chosen``, the ids picked so far, ascending, and ``e``, the edges
       they span;

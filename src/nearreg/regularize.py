@@ -12,7 +12,9 @@ the way was exhaustive, the final graph provably has no overly dense large
 vertex set, which is exactly what the extraction step needs. Above the
 exhaustive size limit the candidates are the suffixes of one smallest-last
 order (`peeling.peel_min` with no threshold), which serves every round of
-the boost down to that limit.
+the boost down to that limit. Below it, the first qualifying suffix of
+the same kind of order gives the exhaustive search a size known to
+qualify, from which it searches upward.
 """
 
 from __future__ import annotations
@@ -103,7 +105,8 @@ def _dense_cut(steps: list, start: int, m: int,
 
     Returns (i, edges spanned by ``steps[i:]``) for the least i > start at
     which the suffix qualifies (at least an eps-fraction of the current
-    vertices, and density beaten by a factor of 1+eps), or None.
+    vertices, and density beaten by a factor of 1+eps), or None. From
+    start 0 this also gives `find_dense_subset` a qualifying size.
     """
     total = len(steps)
     bar = _boost_target(total - start, m, eps)
@@ -128,6 +131,22 @@ def find_dense_subset(g: Graph, eps: Real) -> Optional[frozenset]:
     ``SizeCapError``. Sets of fewer than two vertices are never candidates
     (their density is undefined, so they cannot witness a boost). Ties on
     size resolve to the lexicographically least set.
+
+    The sizes holding a qualifying set form an interval [t_min, t*] (or
+    none). A qualifying t-set with t >= 3 spanning e edges has a vertex of
+    degree at most 2e/t in it; deleting it leaves at least e(t-2)/t edges,
+    which clear the bar of size t-1, since C(t, 2) * (t-2)/t = C(t-1, 2).
+    So a size that misses proves that every larger size misses too. The
+    probes, one size per search:
+    - ``top``, the largest size at which even the whole graph has enough
+      edges; a hit there is the answer;
+    - on a miss, the smallest-last order's first qualifying suffix
+      (`_dense_cut`), a size L <= t* certified without a search, then
+      L+1, L+2, ... up to the first miss; the last hit is the answer, and
+      when L+1 already misses, L is searched for its witness;
+    - with no qualifying suffix, t_min, t_min+1, ... in the same way.
+    Each probe is the same include-first search at one size, so the
+    witness at t* is the one a scan of every size from the top finds.
     """
     if g.m < 1:
         raise PreconditionError("dense-subset search needs at least one edge")
@@ -154,10 +173,30 @@ def find_dense_subset(g: Graph, eps: Real) -> Optional[frozenset]:
     def dense_enough(t: int, e: int, chosen: list, inner: list) -> bool:
         return e * den >= comb(t, 2) * num
 
-    # sizes at which even the whole graph is short of edges are skipped
-    sizes = [t for t in range(g.n, t_min - 1, -1)
+    def probe(sizes: list) -> Optional[int]:
+        return largest_subset(g, sizes, short_of_edges, dense_enough)[1]
+
+    # sizes at which even the whole graph is short of edges are skipped;
+    # with none left the search still refuses a graph above its cap
+    sizes = [t for t in range(t_min, g.n + 1)
              if g.m * den >= comb(t, 2) * num]
-    _, hit, _ = largest_subset(g, sizes, short_of_edges, dense_enough)
+    hit = probe(sizes[-1:])
+    if hit is None and sizes:
+        top = sizes[-1]
+        steps: list = []
+        peel_min(g.neighbor_lists(), bytearray(b"\1") * g.n, g.degrees(),
+                 math.inf, steps)
+        cut = _dense_cut(steps, 0, g.m, eps_f)
+        known = None if cut is None else g.n - cut[0]
+        t = t_min if known is None else known + 1
+        while t < top:
+            found = probe([t])
+            if found is None:
+                break
+            hit = found
+            t += 1
+        if hit is None and known is not None:
+            hit = probe([known])
     return None if hit is None else frozenset(bit_indices(hit))
 
 

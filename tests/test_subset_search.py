@@ -7,11 +7,18 @@ search now tracks those counts incrementally; both must visit the same
 nodes, so ``explored`` is compared as well as the answer. `exact_f`'s
 prune is also checked against the spread test alone, without the
 viability bound: the same answers, in no more nodes.
+
+`find_dense_subset` probes one size per search, in an order seeded by the
+smallest-last peel; its answer is checked against the reference's scan of
+every size from the top, and each probe's nodes against the reference
+run at that one size. A brute force over all vertex sets checks the lemma
+the probe order rests on: the sizes holding a qualifying set form an
+interval starting at the least admissible size.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import ceil, comb
 
 import pytest
 
@@ -27,7 +34,7 @@ from nearreg.graph import as_fraction
 from nearreg.oracle import bit_indices, largest_subset
 from nearreg.regularize import _boost_target
 
-from conftest import bitmask_rows, full_mask
+from conftest import bitmask_rows, count_edges_in, full_mask
 
 
 # --- reference: the popcount search and its two callers' prunes ---------
@@ -118,8 +125,9 @@ def reference_exact_f(g, c, viability=True):
                                     valid)
 
 
-def reference_dense_search(g, eps):
-    """The search `find_dense_subset` makes; None when it makes none."""
+def reference_dense_search(g, eps, sizes=None):
+    """`find_dense_subset`'s search as a scan of every size from the top,
+    or at the given ``sizes`` only; None when no set can qualify."""
     bar = _boost_target(g.n, g.m, as_fraction(eps))
     if bar is None:
         return None
@@ -141,30 +149,39 @@ def reference_dense_search(g, eps):
     def dense_enough(t, chosen, e):
         return e * den >= comb(t, 2) * num
 
-    sizes = [t for t in range(g.n, t_min - 1, -1)
-             if g.m * den >= comb(t, 2) * num]
+    if sizes is None:
+        sizes = [t for t in range(g.n, t_min - 1, -1)
+                 if g.m * den >= comb(t, 2) * num]
     return reference_largest_subset(g, sizes, short_of_edges, dense_enough)
 
 
 # --- the searches under test ---------------------------------------------
 
 def dense_search(g, eps, monkeypatch):
-    """``(t, mask, explored)`` of the search inside `find_dense_subset`,
-    None when it makes none; checks the set returned against the mask."""
-    runs = []
+    """``(t, mask, explored, probes)`` of the searches inside
+    `find_dense_subset`, None when it makes none: the size and mask of the
+    set returned ((0, None) for no set), the nodes of all probes, and each
+    probe as ``(sizes, (t, mask, explored))``. Checks that each probe
+    searches at most one size, and that the set returned is the witness of
+    the probe at its size."""
+    probes = []
 
-    def recording(*args):
-        runs.append(largest_subset(*args))
-        return runs[-1]
+    def recording(g, sizes, prune, accept):
+        probes.append((list(sizes), largest_subset(g, sizes, prune, accept)))
+        return probes[-1][1]
 
     with monkeypatch.context() as m:
         m.setattr(regularize, "largest_subset", recording)
         subset = find_dense_subset(g, eps)
-    assert len(runs) <= 1
-    run = runs[0] if runs else None
-    hit = run[1] if run else None
-    assert subset == (None if hit is None else frozenset(bit_indices(hit)))
-    return run
+    assert all(len(sizes) <= 1 for sizes, _ in probes)
+    if not probes:
+        assert subset is None
+        return None
+    mask = None if subset is None else sum(1 << v for v in subset)
+    t = 0 if subset is None else len(subset)
+    if subset is not None:
+        assert (t, mask) in [run[:2] for _, run in probes]
+    return t, mask, sum(run[2] for _, run in probes), probes
 
 
 def exact_search(g, c):
@@ -212,6 +229,9 @@ SHAPES.update({f"G(14,{p})#{s}": sample_gnp_uniform(14, p, 900 + s)
 DENSE_SHAPES = dict(SHAPES)
 DENSE_SHAPES.update({f"G(20,{p})#{s}": sample_gnp_uniform(20, p, 950 + s)
                      for p in (0.2, 0.5) for s in range(2)})
+# the exhaustive boost inputs of the benchmark's exact workload
+DENSE_SHAPES.update({f"K{a},{b}": complete_bipartite(a, a + b)
+                     for a, b in ((11, 11), (8, 14), (6, 16))})
 
 
 def check_exact_f_search(g, c):
@@ -241,15 +261,23 @@ def test_exact_f_search_matches_the_popcount_reference_on_gnp(seed):
 def test_dense_search_matches_the_popcount_reference(name, eps, monkeypatch):
     g = DENSE_SHAPES[name]
     run = dense_search(g, eps, monkeypatch)
-    assert run == reference_dense_search(g, eps)
+    scan = reference_dense_search(g, eps)
+    if scan is None:
+        assert run is None
+        return
+    assert run[:2] == scan[:2]
+    for sizes, probe in run[3]:
+        assert probe == reference_dense_search(g, eps, sizes)
 
 
-# (t, mask, explored) of the search inside find_dense_subset, pinned
+# (t, mask, explored) of the searches inside find_dense_subset, pinned; a
+# scan of every size from the top took 42712, 42284, 1154 and 5493 nodes
+# on the first four, and as many as the seeded probes on the other four
 DENSE_PINS = [
-    (complete_bipartite(11, 22), 0.1, (6, 14343, 42712)),
-    (complete_bipartite(11, 22), 0.2, (0, None, 42284)),
-    (complete_bipartite(8, 22), 0.1, (16, 65535, 1154)),
-    (complete_bipartite(8, 22), 0.2, (6, 1799, 5493)),
+    (complete_bipartite(11, 22), 0.1, (6, 14343, 3295)),
+    (complete_bipartite(11, 22), 0.2, (0, None, 2398)),
+    (complete_bipartite(8, 22), 0.1, (16, 65535, 459)),
+    (complete_bipartite(8, 22), 0.2, (6, 1799, 693)),
     (sample_gnp_uniform(16, 0.3, 31), 0.2, (14, 32751, 117)),
     (sample_gnp_uniform(18, 0.4, 32), 0.1, (16, 260094, 884)),
     (sample_gnp_uniform(20, 0.25, 33), 0.2, (17, 442367, 555)),
@@ -261,4 +289,56 @@ DENSE_PINS = [
 def test_dense_search_node_counts(case, monkeypatch):
     g, eps, expected = DENSE_PINS[case]
     run = dense_search(g, eps, monkeypatch)
-    assert run == expected
+    assert run[:3] == expected
+
+
+def spanned_edge_maxima(g):
+    """Entry t is the most edges any t-set of ``g`` spans."""
+    adj = bitmask_rows(g)
+    edges = [0] * (1 << g.n)
+    best = [0] * (g.n + 1)
+    for mask in range(1, 1 << g.n):
+        low = mask & -mask
+        rest = mask ^ low
+        e = edges[mask] = edges[rest] + (adj[low.bit_length() - 1]
+                                         & rest).bit_count()
+        t = mask.bit_count()
+        if e > best[t]:
+            best[t] = e
+    return best
+
+
+LEMMA_GRAPHS = dict(SHAPES)
+LEMMA_GRAPHS.update({f"G({n},{p})#{s}": sample_gnp_uniform(n, p, 990 + s)
+                     for s, (n, p) in enumerate(
+                         (n, p) for n in (6, 8, 10, 11, 12)
+                         for p in (0.2, 0.35, 0.5, 0.7))})
+# two whose answer lies one below the top size, reached by probes upward
+# from the peel's cut (at eps 0.2)
+LEMMA_GRAPHS.update({f"G(10,{p})#{s}": sample_gnp_uniform(10, p, s)
+                     for p, s in ((0.3, 75), (0.35, 22))})
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA_GRAPHS))
+def test_qualifying_sizes_form_an_interval_from_the_least(name):
+    # Deleting a least-degree vertex of a qualifying t-set leaves a
+    # qualifying (t-1)-set, so a size that misses rules out every larger
+    # one: the premise of find_dense_subset's probe order.
+    g = LEMMA_GRAPHS[name]
+    if g.m == 0:
+        pytest.skip("no edges")
+    best = spanned_edge_maxima(g)
+    for eps in (0.05, 0.1, 0.2, 0.5):
+        eps_f = as_fraction(eps)
+        target = Fraction(g.m, comb(g.n, 2)) * (1 + eps_f)
+        t_min = max(2, ceil(eps_f * g.n))
+        sizes = [t for t in range(t_min, g.n + 1)
+                 if best[t] >= comb(t, 2) * target]
+        assert sizes == list(range(t_min, t_min + len(sizes)))
+        expected = None
+        if sizes:
+            expected = next(
+                frozenset(c) for c in combinations(range(g.n), sizes[-1])
+                if count_edges_in(g, sum(1 << v for v in c))
+                >= comb(sizes[-1], 2) * target)
+        assert find_dense_subset(g, eps) == expected
