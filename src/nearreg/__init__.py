@@ -26,7 +26,6 @@ from .graph import (
     Graph,
     degree_stats,
     induced,
-    nearly_regular_check,
     parse_edge_list,
     serialize_edge_list,
 )
@@ -43,7 +42,6 @@ from .oracle import (
     OracleResult,
     estimate_point_prob,
     estimate_regular_prob,
-    exact_edge_regular,
     exact_f,
     exact_f_n,
     point_prob_distribution,
@@ -58,7 +56,6 @@ from .peeling import (
 )
 from .regularize import (
     BoostOutcome,
-    check_edge_boundary,
     density_boost,
     find_dense_subset,
     lemma25_extract,
@@ -89,13 +86,11 @@ __all__ = [
     "bipartite_half",
     "blocks",
     "blocks_padded",
-    "check_edge_boundary",
     "complete_bipartite",
     "degree_stats",
     "density_boost",
     "estimate_point_prob",
     "estimate_regular_prob",
-    "exact_edge_regular",
     "exact_f",
     "exact_f_n",
     "expected_gnp_bar_edges",
@@ -105,7 +100,6 @@ __all__ = [
     "matching_cascade",
     "matching_lower_bound",
     "min_tight_set",
-    "nearly_regular_check",
     "parse_edge_list",
     "peel_below",
     "point_prob_distribution",

@@ -43,10 +43,6 @@ import numpy as np
 
 from .errors import BoundViolationError, EdgeListError, PreconditionError
 
-# A vertex set is just a frozenset of ids within a host graph.
-VertexSet = frozenset
-Edge = tuple  # (u, v) with u < v
-
 
 def as_fraction(x: Union[int, float, Fraction, str]) -> Fraction:
     """Exact rational view of a parameter.
@@ -64,7 +60,7 @@ def as_fraction(x: Union[int, float, Fraction, str]) -> Fraction:
     return Fraction(str(x))
 
 
-def normalize_edge(u: int, v: int) -> Edge:
+def normalize_edge(u: int, v: int) -> tuple:
     return (u, v) if u < v else (v, u)
 
 
@@ -241,35 +237,15 @@ def induced(g: Graph, u: Iterable) -> tuple:
     return sub, tuple(members)
 
 
-def subgraph_ratio(max_deg: int, min_deg: int) -> Fraction:
-    """Achieved max/min degree ratio.
-
-    The edgeless graph counts as regular (ratio 1); a positive max degree
-    with an isolated vertex has no defined ratio and is rejected.
-    """
+def ledger_ratio(max_deg: int, min_deg: int):
+    """Achieved max/min degree ratio. The edgeless graph counts as regular
+    (ratio 1); a positive max degree with an isolated vertex has no finite
+    ratio and gets ``math.inf``, which fails every ratio check."""
     if max_deg == 0:
         return Fraction(1)
     if min_deg == 0:
-        raise ValueError("ratio undefined: min degree 0 with max degree > 0")
-    return Fraction(max_deg, min_deg)
-
-
-def nearly_regular_check(g: Graph, c: Union[int, float, Fraction]) -> bool:
-    """True iff max degree <= c * min degree (edgeless graphs pass for all c)."""
-    cf = as_fraction(c)
-    if cf < 1:
-        raise ValueError("nearly-regular factor c must be >= 1")
-    st = degree_stats(g)
-    if st.max_deg == 0:
-        return True
-    return st.max_deg <= cf * st.min_deg
-
-
-def ledger_ratio(max_deg: int, min_deg: int):
-    """`subgraph_ratio`, but infinite where that is undefined: fails a check."""
-    if min_deg == 0 < max_deg:
         return math.inf
-    return subgraph_ratio(max_deg, min_deg)
+    return Fraction(max_deg, min_deg)
 
 
 # Ledger entries whose thresholds are built from logs or non-integer powers;
@@ -382,13 +358,9 @@ class ExtractionResult:
     vertices: frozenset
     edges: Optional[frozenset]
     stats: DegreeStats
-    ratio: Fraction
+    ratio: Union[Fraction, float]
     guarantee: str
     bounds: tuple = field(default=())
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
 
     @property
     def edge_count(self) -> int:
@@ -401,10 +373,10 @@ class ExtractionResult:
     def from_stats(vertices: Iterable, edges: Optional[frozenset],
                    stats: DegreeStats, guarantee: str,
                    bounds: tuple = ()) -> "ExtractionResult":
-        """Result whose ratio is read off ``stats``, which the extractor
-        tracked while it ran."""
+        """Result whose ratio, `ledger_ratio`, is read off ``stats``, which
+        the extractor tracked while it ran."""
         return ExtractionResult(frozenset(vertices), edges, stats,
-                                subgraph_ratio(stats.max_deg, stats.min_deg),
+                                ledger_ratio(stats.max_deg, stats.min_deg),
                                 guarantee, bounds)
 
     @staticmethod

@@ -1,9 +1,9 @@
 """Ground truth at desk scale.
 
-Exhaustive searches for the largest nearly regular induced subgraph and its
-edge-version analogue, brute-force minima over all labelled graphs of a
-small order, and vectorised Monte Carlo estimators for the point-probability
-and induced-regularity experiments, each cross-checked against an exact
+Exhaustive searches for the largest nearly regular induced subgraph,
+brute-force minima over all labelled graphs of a small order, and
+vectorised Monte Carlo estimators for the point-probability and
+induced-regularity experiments, each cross-checked against an exact
 dynamic program where one exists.
 """
 
@@ -25,7 +25,6 @@ Real = Union[int, float, Fraction]
 HARD_VERTEX_CAP = 64       # bitset rows; beyond this the search is refused
 VERTEX_CAP = 24            # exact_f and the gnpbar-scan experiment
 LABELLED_ORDER_CAP = 7     # 2^21 labelled graphs at n = 7
-EDGE_CAP = 20              # 2^20 edge subsets at most
 MC_CHUNK = 1 << 15         # Monte Carlo rows drawn at once, at most,
 MC_CHUNK_CELLS = 1 << 20   # and draws at once (8 MiB), unless one row has more
 # Stand-ins for the unspecified absolute constants of the probabilistic
@@ -255,28 +254,6 @@ def exact_f_n(n: int, c: Real) -> int:
         if best <= 1:
             break  # a single vertex is always regular; 1 is the floor
     return best
-
-
-def exact_edge_regular(g: Graph, c: Real) -> OracleResult:
-    """Most edges over all edge subsets whose subgraph on covered vertices is
-    c-nearly regular (not necessarily induced). Graphs above ``EDGE_CAP``
-    edges raise ``SizeCapError``."""
-    if g.m > EDGE_CAP:
-        raise SizeCapError(f"edge enumeration capped at {EDGE_CAP} edges")
-    c_num, c_den = _c_ratio(c)
-    edge_list = sorted(g.edges())
-    explored = 0
-    for t in range(g.m, 0, -1):
-        for combo in itertools.combinations(edge_list, t):
-            explored += 1
-            deg: dict = {}
-            for u, v in combo:
-                deg[u] = deg.get(u, 0) + 1
-                deg[v] = deg.get(v, 0) + 1
-            mx, mn = max(deg.values()), min(deg.values())
-            if mx * c_den <= c_num * mn:
-                return OracleResult(t, frozenset(combo), explored)
-    return OracleResult(0, frozenset(), explored)
 
 
 def point_prob_distribution(rhos: Sequence[float]) -> np.ndarray:

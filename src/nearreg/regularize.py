@@ -1,5 +1,5 @@
-"""Small-ratio machinery: density boost, boundary diagnostic, top-degree
-extraction, greedy independent set, and the two end-to-end pipelines.
+"""Small-ratio machinery: density boost, top-degree extraction, greedy
+independent set, and the two end-to-end pipelines.
 
 Every extractor returns an `ExtractionResult` carrying its checked ledger,
 built once: the top-degree extraction reads its survivors' statistics from
@@ -271,25 +271,6 @@ def density_boost(g: Graph, eps: Real,
     ])
     return BoostOutcome(cur, density, certified, rounds,
                         frozenset(vmap), checks)
-
-
-def check_edge_boundary(g: Graph, u, eps: Real) -> bool:
-    """True iff the edges leaving ``u`` number at most
-    eps * n^2 * p * (1 + 2*sqrt(eps)). Requires |u| = floor(eps * n)."""
-    eps_f = as_fraction(eps)
-    members = frozenset(u)
-    expected = math.floor(eps_f * g.n)
-    if len(members) != expected:
-        raise PreconditionError(
-            f"boundary check needs |u| = floor(eps*n) = {expected}, "
-            f"got {len(members)}")
-    for v in members:
-        if not 0 <= v < g.n:
-            raise PreconditionError(f"vertex {v} out of range")
-    crossing = sum(w not in members for v in members for w in g.neighbors(v))
-    scale = eps_f * g.n * g.n * _density(g)
-    return check("edge-boundary", crossing, "<=",
-                 Surd(scale, 2 * scale, eps_f)).passed
 
 
 def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:

@@ -6,6 +6,9 @@ import sys
 
 import pytest
 
+from nearreg import degree_stats
+from nearreg.graph import as_fraction
+
 # The slowest test takes a few seconds. One still running after this long
 # is taken to hang (a search that loops, say): the run ends with every
 # thread's traceback on stderr instead of waiting forever.
@@ -64,3 +67,16 @@ def has_edge(g, u: int, v: int) -> bool:
 
 def edge_set(g) -> frozenset:
     return frozenset(g.edges())
+
+
+# --- the tests' own nearly-regular checker --------------------------------
+
+def nearly_regular_check(g, c) -> bool:
+    """True iff max degree <= c * min degree (edgeless graphs pass for all c)."""
+    cf = as_fraction(c)
+    if cf < 1:
+        raise ValueError("nearly-regular factor c must be >= 1")
+    st = degree_stats(g)
+    if st.max_deg == 0:
+        return True
+    return st.max_deg <= cf * st.min_deg

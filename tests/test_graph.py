@@ -16,11 +16,12 @@ from nearreg import (
     PreconditionError,
     degree_stats,
     induced,
-    nearly_regular_check,
     parse_edge_list,
     serialize_edge_list,
 )
-from nearreg.graph import Surd, as_fraction, check, subgraph_ratio
+from nearreg.graph import Surd, as_fraction, check, ledger_ratio
+
+from conftest import nearly_regular_check
 
 
 def complete(n):
@@ -106,10 +107,12 @@ def test_nearly_regular_monotone_in_c(c):
 
 
 def test_ratio_conventions():
-    assert subgraph_ratio(0, 0) == 1
-    assert subgraph_ratio(4, 2) == 2
-    with pytest.raises(ValueError):
-        subgraph_ratio(3, 0)
+    assert ledger_ratio(0, 0) == 1
+    assert ledger_ratio(4, 2) == 2
+    assert ledger_ratio(3, 0) == math.inf
+    isolated = DegreeStats(3, 0, Fraction(3, 2), Fraction(1, 2))
+    res = ExtractionResult.from_stats({0, 1, 2, 3}, None, isolated, "t")
+    assert res.ratio == math.inf
 
 
 @pytest.mark.parametrize("threshold", [

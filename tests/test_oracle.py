@@ -13,11 +13,9 @@ from nearreg import (
     blocks,
     estimate_point_prob,
     estimate_regular_prob,
-    exact_edge_regular,
     exact_f,
     exact_f_n,
     induced,
-    nearly_regular_check,
     point_prob_distribution,
     sample_gnp_bar,
     sample_gnp_uniform,
@@ -27,7 +25,12 @@ from nearreg import oracle
 from nearreg.instances import p_bar
 from nearreg.oracle import largest_subset
 
-from conftest import bitmask_rows, count_edges_in, has_edge
+from conftest import (
+    bitmask_rows,
+    count_edges_in,
+    has_edge,
+    nearly_regular_check,
+)
 
 
 def complete(n):
@@ -141,21 +144,6 @@ def test_exact_f_n_cap():
 def test_p4_certifies_f4_at_most_2():
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert exact_f(p4, 1).value == 2
-
-
-def test_exact_edge_regular_examples():
-    r = exact_edge_regular(star(6), 1)
-    assert r.value == 1 and r.witness == frozenset({(0, 1)})
-    tri = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    assert exact_edge_regular(tri, 1).value == 3
-    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    r = exact_edge_regular(p4, 1)
-    assert r.value == 2 and r.witness == frozenset({(0, 1), (2, 3)})
-
-
-def test_exact_edge_regular_cap():
-    with pytest.raises(SizeCapError):
-        exact_edge_regular(complete(7), 1)  # 21 edges
 
 
 def test_point_prob_distribution_simple():

@@ -10,7 +10,6 @@ from nearreg import (
     PreconditionError,
     degree_stats,
     induced,
-    nearly_regular_check,
     peel_below,
     prop21_refine,
     prop22_reduce,
@@ -20,7 +19,7 @@ from nearreg import (
 )
 from nearreg.peeling import peel_min
 
-from conftest import bitmask_rows
+from conftest import bitmask_rows, nearly_regular_check
 
 
 def complete(n):
