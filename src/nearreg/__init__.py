@@ -8,7 +8,6 @@ from .edge_regular import (
     bipartite_half,
     matching_cascade,
     matching_lower_bound,
-    min_tight_set,
     theorem41,
 )
 from .errors import (
@@ -33,7 +32,6 @@ from .instances import (
     blocks,
     blocks_padded,
     complete_bipartite,
-    expected_gnp_bar_edges,
     sample_gnp_bar,
     sample_gnp_uniform,
     star,
@@ -93,13 +91,11 @@ __all__ = [
     "estimate_regular_prob",
     "exact_f",
     "exact_f_n",
-    "expected_gnp_bar_edges",
     "find_dense_subset",
     "induced",
     "lemma25_extract",
     "matching_cascade",
     "matching_lower_bound",
-    "min_tight_set",
     "parse_edge_list",
     "peel_below",
     "point_prob_distribution",

@@ -31,24 +31,22 @@ On dense graphs every round is settled by the proof. Most augmenting
 searches of a round end at once too: a free vertex in the root's own row
 is matched to it without touching the search arrays.
 
-The cascade does not rebuild the residual graph between rounds. It keeps
-one ascending row of side-B neighbours per side-A vertex and one set of
-side-A neighbours per side-B vertex, built once, and after each round
-deletes each matched pair of S from the other's row or set; the next
-round's candidates are S, whose rows then hold exactly their residual
-edges. ``min_tight_set`` builds the rows and sets from a residual edge set
-and runs the same per-round core, so there is one code path for both.
+The cascade does not rebuild the residual graph between rounds. The
+halved graph is itself a CSR `Graph` on the host's ids, so its ascending
+neighbour lists are the cascade's rows: each side-A vertex's row holds
+its side-B neighbours, and one set per row gives each side-B vertex its
+side-A neighbours. After each round each matched pair of S leaves the
+other's row or set; the next round's candidates are S, whose rows then
+hold exactly their residual edges.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Optional
 
 import numpy as np
 
@@ -57,6 +55,8 @@ from .graph import (
     BoundCheck,
     ExtractionResult,
     Graph,
+    _csr,
+    _offsets,
     _row_ids,
     check,
     degree_stats,
@@ -68,12 +68,14 @@ from .peeling import peel_below, prop21_refine
 
 @dataclass(frozen=True)
 class Bipartition:
-    """A two-sided split of a host graph's vertices with the kept cross
-    edges; every vertex keeps at least half of its host degree."""
+    """A two-sided split of a host graph's vertices, and ``graph``, the
+    kept cross edges as a graph on the host's ids. From `bipartite_half`,
+    side A is the larger side and every vertex keeps at least half of its
+    host degree."""
 
     side_a: frozenset
     side_b: frozenset
-    edges: frozenset
+    graph: Graph
 
 
 def bipartite_half(g: Graph) -> Bipartition:
@@ -82,7 +84,8 @@ def bipartite_half(g: Graph) -> Bipartition:
     than across, move the lowest-id such vertex (found through a heap of
     violating ids). The cut grows every move, so this terminates with every
     vertex keeping >= half its degree. The starting own/cross counts and
-    the kept edges come from the CSR arrays at once; each vertex's
+    the kept graph come from the CSR arrays at once: its entries are the
+    host's entries that cross the cut, in the host's order. Each vertex's
     neighbour list is computed once and serves every move."""
     n = g.n
     nbrs = g.neighbor_lists()
@@ -116,9 +119,9 @@ def bipartite_half(g: Graph) -> Bipartition:
     zeros = frozenset(np.flatnonzero(sides == 0).tolist())
     ones = frozenset(np.flatnonzero(sides).tolist())
     side_a, side_b = (zeros, ones) if len(zeros) >= len(ones) else (ones, zeros)
-    cut = (row < g.indices) & (sides[row] != sides[g.indices])
-    kept = frozenset(zip(row[cut].tolist(), g.indices[cut].tolist()))
-    return Bipartition(side_a, side_b, kept)
+    cut = sides[row] != sides[g.indices]
+    return Bipartition(side_a, side_b,
+                       _csr(_offsets(n), row[cut], g.indices[cut]))
 
 
 _INNER, _OUTER = 1, 2  # search-tree labels; 0 means not yet reached
@@ -403,52 +406,6 @@ def _tight_round(rows: list, cols: list, cand: list, ws: tuple) -> tuple:
     return frozenset(chosen), frozenset(neighbourhood), matching, mate
 
 
-def min_tight_set(bp: Bipartition, residual_edges: Iterable,
-                  candidates: Optional[frozenset] = None) -> tuple:
-    """Inclusion-minimal nonempty S within the candidate side satisfying
-    |N(S)| <= |S| in the residual graph; returns (S, N(S), M_S) with M_S a
-    perfect matching of S onto N(S) made of residual edges.
-
-    Requires the candidate set itself to be tight and free of isolated
-    vertices. Ties resolve toward low ids: if some candidate cannot be
-    matched together with all lower ones, S is drawn from the lower
-    candidates that the first such candidate competes with; among the
-    minimal sets found, S is the one containing the smallest vertex id.
-
-    This builds the residual rows and columns from ``residual_edges`` and
-    runs one round of the core that ``matching_cascade`` runs on its
-    persistent ones.
-    """
-    cand = sorted(candidates if candidates is not None else bp.side_a)
-    if not cand:
-        raise PreconditionError("empty candidate set")
-    rows, cols = _residual_rows(bp, residual_edges, set(cand))
-    for a in cand:
-        if not rows[a]:
-            raise PreconditionError(f"candidate {a} has no residual edge")
-    if len(set().union(*(rows[a] for a in cand))) > len(cand):
-        raise PreconditionError("candidate set is not tight")
-    return _tight_round(rows, cols, cand, _workspace(len(rows)))[:3]
-
-
-def _residual_rows(bp: Bipartition, edges: Iterable, cand_set) -> tuple:
-    """``(rows, cols)`` over ``edges``, two lists indexed by vertex id:
-    each candidate's ascending list of its side-B neighbours, and each
-    side-B vertex's set of its candidate neighbours (empty for other
-    ids)."""
-    k = 1 + max(bp.side_a | bp.side_b, default=-1)
-    rows: list = [[] for _ in range(k)]
-    cols: list = [set() for _ in range(k)]
-    for u, v in edges:
-        a, b = (u, v) if u in cand_set else (v, u)
-        if a in cand_set and b in bp.side_b:
-            rows[a].append(b)
-            cols[b].add(a)
-    for row in rows:
-        row.sort()
-    return rows, cols
-
-
 @dataclass
 class CascadeState:
     """Rounds of the tight-set cascade: nested (A_i, B_i) pairs, pairwise
@@ -476,28 +433,45 @@ def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
     """Run ``rounds`` iterations of minimal-tight-set extraction, deleting
     each tight set's perfect matching from the residual graph.
 
-    Needs minimum degree >= rounds over the kept bipartite graph: every
-    matching lowers the degrees inside the surviving tight set by exactly
-    one, so the process provably completes all requested rounds.
+    A round's S is an inclusion-minimal nonempty subset of its candidates
+    (side A, then the previous round's S) with |N(S)| <= |S| in the
+    residual graph, returned with a perfect matching of S onto N(S) made
+    of residual edges. Ties resolve toward low ids: if some candidate
+    cannot be matched together with all lower ones, S is drawn from the
+    lower candidates that the first such candidate competes with; among
+    the minimal sets found, S is the one holding the smallest id.
 
-    The residual graph is kept, not rebuilt: each side-A vertex's ascending
-    row of side-B neighbours and each side-B vertex's set of side-A
-    neighbours are built once, and after a round each matched pair of S
-    leaves the other's row or set. The next round's candidates are S,
-    whose rows then hold exactly their residual edges. All rounds share one
-    search workspace.
+    The sides must hold only vertices of ``bp.graph``, every edge of which
+    must join side A to side B; side A must be tight, and the kept graph
+    needs minimum degree >= rounds: every matching lowers the degrees
+    inside the surviving tight set by exactly one, so the process provably
+    completes all requested rounds.
+
+    The residual graph is kept across rounds as the module docstring
+    describes, in rows read from ``bp.graph``. All rounds share one search
+    workspace.
     """
     if rounds < 0:
         raise PreconditionError("rounds must be >= 0")
+    g = bp.graph
+    ids = bp.side_a | bp.side_b
+    if ids and not (0 <= min(ids) and max(ids) < g.n):
+        raise PreconditionError("a side names a vertex outside the graph")
+    side = np.zeros(g.n, np.int8)
+    side[list(bp.side_a)] = 1
+    side[list(bp.side_b)] = 2
+    if (side[_row_ids(g)] + side[g.indices] != 3).any():  # 3 = 1 + 2
+        raise PreconditionError("an edge does not join side A to side B")
     sets: list = []
     matchings: list = []
     if rounds > 0:
-        deg = Counter(chain.from_iterable(bp.edges))
-        min_deg = min((deg[v] for v in bp.side_a | bp.side_b), default=0)
+        deg = g.degrees()
+        min_deg = min((deg[v] for v in ids), default=0)
         if min_deg < rounds:
             raise PreconditionError(
                 f"minimum kept degree {min_deg} is below {rounds} rounds")
-        rows, cols = _residual_rows(bp, bp.edges, bp.side_a)
+        rows = g.neighbor_lists()
+        cols = [set(r) for r in rows]
         ws = _workspace(len(rows))
         cand = sorted(bp.side_a)
         for _ in range(rounds):
@@ -513,7 +487,7 @@ def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
             sets.append((s, t))
             matchings.append(matching)
             cand = sorted(s)
-    residual = frozenset(bp.edges).difference(*matchings)
+    residual = frozenset(g.edges()).difference(*matchings)
     return CascadeState(bp, sets, matchings, residual)
 
 

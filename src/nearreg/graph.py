@@ -380,15 +380,6 @@ class ExtractionResult:
                                 guarantee, bounds)
 
     @staticmethod
-    def from_induced(g: Graph, vertices: Iterable, guarantee: str,
-                     bounds: tuple = ()) -> "ExtractionResult":
-        """Result for the subgraph of ``g`` induced on ``vertices``."""
-        members = frozenset(vertices)
-        sub, _ = induced(g, members)
-        return ExtractionResult.from_stats(members, None, degree_stats(sub),
-                                           guarantee, bounds)
-
-    @staticmethod
     def from_edge_subgraph(edges: Iterable, guarantee: str,
                            bounds: tuple = ()) -> "ExtractionResult":
         """Result of an edge-version extraction: vertex set = covered endpoints."""

@@ -84,14 +84,6 @@ def pair_probability_range(n: int) -> tuple:
     return ps[0] * ps[1], ps[-2] * ps[-1]
 
 
-def expected_gnp_bar_edges(n: int) -> Fraction:
-    """Exact expected edge count: sum of p_i * p_j over pairs i < j."""
-    ps = p_bar(n)
-    total = sum(ps)
-    squares = sum(p * p for p in ps)
-    return (total * total - squares) / 2
-
-
 def _sample_pairs(n: int, row_probs: Callable, seed: int) -> Graph:
     """Draw the pairs (i, j), i < j, in lexicographic order, one row of
     uniforms per vertex i, against ``row_probs(i)``: the probability of

@@ -399,7 +399,12 @@ def _inner_epsilon(eps: Real) -> Fraction:
 
 
 def _boost_then_extract(g: Graph, eps0: Fraction, exact_limit: int) -> tuple:
-    """Shared pipeline body: boost at eps0, extract at eps0, map ids back."""
+    """Shared pipeline body: boost at eps0, extract at eps0, map ids back.
+    The extraction needs eps0 < 1/4 (eps < 3), checked before the boost."""
+    if eps0 >= Fraction(1, 4):
+        raise PreconditionError(
+            "epsilon must lie in (0, 3) for the boost and extraction, so "
+            "that eps^2/36 lies in (0, 1/4)")
     boost = density_boost(g, eps0, exact_limit)
     inner = lemma25_extract(boost.subgraph, eps0)
     host_order = sorted(boost.vertices)
@@ -411,7 +416,7 @@ def theorem12_pipeline(g: Graph, eps: Real,
                        exact_limit: int = DEFAULT_EXACT_LIMIT) -> ExtractionResult:
     """Boost at eps^2/36 then extract, returning a (1+eps)-nearly regular
     induced subgraph. Above eps = 0.5 the run proceeds but the result is
-    tagged as carrying no guarantee. eps must lie in (0, 6)."""
+    tagged as carrying no guarantee. eps must lie in (0, 3)."""
     eps0 = _inner_epsilon(eps)
     if g.m < 1:
         raise PreconditionError("pipeline needs at least one edge")
@@ -437,13 +442,15 @@ def theorem13_pipeline(g: Graph, eps: Real,
     boost-then-extract machinery. The returned object always satisfies its
     branch's contract: an independent set, or degree ratio <= 1 + eps.
 
-    eps must lie in (0, 6). The sparse branch returns the result of
+    eps must lie in (0, 6) for the sparse branch and in (0, 3) for the
+    dense one. The sparse branch returns the result of
     `turan_independent_set` retagged, its ``Turan-size`` check renamed to
     ``Thm1.3-turan-size``."""
     eps0 = _inner_epsilon(eps)
     suffix = "" if float(eps) <= 0.1 else " no-guarantee"
     if g.n == 0:
-        return ExtractionResult.from_induced(g, (), "Thm1.3-turan" + suffix)
+        return ExtractionResult.from_stats((), None, DegreeStats.of([], 0),
+                                           "Thm1.3-turan" + suffix)
     a = eps0 / (3 * math.log(1 / eps0))
     p = float(_density(g))
     if p < g.n ** (-a):

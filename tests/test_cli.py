@@ -463,6 +463,18 @@ def test_extract_pipelines_refuse_epsilon_from_six(algorithm, eps, tmp_path,
     assert "epsilon must lie in (0, 6)" in err
 
 
+def test_extract_thm12_refuses_epsilon_three_naming_epsilon(tmp_path,
+                                                           capsys):
+    # K_5,5: eps^2/36 = 1/4 is outside the extraction's (0, 1/4), so the
+    # refusal names epsilon's own range, not the inner eps
+    edges = "".join(f"{a} {b}\n" for a in range(5) for b in range(5, 10))
+    path = write_graph(tmp_path, "k55.el", f"10 25\n{edges}")
+    code, out, err = run_cli(["extract", "thm12", path, "--epsilon", "3"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "epsilon must lie in (0, 3)" in err and "eps must" not in err
+
+
 @pytest.mark.parametrize("kind", ["gnp-uniform", "gnp-bar"])
 def test_gen_refuses_a_negative_seed(kind, tmp_path, capsys):
     code, out, err = run_cli(["gen", kind, "--n", "10", "--p", "0.5",

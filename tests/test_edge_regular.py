@@ -18,7 +18,6 @@ from nearreg import (
     degree_stats,
     matching_cascade,
     matching_lower_bound,
-    min_tight_set,
     sample_gnp_uniform,
     star,
     theorem41,
@@ -38,22 +37,14 @@ def complete(n):
 
 
 def half_degree_invariant(g, bp):
-    side = {}
-    for v in bp.side_a:
-        side[v] = 0
-    for v in bp.side_b:
-        side[v] = 1
-    kept = {v: 0 for v in range(g.n)}
-    for u, v in bp.edges:
-        kept[u] += 1
-        kept[v] += 1
+    kept = bp.graph.degrees()
     return all(2 * kept[v] >= g.degree(v) for v in range(g.n))
 
 
 def test_half_on_edgeless():
     bp = bipartite_half(Graph.empty(5))
     assert bp.side_a | bp.side_b == frozenset(range(5))
-    assert bp.edges == frozenset()
+    assert bp.graph == Graph.empty(5)
 
 
 def test_half_on_triangle_and_k4():
@@ -63,7 +54,7 @@ def test_half_on_triangle_and_k4():
     bp = bipartite_half(k4)
     assert half_degree_invariant(k4, bp)
     assert len(bp.side_a) == len(bp.side_b) == 2
-    assert len(bp.edges) == 4
+    assert bp.graph.m == 4
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -86,9 +77,8 @@ def _half_reference(g):
     zeros = frozenset(v for v in range(g.n) if side[v] == 0)
     ones = frozenset(range(g.n)) - zeros
     sides = (zeros, ones) if len(zeros) >= len(ones) else (ones, zeros)
-    kept = frozenset(normalize_edge(u, v) for u, v in g.edges()
-                     if side[u] != side[v])
-    return Bipartition(*sides, kept)
+    kept = [(u, v) for u, v in g.edges() if side[u] != side[v]]
+    return Bipartition(*sides, Graph.from_edges(g.n, kept))
 
 
 @pytest.mark.parametrize("build", [
@@ -120,8 +110,8 @@ def test_half_is_a_bipartite_cut_keeping_half_of_each_degree(g):
     assert not bp.side_a & bp.side_b
     host = nx.Graph(list(g.edges()))
     host.add_nodes_from(range(g.n))
-    assert len(bp.edges) == nx.cut_size(host, bp.side_a, bp.side_b)
-    kept = nx.Graph(list(bp.edges))
+    assert bp.graph.m == nx.cut_size(host, bp.side_a, bp.side_b)
+    kept = nx.Graph(list(bp.graph.edges()))
     kept.add_nodes_from(range(g.n))
     assert nx.is_bipartite(kept)
     assert all(2 * kept.degree(v) >= host.degree(v) for v in range(g.n))
@@ -129,8 +119,18 @@ def test_half_is_a_bipartite_cut_keeping_half_of_each_degree(g):
 
 def natural_bipartition(k, n):
     g = complete_bipartite(k, n)
-    return g, Bipartition(frozenset(range(k)), frozenset(range(k, n)),
-                          edge_set(g))
+    return g, Bipartition(frozenset(range(k)), frozenset(range(k, n)), g)
+
+
+def first_tight_set(side_a, side_b, n, edges):
+    """``(S, N(S), M_S)`` of one cascade round on the bipartition of
+    ``side_a`` and ``side_b`` whose kept graph has ``n`` vertices and
+    ``edges``."""
+    bp = Bipartition(frozenset(side_a), frozenset(side_b),
+                     Graph.from_edges(n, edges))
+    state = matching_cascade(bp, 1)
+    (s, t), = state.sets
+    return s, t, state.matchings[0]
 
 
 def assert_perfect_between(matching, s, t, edges):
@@ -161,26 +161,24 @@ def brute_force_is_minimal_tight(s, t, edges, b_side):
 
 
 def test_tight_set_on_full_k44():
-    g, bp = natural_bipartition(4, 8)
-    s, t, m = min_tight_set(bp, bp.edges)
+    g, _ = natural_bipartition(4, 8)
+    edges = edge_set(g)
+    s, t, m = first_tight_set(range(4), range(4, 8), 8, edges)
     assert s == frozenset(range(4)) and t == frozenset(range(4, 8))
-    assert brute_force_is_minimal_tight(s, t, bp.edges, bp.side_b)
-    assert_perfect_between(m, s, t, bp.edges)
+    assert brute_force_is_minimal_tight(s, t, edges, frozenset(range(4, 8)))
+    assert_perfect_between(m, s, t, edges)
 
 
 def test_tight_set_on_perfect_matching_sides():
-    g = Graph.from_edges(6, [(0, 3), (1, 4), (2, 5)])
-    bp = Bipartition(frozenset({0, 1, 2}), frozenset({3, 4, 5}), edge_set(g))
-    s, t, m = min_tight_set(bp, bp.edges)
+    s, t, m = first_tight_set({0, 1, 2}, {3, 4, 5}, 6,
+                              [(0, 3), (1, 4), (2, 5)])
     assert s == frozenset({0}) and t == frozenset({3})
     assert m == frozenset({(0, 3)})
 
 
 def test_tight_set_rejects_isolated_candidate():
-    g = Graph.from_edges(5, [(0, 3), (1, 4)])
-    bp = Bipartition(frozenset({0, 1, 2}), frozenset({3, 4}), edge_set(g))
-    with pytest.raises(PreconditionError):
-        min_tight_set(bp, bp.edges)
+    with pytest.raises(PreconditionError, match="minimum kept degree 0"):
+        first_tight_set({0, 1, 2}, {3, 4}, 5, [(0, 3), (1, 4)])
 
 
 def test_tight_set_minimality_beats_single_pass_greedy():
@@ -188,13 +186,11 @@ def test_tight_set_minimality_beats_single_pass_greedy():
     # side (dropping any one vertex leaves a non-tight remainder), but only
     # a block is inclusion-minimal.
     edges = [(0, 4), (0, 6), (1, 4), (1, 6), (2, 5), (2, 7), (3, 5), (3, 7)]
-    g = Graph.from_edges(8, edges)
-    bp = Bipartition(frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7}),
-                     edge_set(g))
-    s, t, m = min_tight_set(bp, bp.edges)
+    side_b = frozenset({4, 5, 6, 7})
+    s, t, m = first_tight_set({0, 1, 2, 3}, side_b, 8, edges)
     assert s == frozenset({0, 1}) and t == frozenset({4, 6})
-    assert brute_force_is_minimal_tight(s, t, bp.edges, bp.side_b)
-    assert_perfect_between(m, s, t, bp.edges)
+    assert brute_force_is_minimal_tight(s, t, edges, side_b)
+    assert_perfect_between(m, s, t, edges)
 
 
 def test_tight_set_hall_violating_stable_set():
@@ -202,21 +198,18 @@ def test_tight_set_hall_violating_stable_set():
     # all see only {6,7}. The minimal tight set must dodge it.
     edges = [(0, 6), (1, 6), (0, 7), (1, 7), (2, 6), (2, 7)]
     edges += [(a, b) for a in (3, 4, 5) for b in (8, 9, 10, 11)]
-    g = Graph.from_edges(12, edges)
-    bp = Bipartition(frozenset(range(6)), frozenset(range(6, 12)),
-                     edge_set(g))
-    s, t, m = min_tight_set(bp, bp.edges)
-    assert brute_force_is_minimal_tight(s, t, bp.edges, bp.side_b)
-    assert_perfect_between(m, s, t, bp.edges)
+    side_b = frozenset(range(6, 12))
+    s, t, m = first_tight_set(range(6), side_b, 12, edges)
+    assert brute_force_is_minimal_tight(s, t, edges, side_b)
+    assert_perfect_between(m, s, t, edges)
 
 
 def test_tight_set_follows_first_unmatchable_candidate():
     # Candidates 0, 1, 2 see {3, 4}, {3} and {4}: 0 and 1 can be matched
     # together but not with 2, so S is drawn from {0, 1}. A greedy seed
     # (0-3, 2-4) would leave 1 unmatched instead and lead to {2}.
-    edges = frozenset({(0, 3), (0, 4), (1, 3), (2, 4)})
-    bp = Bipartition(frozenset({0, 1, 2}), frozenset({3, 4}), edges)
-    assert min_tight_set(bp, edges) == (
+    edges = [(0, 3), (0, 4), (1, 3), (2, 4)]
+    assert first_tight_set({0, 1, 2}, {3, 4}, 5, edges) == (
         frozenset({1}), frozenset({3}), frozenset({(1, 3)}))
 
 
@@ -226,30 +219,28 @@ def test_tight_set_minimal_on_seeded_bipartite(seed):
 
     rng = random.Random(seed)
     ka, kb = 6, 5
-    edges = []
+    edges = set()
     for a in range(ka):
         nbrs = rng.sample(range(ka, ka + kb), rng.randint(1, 3))
-        edges.extend((a, b) for b in nbrs)
-    g = Graph.from_edges(ka + kb, sorted(set(edges)))
-    bp = Bipartition(frozenset(range(ka)), frozenset(range(ka, ka + kb)),
-                     edge_set(g))
-    s, t, m = min_tight_set(bp, bp.edges)
-    assert brute_force_is_minimal_tight(s, t, bp.edges, bp.side_b)
-    assert_perfect_between(m, s, t, bp.edges)
+        edges.update((a, b) for b in nbrs)
+    # side B is the vertices some edge reaches; the rest are isolated
+    side_b = frozenset(b for _, b in edges)
+    s, t, m = first_tight_set(range(ka), side_b, ka + kb, edges)
+    assert brute_force_is_minimal_tight(s, t, edges, side_b)
+    assert_perfect_between(m, s, t, edges)
 
 
 def test_tight_set_matching_examples():
-    edge = Bipartition(frozenset({0}), frozenset({1}), frozenset({(0, 1)}))
-    assert min_tight_set(edge, edge.edges) == (
+    assert first_tight_set({0}, {1}, 2, [(0, 1)]) == (
         frozenset({0}), frozenset({1}), frozenset({(0, 1)}))
     with pytest.raises(PreconditionError):
-        min_tight_set(edge, edge.edges, candidates=frozenset())
-    _, bp = natural_bipartition(4, 8)
-    s, t, m = min_tight_set(bp, bp.edges)
-    assert_perfect_between(m, s, t, bp.edges)
+        first_tight_set((), (), 0, [])
+    g, _ = natural_bipartition(4, 8)
+    s, t, m = first_tight_set(range(4), range(4, 8), 8, edge_set(g))
+    assert_perfect_between(m, s, t, edge_set(g))
     # on a residual graph the matching avoids deleted edges
-    residual = bp.edges - {(0, 4), (1, 5), (2, 6), (3, 7)}
-    s, t, m = min_tight_set(bp, residual)
+    residual = edge_set(g) - {(0, 4), (1, 5), (2, 6), (3, 7)}
+    s, t, m = first_tight_set(range(4), range(4, 8), 8, residual)
     assert_perfect_between(m, s, t, residual)
 
 
@@ -263,23 +254,43 @@ def test_cascade_on_k44_single_round():
 
 def test_cascade_on_matching_graph():
     g = Graph.from_edges(6, [(0, 3), (1, 4), (2, 5)])
-    bp = Bipartition(frozenset({0, 1, 2}), frozenset({3, 4, 5}), edge_set(g))
+    bp = Bipartition(frozenset({0, 1, 2}), frozenset({3, 4, 5}), g)
     state = matching_cascade(bp, 1)
     assert state.sets[0][0] == frozenset({0})
     assert state.matchings[0] == frozenset({(0, 3)})
 
 
 def test_cascade_zero_rounds():
-    _, bp = natural_bipartition(3, 6)
+    g, bp = natural_bipartition(3, 6)
     state = matching_cascade(bp, 0)
-    assert state.rounds == 0 and state.residual == bp.edges
+    assert state.rounds == 0 and state.residual == edge_set(g)
 
 
 def test_cascade_rejects_low_degree():
     g = Graph.from_edges(4, [(0, 2), (1, 3)])
-    bp = Bipartition(frozenset({0, 1}), frozenset({2, 3}), edge_set(g))
+    bp = Bipartition(frozenset({0, 1}), frozenset({2, 3}), g)
     with pytest.raises(PreconditionError):
         matching_cascade(bp, 2)
+
+
+@pytest.mark.parametrize("rounds", [0, 1])
+@pytest.mark.parametrize("inside", [(0, 1), (4, 5)], ids=["in-a", "in-b"])
+def test_cascade_refuses_an_edge_inside_a_side(inside, rounds):
+    # K_3,3 plus one edge inside a side: a round would take it for an edge
+    # between a candidate and a side-B vertex, and match along it
+    edges = [(a, b) for a in range(3) for b in range(3, 6)] + [inside]
+    bp = Bipartition(frozenset(range(3)), frozenset(range(3, 6)),
+                     Graph.from_edges(6, edges))
+    with pytest.raises(PreconditionError, match="side A to side B"):
+        matching_cascade(bp, rounds)
+
+
+@pytest.mark.parametrize("side_a", [{0, 5}, {0, -1}])
+def test_cascade_refuses_a_side_outside_the_graph(side_a):
+    bp = Bipartition(frozenset(side_a), frozenset({1}),
+                     Graph.from_edges(2, [(0, 1)]))
+    with pytest.raises(PreconditionError, match="outside the graph"):
+        matching_cascade(bp, 1)
 
 
 def test_cascade_nesting_disjointness_and_degree_drop():
@@ -293,10 +304,7 @@ def test_cascade_nesting_disjointness_and_degree_drop():
         for m2 in state.matchings[i + 1:]:
             assert not m1 & m2
     last_b = state.sets[-1][1]
-    kept_deg = {v: 0 for v in range(g.n)}
-    for u, v in bp.edges:
-        kept_deg[u] += 1
-        kept_deg[v] += 1
+    kept_deg = bp.graph.degrees()
     residual_deg = {v: 0 for v in range(g.n)}
     for u, v in state.residual:
         residual_deg[u] += 1
@@ -569,13 +577,11 @@ def _tight_set_reference(bp, residual_edges, candidates=None):
 
 
 def _cascade_reference(bp, rounds):
-    """The cascade with every round rebuilt; each round also checks the
-    public ``min_tight_set`` on the same residual graph."""
-    residual = set(bp.edges)
+    """The cascade with every round rebuilt from the residual edge set."""
+    residual = set(edge_set(bp.graph))
     sets, matchings, current = [], [], None
     for _ in range(rounds):
         s, t, m = _tight_set_reference(bp, residual, current)
-        assert min_tight_set(bp, residual, candidates=current) == (s, t, m)
         residual -= m
         sets.append((s, t))
         matchings.append(m)
@@ -584,11 +590,7 @@ def _cascade_reference(bp, rounds):
 
 
 def _kept_min_degree(bp):
-    deg = {v: 0 for v in bp.side_a | bp.side_b}
-    for u, v in bp.edges:
-        deg[u] += 1
-        deg[v] += 1
-    return min(deg.values())
+    return min(bp.graph.degrees())
 
 
 def _unbalanced_bipartite(ka, kb, degree, seed):
@@ -607,7 +609,7 @@ def _unbalanced_bipartite(ka, kb, degree, seed):
         for a in rng.sample(range(ka), max(0, degree - have)):
             edges.add((a, b))
     return Bipartition(frozenset(range(ka)), frozenset(side_b),
-                       frozenset(edges))
+                       Graph.from_edges(ka + kb, edges))
 
 
 CASCADE_INPUTS = {
@@ -683,7 +685,8 @@ def _random_residual(rng, ka, kb):
     """A bipartition of ka >= kb vertices, so side A is a tight candidate
     set, each A vertex joined to 1..4 random B vertices, with a random
     share of the edges deleted as if earlier rounds had matched them (each
-    A vertex keeps one)."""
+    A vertex keeps one). Its graph is what is left, and its side B the
+    vertices of B that some edge still reaches."""
     side_b = range(ka, ka + kb)
     edges = {(a, b) for a in range(ka)
              for b in rng.sample(side_b, rng.randint(1, min(kb, 4)))}
@@ -692,9 +695,9 @@ def _random_residual(rng, ka, kb):
     kept = {a: [e for e in edges - gone if e[0] == a] for a in range(ka)}
     gone -= {min(e for e in edges if e[0] == a)
              for a in range(ka) if not kept[a]}
-    bp = Bipartition(frozenset(range(ka)), frozenset(side_b),
-                     frozenset(edges))
-    return bp, frozenset(edges - gone)
+    left = edges - gone
+    return Bipartition(frozenset(range(ka)), frozenset(b for _, b in left),
+                       Graph.from_edges(ka + kb, left))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -708,13 +711,13 @@ def test_tight_set_is_the_least_attracting_component(seed):
     rng = random.Random(seed)
     for _ in range(50):
         ka = rng.randint(1, 30)
-        bp, residual = _random_residual(rng, ka, rng.randint(1, ka))
-        universe, succ, _, _ = _orientation_reference(bp, residual)
+        bp = _random_residual(rng, ka, rng.randint(1, ka))
+        universe, succ, _, _ = _orientation_reference(bp, edge_set(bp.graph))
         digraph = nx.DiGraph()
         digraph.add_nodes_from(universe)
         digraph.add_edges_from((a, w) for a in universe for w in succ[a])
         expected = min(nx.attracting_components(digraph), key=min)
-        assert min_tight_set(bp, residual)[0] == expected
+        assert matching_cascade(bp, 1).sets[0][0] == expected
 
 
 def test_cascade_rounds_take_the_set_proof_or_tarjan(monkeypatch):

@@ -313,10 +313,11 @@ def test_degree_stats_of_a_degree_sequence():
         assert DegreeStats.of(g.degrees(), g.m) == degree_stats(g)
 
 
-def test_from_induced_matches_the_induced_subgraph():
+def test_from_stats_of_an_induced_subgraph():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5),
                              (0, 3)])
-    res = ExtractionResult.from_induced(g, [0, 1, 2, 3, 4], "t")
     sub, _ = induced(g, [0, 1, 2, 3, 4])
+    res = ExtractionResult.from_stats([0, 1, 2, 3, 4], None, degree_stats(sub),
+                                      "t")
     assert res.stats == degree_stats(sub) and res.edge_count == sub.m == 5
     assert res.ratio == 3

@@ -12,7 +12,6 @@ from nearreg import (
     blocks_padded,
     complete_bipartite,
     degree_stats,
-    expected_gnp_bar_edges,
     sample_gnp_bar,
     sample_gnp_uniform,
     serialize_edge_list,
@@ -129,6 +128,15 @@ def test_gnp_bar_deterministic_and_seed_sensitive():
     c = sample_gnp_bar(30, 12)
     assert sorted(a.edges()) == sorted(b.edges())
     assert sorted(a.edges()) != sorted(c.edges())
+
+
+def expected_gnp_bar_edges(n):
+    """Exact expected edge count of the skewed model: the sum of p_i * p_j
+    over pairs i < j, as ((sum p)^2 - sum p^2) / 2."""
+    ps = p_bar(n)
+    total = sum(ps)
+    squares = sum(p * p for p in ps)
+    return (total * total - squares) / 2
 
 
 def test_gnp_bar_expected_edges_formula():

@@ -562,6 +562,54 @@ def test_theorem12_needs_positive_eps_and_an_edge():
         theorem12_pipeline(Graph.empty(5), 0.3)
 
 
+@pytest.fixture
+def boost_tripwire(monkeypatch):
+    """`density_boost` replaced by one that fails as soon as it is called."""
+    from nearreg import regularize
+
+    def tripped(*args, **kwargs):
+        raise AssertionError("density_boost ran")
+
+    monkeypatch.setattr(regularize, "density_boost", tripped)
+
+
+@pytest.mark.parametrize("eps", [3, 3.0, 5.9, Fraction(7, 2)])
+def test_boost_then_extract_refuses_epsilon_from_three_before_the_boost(
+        eps, boost_tripwire):
+    # at eps >= 3, eps^2/36 >= 1/4 lies outside the extraction's range
+    for g in (sample_gnp_uniform(30, 0.3, 1), complete(10)):
+        with pytest.raises(PreconditionError,
+                           match=r"epsilon must lie in \(0, 3\)"):
+            theorem12_pipeline(g, eps)
+    with pytest.raises(PreconditionError,
+                       match=r"epsilon must lie in \(0, 3\)"):
+        theorem13_pipeline(complete(10), eps)  # the dense branch
+
+
+def test_boost_then_extract_runs_the_boost_below_three(boost_tripwire):
+    with pytest.raises(AssertionError, match="density_boost ran"):
+        theorem12_pipeline(complete(10), 2.9)
+
+
+def test_theorem13_turan_branch_keeps_epsilon_up_to_six(boost_tripwire):
+    g = sample_gnp_uniform(200, 0.02, 1)
+    for eps in (3.5, 5):
+        res = theorem13_pipeline(g, eps)
+        assert res.guarantee == "Thm1.3-turan no-guarantee"
+        assert res.vertices == turan_independent_set(g).vertices
+
+
+def test_theorem13_on_no_vertices():
+    res = theorem13_pipeline(Graph.empty(0), 0.5)
+    assert res.to_json() == {
+        "vertices": [], "edges": None,
+        "stats": {"max_deg": 0, "min_deg": 0, "avg_deg": 0.0,
+                  "avg_deg_exact": "0", "density": 0.0,
+                  "density_exact": "0"},
+        "ratio": 1.0, "ratio_exact": "1",
+        "guarantee": "Thm1.3-turan no-guarantee", "bounds": []}
+
+
 def test_theorem13_edgeless_goes_turan():
     res = theorem13_pipeline(Graph.empty(12), 0.1)
     assert res.vertices == frozenset(range(12))
