@@ -47,7 +47,6 @@ from .oracle import (
 from .peeling import (
     PeelStep,
     PeelTrace,
-    peel_below,
     prop21_refine,
     prop22_reduce,
     proposition11_pipeline,
@@ -97,7 +96,6 @@ __all__ = [
     "matching_cascade",
     "matching_lower_bound",
     "parse_edge_list",
-    "peel_below",
     "point_prob_distribution",
     "prop21_refine",
     "prop22_reduce",

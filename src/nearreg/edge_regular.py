@@ -21,15 +21,16 @@ sink strongly connected component. A plain single-pass greedy deletion can
 return a non-minimal set (two disjoint tight blocks survive it), which
 would break the perfect-matching step downstream.
 
-The sink taken is the one holding the least vertex. When the least vertex
-u0 of the round lies in a sink, two frontier searches of whole sets prove
-it, with no per-arc Python: forward from u0 over the rows, and back to u0
-over each side-B vertex's set of side-A neighbours, kept inside what the
-forward search reached; the sink is that set when the two agree. Only
-otherwise are the arcs listed and the sinks found by an iterative Tarjan.
-On dense graphs every round is settled by the proof. Most augmenting
-searches of a round end at once too: a free vertex in the root's own row
-is matched to it without touching the search arrays.
+Every forward search of a round is one frontier search of whole rows,
+with no per-arc Python (`_closure`): the alternating reachability that
+shrinks the candidates, and the first half of the sink proof. The sink
+taken is the one holding the least vertex u0; when u0 lies in one, a
+backward frontier search over each side-B vertex's set of side-A
+neighbours proves it by reaching all of u0's closure. Only otherwise are
+the arcs listed and the sinks found by an iterative Tarjan. On dense
+graphs every round is settled by the proof. Most augmenting searches of a
+round end at once too: a free vertex in the root's own row is matched to
+it without touching the search arrays.
 
 The cascade does not rebuild the residual graph between rounds. The
 halved graph is itself a CSR `Graph` on the host's ids, so its ascending
@@ -37,7 +38,7 @@ neighbour lists are the cascade's rows: each side-A vertex's row holds
 its side-B neighbours, and one set per row gives each side-B vertex its
 side-A neighbours. After each round each matched pair of S leaves the
 other's row or set; the next round's candidates are S, whose rows then
-hold exactly their residual edges.
+hold exactly their residual edges, so only their count is kept.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -60,10 +61,11 @@ from .graph import (
     _row_ids,
     check,
     degree_stats,
+    induced,
     normalize_edge,
     require_bounds,
 )
-from .peeling import peel_below, prop21_refine
+from .peeling import peel_min, prop21_refine
 
 
 @dataclass(frozen=True)
@@ -311,25 +313,34 @@ def _sink_components(nodes: list, succ: list) -> list:
     return sinks
 
 
-def _sink_holding(u0: int, rows: list, cols: list, mate: list):
-    """``(S, N(S))`` if ``u0`` lies in a sink component S of the
-    orientation a -> mate[b] of each residual edge a-b, else None.
-
-    The vertices u0 reaches form a closed set F, found with N(F) by a
-    forward frontier search over whole rows; u0's component is the part of
-    F that reaches u0 back, found by a backward search over the column
-    sets of the partners, kept inside F. It is a sink exactly when it is
-    all of F. Every step is a set union, difference or intersection, with
-    no per-arc Python."""
+def _closure(u0: int, rows: list, mate: list) -> tuple:
+    """``(F, N(F))``: the side-A vertices ``u0`` reaches by alternating
+    paths, residual edge a-b then b's matched edge to mate[b], and their
+    side-B neighbours. A frontier search over whole rows: every step is a
+    set union or difference, with no per-arc Python. Every b it reaches
+    must be matched; an unmatched one would end an augmenting path."""
     reach, nbhd = {u0}, set()
-    frontier = [u0]
+    frontier = {u0}
     while frontier:
         new_b = set().union(*map(rows.__getitem__, frontier))
         new_b -= nbhd
         nbhd |= new_b
         frontier = set(map(mate.__getitem__, new_b))
+        if -1 in frontier:
+            raise BoundViolationError(
+                "augmenting path escaped a maximum matching")
         frontier -= reach
         reach |= frontier
+    return reach, nbhd
+
+
+def _sink_holding(u0: int, rows: list, cols: list, mate: list):
+    """``(S, N(S))`` if ``u0`` lies in a sink component S of the
+    orientation a -> mate[b] of each residual edge a-b, else None.
+
+    u0's component is the part of its `_closure` F that reaches u0 back
+    over the column sets of the partners; it is a sink iff it is all of F."""
+    reach, nbhd = _closure(u0, rows, mate)
     back = {u0}
     frontier = [u0]
     while frontier and len(back) < len(reach):
@@ -361,23 +372,7 @@ def _tight_round(rows: list, cols: list, cand: list, ws: tuple) -> tuple:
         # Shrink to the matched part of the alternating-reachability set of
         # a0; its neighbourhood equals its partner set, which is what the
         # orientation step below needs.
-        reach_a = {a0}
-        reach_b: set = set()
-        frontier = [a0]
-        while frontier:
-            a = frontier.pop()
-            for b in rows[a]:
-                if b in reach_b:
-                    continue
-                reach_b.add(b)
-                owner = mate[b]
-                if owner < 0:
-                    raise BoundViolationError(
-                        "augmenting path escaped a maximum matching")
-                if owner not in reach_a:
-                    reach_a.add(owner)
-                    frontier.append(owner)
-        universe = sorted(reach_a - {a0})
+        universe = sorted(_closure(a0, rows, mate)[0] - {a0})
         if not universe:
             raise BoundViolationError("tight candidate shrank to nothing")
     # Orient each residual edge a-b toward b's partner: a -> mate[b], and
@@ -409,12 +404,12 @@ def _tight_round(rows: list, cols: list, cand: list, ws: tuple) -> tuple:
 @dataclass
 class CascadeState:
     """Rounds of the tight-set cascade: nested (A_i, B_i) pairs, pairwise
-    edge-disjoint perfect matchings M_i, and the residual edges left."""
+    edge-disjoint perfect matchings M_i, and ``residual_edges``, the number
+    of kept edges in no M_i."""
 
-    bp: Bipartition
     sets: list
     matchings: list
-    residual: frozenset
+    residual_edges: int
 
     @property
     def rounds(self) -> int:
@@ -425,7 +420,7 @@ class CascadeState:
             "rounds": self.rounds,
             "set_sizes": [[len(a), len(b)] for a, b in self.sets],
             "matching_sizes": [len(m) for m in self.matchings],
-            "residual_edges": len(self.residual),
+            "residual_edges": self.residual_edges,
         }
 
 
@@ -442,14 +437,16 @@ def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
     the minimal sets found, S is the one holding the smallest id.
 
     The sides must hold only vertices of ``bp.graph``, every edge of which
-    must join side A to side B; side A must be tight, and the kept graph
-    needs minimum degree >= rounds: every matching lowers the degrees
-    inside the surviving tight set by exactly one, so the process provably
-    completes all requested rounds.
+    must join side A to side B; side A must be tight (with every side-B
+    vertex covered, side B no larger), and the kept graph needs minimum
+    degree >= rounds: every matching lowers the degrees inside the
+    surviving tight set by exactly one, so the process provably completes
+    all requested rounds. A breach is refused before any matching.
 
     The residual graph is kept across rounds as the module docstring
     describes, in rows read from ``bp.graph``. All rounds share one search
-    workspace.
+    workspace. The residual edge count is the kept edges less the matched
+    ones: each M_i is made of residual edges.
     """
     if rounds < 0:
         raise PreconditionError("rounds must be >= 0")
@@ -470,6 +467,10 @@ def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
         if min_deg < rounds:
             raise PreconditionError(
                 f"minimum kept degree {min_deg} is below {rounds} rounds")
+        if len(bp.side_b) > len(bp.side_a):
+            raise PreconditionError(
+                f"side A is not tight: side B has {len(bp.side_b)} vertices, "
+                f"side A {len(bp.side_a)}")
         rows = g.neighbor_lists()
         cols = [set(r) for r in rows]
         ws = _workspace(len(rows))
@@ -487,8 +488,7 @@ def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
             sets.append((s, t))
             matchings.append(matching)
             cand = sorted(s)
-    residual = frozenset(g.edges()).difference(*matchings)
-    return CascadeState(bp, sets, matchings, residual)
+    return CascadeState(sets, matchings, g.m - sum(map(len, matchings)))
 
 
 def theorem41(g: Graph) -> tuple:
@@ -506,8 +506,9 @@ def theorem41(g: Graph) -> tuple:
     if d <= 0:
         raise PreconditionError("needs at least one edge")
     full_guarantee = d >= 64
-    g1, trace = peel_below(g, d / 2)
-    host_of = sorted(trace.survivors(g.n))
+    alive = bytearray(b"\1") * g.n
+    peel_min(g.neighbor_lists(), alive, g.degrees(), d / 2, [])
+    g1, host_of = induced(g, compress(range(g.n), alive))
     bp = bipartite_half(g1)
     dprime = 1 << max(int(d).bit_length() - 1, 0)  # at most d, or 1
     rounds = dprime // 4 if dprime >= 4 else 1

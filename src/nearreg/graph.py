@@ -353,31 +353,20 @@ class ExtractionResult:
     ``edges`` is present only for non-induced (edge-version) results; when it
     is absent the stats describe the induced subgraph on ``vertices``.
     ``bounds`` is the ledger of guarantee checks evaluated before returning.
+    ``ratio`` is read off ``stats``, which the extractor tracked while it
+    ran, so a result holds no second copy of it.
     """
 
     vertices: frozenset
     edges: Optional[frozenset]
     stats: DegreeStats
-    ratio: Union[Fraction, float]
     guarantee: str
     bounds: tuple = field(default=())
 
     @property
-    def edge_count(self) -> int:
-        if self.edges is not None:
-            return len(self.edges)
-        # stats carry the induced edge count via the average degree
-        return int(self.stats.avg_deg * len(self.vertices) / 2)
-
-    @staticmethod
-    def from_stats(vertices: Iterable, edges: Optional[frozenset],
-                   stats: DegreeStats, guarantee: str,
-                   bounds: tuple = ()) -> "ExtractionResult":
-        """Result whose ratio, `ledger_ratio`, is read off ``stats``, which
-        the extractor tracked while it ran."""
-        return ExtractionResult(frozenset(vertices), edges, stats,
-                                ledger_ratio(stats.max_deg, stats.min_deg),
-                                guarantee, bounds)
+    def ratio(self) -> Union[Fraction, float]:
+        """The max/min degree ratio of ``stats``, by `ledger_ratio`."""
+        return ledger_ratio(self.stats.max_deg, self.stats.min_deg)
 
     @staticmethod
     def from_edge_subgraph(edges: Iterable, guarantee: str,
@@ -385,9 +374,10 @@ class ExtractionResult:
         """Result of an edge-version extraction: vertex set = covered endpoints."""
         edge_set = frozenset(normalize_edge(u, v) for u, v in edges)
         deg = Counter(v for e in edge_set for v in e)
-        return ExtractionResult.from_stats(
-            deg, edge_set, DegreeStats.of(list(deg.values()), len(edge_set)),
-            guarantee, bounds)
+        return ExtractionResult(
+            frozenset(deg), edge_set,
+            DegreeStats.of(list(deg.values()), len(edge_set)), guarantee,
+            bounds)
 
     def to_json(self) -> dict:
         return {

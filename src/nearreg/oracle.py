@@ -268,6 +268,24 @@ def point_prob_distribution(rhos: Sequence[float]) -> np.ndarray:
     return dist
 
 
+def _mc_fraction(probs: np.ndarray, trials: int, seed: int,
+                 hit: Callable) -> float:
+    """Share of ``trials`` rows of draws, cell j true with probability
+    ``probs[j]``, that ``hit`` marks, drawn from PCG64 at ``seed`` in chunks
+    of the ``MC_CHUNK*`` limits; PCG64 fills rows in one order whatever the
+    chunk size, so the share does not depend on it."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows = min(MC_CHUNK, max(1, MC_CHUNK_CELLS // max(len(probs), 1)))
+    hits = 0
+    remaining = trials
+    while remaining > 0:
+        chunk = min(rows, remaining)
+        hits += int(np.count_nonzero(hit(rng.random((chunk, len(probs)))
+                                         < probs)))
+        remaining -= chunk
+    return hits / trials
+
+
 def estimate_point_prob(rhos: Sequence[float], s: int, trials: int,
                         seed: int) -> float:
     """Monte Carlo estimate of Pr[sum of Bernoulli(rho_i) = s] from
@@ -278,18 +296,8 @@ def estimate_point_prob(rhos: Sequence[float], s: int, trials: int,
     t = len(rhos)
     if not 0 <= s <= t:
         return 0.0
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rho_row = np.asarray(rhos, dtype=float)
-    # PCG64 fills rows in one order whatever the chunk size: same estimate
-    rows = min(MC_CHUNK, max(1, MC_CHUNK_CELLS // max(t, 1)))
-    hits = 0
-    remaining = trials
-    while remaining > 0:
-        chunk = min(rows, remaining)
-        draws = rng.random((chunk, t)) < rho_row
-        hits += int(np.count_nonzero(draws.sum(axis=1) == s))
-        remaining -= chunk
-    return hits / trials
+    return _mc_fraction(np.asarray(rhos, dtype=float), trials, seed,
+                        lambda draws: draws.sum(axis=1) == s)
 
 
 def regular_prob_reference(n: int, k: int) -> float:
@@ -319,15 +327,9 @@ def estimate_regular_prob(n: int, k: int, trials: int, seed: int) -> float:
     column[first, second] = column[second, first] = np.arange(len(probs))
     incident = column[~np.eye(k, dtype=bool)]
     del column, first, second
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rows = min(MC_CHUNK, max(1, MC_CHUNK_CELLS // len(probs)))
-    hits = 0
-    remaining = trials
-    while remaining > 0:
-        chunk = min(rows, remaining)
-        draws = rng.random((chunk, len(probs))) < probs
-        degrees = draws[:, incident].reshape(chunk, k, k - 1).sum(axis=2)
-        hits += int(np.count_nonzero(
-            (degrees == degrees[:, :1]).all(axis=1)))
-        remaining -= chunk
-    return hits / trials
+
+    def regular(draws):
+        degrees = draws[:, incident].reshape(len(draws), k, k - 1).sum(axis=2)
+        return (degrees == degrees[:, :1]).all(axis=1)
+
+    return _mc_fraction(probs, trials, seed, regular)

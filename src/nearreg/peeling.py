@@ -10,7 +10,8 @@ reproducible. Both primitives walk ascending neighbour lists
 (`Graph.neighbor_lists`) and mark the live set in a bytearray, 1 for live;
 they keep the degree of every live vertex exact, so the extractors read
 their survivors' statistics from the degrees the peel tracked, with no
-second pass over the adjacency.
+second pass over the adjacency. A caller that needs the peeled subgraph
+takes `induced` of the live set, whose id map gives the host ids.
 """
 
 from __future__ import annotations
@@ -50,11 +51,8 @@ class PeelTrace:
     steps: list = field(default_factory=list)
     thresholds: list = field(default_factory=list)
 
-    def deleted(self) -> frozenset:
-        return frozenset(s.vertex for s in self.steps)
-
     def survivors(self, n: int) -> frozenset:
-        dead = self.deleted()
+        dead = frozenset(s.vertex for s in self.steps)
         return frozenset(v for v in range(n) if v not in dead)
 
     def to_json(self) -> dict:
@@ -128,24 +126,6 @@ def _peel_max(nbrs: list, alive: bytearray, deg: list, threshold: Fraction,
                     deg[u] -= 1
 
 
-def peel_below(g: Graph, threshold: Real) -> tuple:
-    """Delete least-degree vertices while their degree is below ``threshold``.
-
-    Returns (subgraph, trace); the subgraph is relabelled 0..k-1 and the
-    trace holds original ids, so survivors are recoverable either way.
-    """
-    thr = as_fraction(threshold)
-    if thr < 0:
-        raise PreconditionError("peel threshold must be nonnegative")
-    trace = PeelTrace()
-    alive = bytearray(b"\1") * g.n
-    if thr > 0 and g.n > 0:
-        trace.thresholds.append(thr)
-        peel_min(g.neighbor_lists(), alive, g.degrees(), thr, trace.steps)
-    sub, _ = induced(g, compress(range(g.n), alive))
-    return sub, trace
-
-
 def prop21_refine(g: Graph, k: Real, alpha: Real) -> ExtractionResult:
     """Min-degree peel at alpha*avg_deg, yielding a (k/alpha)-nearly regular
     subgraph that keeps a guaranteed fraction of vertices and edges.
@@ -181,8 +161,8 @@ def prop21_refine(g: Graph, k: Real, alpha: Real) -> ExtractionResult:
         check("Prop2.1-edges", kept_m, ">=",
               (kf - 2 * kf * af) / (2 * kf - 4 * af) * g.n * d0),
     ])
-    return ExtractionResult.from_stats(
-        members, None, kept, f"Prop2.1(k={k},alpha={alpha})", checks)
+    return ExtractionResult(frozenset(members), None, kept,
+                            f"Prop2.1(k={k},alpha={alpha})", checks)
 
 
 def prop22_reduce(g: Graph, k: Real) -> tuple:
@@ -255,5 +235,5 @@ def proposition11_pipeline(g: Graph, c: Real) -> ExtractionResult:
         check("Prop1.1-size", len(host_vertices), ">=", size_thr),
     ]
     require_bounds("proposition11_pipeline", checks)
-    return ExtractionResult(host_vertices, None, refined.stats, refined.ratio,
+    return ExtractionResult(host_vertices, None, refined.stats,
                             f"Prop1.1(c={c})", tuple(checks))

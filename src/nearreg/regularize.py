@@ -327,8 +327,8 @@ def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:
         check("Lem2.5-ratio", ledger_ratio(st.max_deg, st.min_deg), "<=",
               Surd(1, 6, eps_f)),
     ])
-    return ExtractionResult.from_stats(
-        members, None, st, f"Lem2.5(eps={eps})", checks)
+    return ExtractionResult(frozenset(members), None, st,
+                            f"Lem2.5(eps={eps})", checks)
 
 
 def turan_independent_set(g: Graph) -> ExtractionResult:
@@ -381,9 +381,9 @@ def turan_independent_set(g: Graph) -> ExtractionResult:
     checks = require_bounds("turan_independent_set", [
         check("Turan-size", len(members), ">=",
               g.n / (degree_stats(g).avg_deg + 1))])
-    return ExtractionResult.from_stats(
-        members, None, DegreeStats.of([0] * len(members), 0), "Turan-greedy",
-        checks)
+    return ExtractionResult(members, None,
+                            DegreeStats.of([0] * len(members), 0),
+                            "Turan-greedy", checks)
 
 
 def _inner_epsilon(eps: Real) -> Fraction:
@@ -432,8 +432,8 @@ def theorem12_pipeline(g: Graph, eps: Real,
     tag = f"Thm1.2(eps={eps})"
     if epsf > 0.5:
         tag += " no-guarantee"
-    return ExtractionResult(host_vertices, None, inner.stats, inner.ratio,
-                            tag, tuple(checks))
+    return ExtractionResult(host_vertices, None, inner.stats, tag,
+                            tuple(checks))
 
 
 def theorem13_pipeline(g: Graph, eps: Real,
@@ -449,8 +449,8 @@ def theorem13_pipeline(g: Graph, eps: Real,
     eps0 = _inner_epsilon(eps)
     suffix = "" if float(eps) <= 0.1 else " no-guarantee"
     if g.n == 0:
-        return ExtractionResult.from_stats((), None, DegreeStats.of([], 0),
-                                           "Thm1.3-turan" + suffix)
+        return ExtractionResult(frozenset(), None, DegreeStats.of([], 0),
+                                "Thm1.3-turan" + suffix)
     a = eps0 / (3 * math.log(1 / eps0))
     p = float(_density(g))
     if p < g.n ** (-a):
@@ -463,5 +463,5 @@ def theorem13_pipeline(g: Graph, eps: Real,
     checks = [*inner.bounds,
               check("Thm1.3-ratio", inner.ratio, "<=", 1 + as_fraction(eps))]
     require_bounds("theorem13_pipeline", checks)
-    return ExtractionResult(host_vertices, None, inner.stats, inner.ratio,
+    return ExtractionResult(host_vertices, None, inner.stats,
                             "Thm1.3-dense" + suffix, tuple(checks))

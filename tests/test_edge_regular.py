@@ -2,6 +2,7 @@
 matching guarantee."""
 
 import math
+from collections import Counter
 from itertools import chain, combinations
 
 import pytest
@@ -263,7 +264,7 @@ def test_cascade_on_matching_graph():
 def test_cascade_zero_rounds():
     g, bp = natural_bipartition(3, 6)
     state = matching_cascade(bp, 0)
-    assert state.rounds == 0 and state.residual == edge_set(g)
+    assert state.rounds == 0 and state.residual_edges == g.m
 
 
 def test_cascade_rejects_low_degree():
@@ -271,6 +272,15 @@ def test_cascade_rejects_low_degree():
     bp = Bipartition(frozenset({0, 1}), frozenset({2, 3}), g)
     with pytest.raises(PreconditionError):
         matching_cascade(bp, 2)
+
+
+def test_cascade_refuses_a_side_a_that_is_not_tight():
+    # every side-B vertex has a neighbour in A, so A is tight exactly when
+    # side B is no larger; a larger one is refused before any matching
+    bp = Bipartition(frozenset({0}), frozenset({1, 2}),
+                     Graph.from_edges(3, [(0, 1), (0, 2)]))
+    with pytest.raises(PreconditionError, match="not tight"):
+        matching_cascade(bp, 1)
 
 
 @pytest.mark.parametrize("rounds", [0, 1])
@@ -303,14 +313,14 @@ def test_cascade_nesting_disjointness_and_degree_drop():
     for i, m1 in enumerate(state.matchings):
         for m2 in state.matchings[i + 1:]:
             assert not m1 & m2
-    last_b = state.sets[-1][1]
-    kept_deg = bp.graph.degrees()
-    residual_deg = {v: 0 for v in range(g.n)}
-    for u, v in state.residual:
-        residual_deg[u] += 1
-        residual_deg[v] += 1
-    for v in last_b:
-        assert residual_deg[v] == kept_deg[v] - rounds
+    kept = edge_set(bp.graph)
+    assert all(m <= kept for m in state.matchings)
+    assert state.residual_edges == len(kept.difference(*state.matchings))
+    # each round's matching takes exactly one edge at every vertex of the
+    # last side-B set, so its residual degree dropped by exactly ``rounds``
+    matched = Counter(v for m in state.matchings for e in m for v in e)
+    for v in state.sets[-1][1]:
+        assert matched[v] == rounds
 
 
 def test_theorem41_k44():
@@ -586,7 +596,7 @@ def _cascade_reference(bp, rounds):
         sets.append((s, t))
         matchings.append(m)
         current = s
-    return CascadeState(bp, sets, matchings, frozenset(residual))
+    return CascadeState(sets, matchings, len(residual))
 
 
 def _kept_min_degree(bp):
@@ -638,7 +648,7 @@ def test_cascade_matches_the_per_round_rebuild(name):
     assert state.to_json() == ref.to_json()
     assert state.sets == ref.sets
     assert state.matchings == ref.matchings
-    assert state.residual == ref.residual
+    assert state.residual_edges == ref.residual_edges
 
 
 def test_cascade_inputs_include_shrinking_tight_sets():
@@ -832,5 +842,5 @@ def test_cascade_shared_workspace_gives_the_fresh_workspace_rounds(
         lambda root, rows, mate, ws: search(root, rows, mate,
                                             _workspace(len(rows))))
     fresh = matching_cascade(bp, rounds)
-    assert (fresh.sets, fresh.matchings, fresh.residual) == (
-        shared.sets, shared.matchings, shared.residual)
+    assert (fresh.sets, fresh.matchings, fresh.to_json()) == (
+        shared.sets, shared.matchings, shared.to_json())

@@ -111,7 +111,7 @@ def test_ratio_conventions():
     assert ledger_ratio(4, 2) == 2
     assert ledger_ratio(3, 0) == math.inf
     isolated = DegreeStats(3, 0, Fraction(3, 2), Fraction(1, 2))
-    res = ExtractionResult.from_stats({0, 1, 2, 3}, None, isolated, "t")
+    res = ExtractionResult(frozenset({0, 1, 2, 3}), None, isolated, "t")
     assert res.ratio == math.inf
 
 
@@ -313,11 +313,12 @@ def test_degree_stats_of_a_degree_sequence():
         assert DegreeStats.of(g.degrees(), g.m) == degree_stats(g)
 
 
-def test_from_stats_of_an_induced_subgraph():
+def test_result_of_an_induced_subgraph_reads_its_ratio_off_its_stats():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5),
                              (0, 3)])
-    sub, _ = induced(g, [0, 1, 2, 3, 4])
-    res = ExtractionResult.from_stats([0, 1, 2, 3, 4], None, degree_stats(sub),
-                                      "t")
-    assert res.stats == degree_stats(sub) and res.edge_count == sub.m == 5
+    sub, id_map = induced(g, [0, 1, 2, 3, 4])
+    res = ExtractionResult(frozenset(id_map), None, degree_stats(sub), "t")
+    assert res.stats == degree_stats(sub) and sub.m == 5
+    assert res.stats.avg_deg * len(res.vertices) / 2 == sub.m
     assert res.ratio == 3
+    assert res.to_json()["ratio_exact"] == "3"

@@ -1,7 +1,12 @@
 """The package's export list: every name resolves, once, and a star import
-binds exactly those names."""
+binds exactly those names; the README's library example runs."""
+
+import pathlib
+import re
 
 import nearreg
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -19,3 +24,12 @@ def test_star_import_binds_exactly_the_export_list():
     exec("from nearreg import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(nearreg.__all__)
+
+
+def test_readme_library_example_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.M | re.S)
+    assert len(blocks) == 1, "one python block under Library example"
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 4

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 
@@ -10,7 +11,6 @@ from nearreg import (
     PreconditionError,
     degree_stats,
     induced,
-    peel_below,
     prop21_refine,
     prop22_reduce,
     proposition11_pipeline,
@@ -26,41 +26,50 @@ def complete(n):
     return Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
+def peel_below(g, threshold):
+    """The core above ``threshold`` as `theorem41` takes it: `peel_min`,
+    then `induced` of the live set. Returns (subgraph, id map, steps)."""
+    alive = bytearray(b"\1") * g.n
+    steps = []
+    peel_min(g.neighbor_lists(), alive, g.degrees(), threshold, steps)
+    sub, id_map = induced(g, compress(range(g.n), alive))
+    return sub, id_map, steps
+
+
 def test_peel_below_removes_isolated_vertex():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
-    sub, trace = peel_below(g, 0.6)
-    assert (sub.n, sub.m) == (3, 3)
-    assert [(s.vertex, s.degree, s.round_index) for s in trace.steps] == [(3, 0, 0)]
+    sub, id_map, steps = peel_below(g, 0.6)
+    assert (sub.n, sub.m) == (3, 3) and id_map == (0, 1, 2)
+    assert [(s.vertex, s.degree, s.round_index) for s in steps] == [(3, 0, 0)]
 
 
 def test_peel_below_zero_threshold_is_identity():
     g = star(6)
-    sub, trace = peel_below(g, 0)
-    assert (sub.n, sub.m) == (g.n, g.m)
-    assert trace.steps == [] and trace.thresholds == []
+    sub, id_map, steps = peel_below(g, 0)
+    assert sub == g and id_map == tuple(range(g.n))
+    assert steps == []
 
 
 def test_peel_below_can_empty_the_graph():
-    sub, trace = peel_below(complete(4), 4)
-    assert sub.n == 0
-    assert [s.vertex for s in trace.steps] == [0, 1, 2, 3]
-    assert [s.degree for s in trace.steps] == [3, 2, 1, 0]
+    sub, id_map, steps = peel_below(complete(4), 4)
+    assert sub.n == 0 and id_map == ()
+    assert [s.vertex for s in steps] == [0, 1, 2, 3]
+    assert [s.degree for s in steps] == [3, 2, 1, 0]
 
 
 def test_peel_trace_degrees_below_threshold():
     g = sample_gnp_uniform(30, 0.2, 5)
     thr = degree_stats(g).avg_deg / 2
-    sub, trace = peel_below(g, thr)
-    assert all(s.degree < thr for s in trace.steps)
+    sub, id_map, steps = peel_below(g, thr)
+    assert all(s.degree < thr for s in steps)
+    assert sorted(id_map + tuple(s.vertex for s in steps)) == list(range(g.n))
     if sub.n:
         assert degree_stats(sub).min_deg >= thr
 
 
 def test_peel_below_deterministic():
     g = sample_gnp_uniform(25, 0.3, 9)
-    one = peel_below(g, 2.5)[1]
-    two = peel_below(g, 2.5)[1]
-    assert one.steps == two.steps and one.thresholds == two.thresholds
+    assert peel_below(g, 2.5) == peel_below(g, 2.5)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -77,8 +86,10 @@ def test_peel_below_matches_networkx_k_core(seed):
         ref.add_nodes_from(range(n))
         ref.add_edges_from(g.edges())
         for k in range(7):
-            _, trace = peel_below(g, k)
-            assert trace.survivors(n) == frozenset(nx.k_core(ref, k))
+            sub, id_map, _ = peel_below(g, k)
+            core = nx.k_core(ref, k)
+            assert id_map == tuple(sorted(core))
+            assert sub.m == core.number_of_edges()
 
 
 def _peel_shapes(seed):
@@ -184,7 +195,8 @@ def test_prop21_contract_on_seeded_samples(seed, k, alpha):
     kf, af = Fraction(k), Fraction(str(alpha))
     assert res.ratio <= kf / af
     assert len(res.vertices) >= (1 - 2 * af) / (kf - 2 * af) * g.n
-    assert res.edge_count >= (kf - 2 * kf * af) / (2 * kf - 4 * af) * g.n * stats.avg_deg
+    kept_m = res.stats.avg_deg * len(res.vertices) / 2
+    assert kept_m >= (kf - 2 * kf * af) / (2 * kf - 4 * af) * g.n * stats.avg_deg
 
 
 def test_prop22_regular_graph_returned_in_round_zero():
