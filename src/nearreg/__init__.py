@@ -41,7 +41,6 @@ from .oracle import (
     estimate_point_prob,
     estimate_regular_prob,
     exact_f,
-    exact_f_n,
     point_prob_distribution,
 )
 from .peeling import (
@@ -89,7 +88,6 @@ __all__ = [
     "estimate_point_prob",
     "estimate_regular_prob",
     "exact_f",
-    "exact_f_n",
     "find_dense_subset",
     "induced",
     "lemma25_extract",

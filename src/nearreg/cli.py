@@ -26,7 +26,7 @@ import math
 import statistics
 import sys
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -104,12 +104,15 @@ def _emit(report: dict, out: Optional[str]) -> None:
         sys.stdout.write(payload)
 
 
-def _report_skeleton(argv: list) -> dict:
-    return {
-        "schema": SCHEMA,
-        "command": argv,
-        "wall_time_s": 0.0,
-    }
+def _write_report(argv: list, out: Optional[str], body: Callable) -> int:
+    """Emit the report of one command: the fields ``body()`` returns, with
+    the schema, the command line, and the wall time of ``body``."""
+    start = time.perf_counter()
+    report = {"schema": SCHEMA, "command": argv}
+    report.update(body())
+    report["wall_time_s"] = round(time.perf_counter() - start, 6)
+    _emit(report, out)
+    return 0
 
 
 def _cmd_gen(args, argv: list) -> int:
@@ -151,7 +154,7 @@ def _run_extract(args, g: Graph):
     algo = args.algorithm
     params = {name: getattr(args, name) for name in EXTRACT_PARAMS[algo]}
     if algo == "prop22":
-        sub, trace, checks = prop22_reduce(g, args.k)
+        sub, trace, checks, _ = prop22_reduce(g, args.k)
         out = {"subgraph": _graph_summary(sub), "trace": trace.to_json()}
         return out, checks, params
     if algo == "thm41":
@@ -169,20 +172,18 @@ def _run_extract(args, g: Graph):
 
 
 def _cmd_extract(args, argv: list) -> int:
-    start = time.perf_counter()
-    g = _load_graph(args.graph)
-    report = _report_skeleton(argv)
-    result, bounds, params = _run_extract(args, g)
-    report.update({
-        "algorithm": args.algorithm,
-        "params": params,
-        "input": _graph_summary(g),
-        "result": result,
-        "bounds": [c.to_json() for c in bounds],
-    })
-    report["wall_time_s"] = round(time.perf_counter() - start, 6)
-    _emit(report, args.out)
-    return 0
+    def body() -> dict:
+        g = _load_graph(args.graph)
+        result, bounds, params = _run_extract(args, g)
+        return {
+            "algorithm": args.algorithm,
+            "params": params,
+            "input": _graph_summary(g),
+            "result": result,
+            "bounds": [c.to_json() for c in bounds],
+        }
+
+    return _write_report(argv, args.out, body)
 
 
 def _experiment_point_prob(args) -> dict:
@@ -253,19 +254,11 @@ def _experiment_gnpbar_scan(args) -> dict:
 
 
 def _cmd_experiment(args, argv: list) -> int:
-    report = _report_skeleton(argv)
-    start = time.perf_counter()
-    if args.name == "point-prob":
-        body = _experiment_point_prob(args)
-    elif args.name == "regular-prob":
-        body = _experiment_regular_prob(args)
-    else:
-        body = _experiment_gnpbar_scan(args)
-    report.update({"experiment": args.name, "seed": args.seed,
-                   "result": body})
-    report["wall_time_s"] = round(time.perf_counter() - start, 6)
-    _emit(report, args.out)
-    return 0
+    run = {"point-prob": _experiment_point_prob,
+           "regular-prob": _experiment_regular_prob,
+           "gnpbar-scan": _experiment_gnpbar_scan}[args.name]
+    return _write_report(argv, args.out, lambda: {
+        "experiment": args.name, "seed": args.seed, "result": run(args)})
 
 
 def _build_parser() -> tuple:

@@ -1,18 +1,17 @@
 """Ground truth at desk scale.
 
-Exhaustive searches for the largest nearly regular induced subgraph,
-brute-force minima over all labelled graphs of a small order, and
-vectorised Monte Carlo estimators for the point-probability and
-induced-regularity experiments, each cross-checked against an exact
-dynamic program where one exists.
+The exhaustive subset search (`subset_search`: one set-up per graph, one
+include-first search per size), the largest nearly regular induced
+subgraph it finds (`exact_f`), and vectorised Monte Carlo estimators for
+the point-probability and induced-regularity experiments, each
+cross-checked against an exact dynamic program where one exists.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,7 +23,6 @@ Real = Union[int, float, Fraction]
 
 HARD_VERTEX_CAP = 64       # bitset rows; beyond this the search is refused
 VERTEX_CAP = 24            # exact_f and the gnpbar-scan experiment
-LABELLED_ORDER_CAP = 7     # 2^21 labelled graphs at n = 7
 MC_CHUNK = 1 << 15         # Monte Carlo rows drawn at once, at most,
 MC_CHUNK_CELLS = 1 << 20   # and draws at once (8 MiB), unless one row has more
 # Stand-ins for the unspecified absolute constants of the probabilistic
@@ -53,51 +51,26 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= lsb
 
 
-def _c_ratio(c: Real) -> tuple:
-    cf = as_fraction(c)
-    if cf < 1:
-        raise PreconditionError("c must be >= 1")
-    return cf.numerator, cf.denominator
+def subset_search(g: Graph, prune: Callable, accept: Callable) -> Callable:
+    """Exhaustive search of ``g``, set up once: returns ``search(t) ->
+    (witness_mask or None, explored)``, one include-first DFS over
+    ascending ids at size t, so the witness is the lexicographically least
+    accepted t-subset, and ``explored`` counts that DFS's nodes.
 
-
-def _subset_valid(degrees: Iterable[int], c_num: int, c_den: int) -> bool:
-    """Is a subgraph with these vertex degrees c-nearly regular?"""
-    mx, mn = 0, None
-    for d in degrees:
-        if d > mx:
-            mx = d
-        if mn is None or d < mn:
-            mn = d
-    if mx == 0:
-        return True
-    return mx * c_den <= c_num * mn
-
-
-def largest_subset(g: Graph, sizes: Iterable[int], prune: Callable,
-                   accept: Callable) -> tuple:
-    """Largest accepted vertex subset of ``g``, by exhaustive search.
-
-    Tries each size t of ``sizes`` in the order given (`exact_f` lists
-    them largest first; `find_dense_subset` passes one size per call) with
-    one include-first DFS over ascending ids, so the witness found at a
-    size is the lexicographically least one there. At
-    the node deciding id ``pos`` the DFS holds
+    Graphs above ``HARD_VERTEX_CAP`` vertices raise ``SizeCapError`` here,
+    before any size is searched. At the node deciding id ``pos`` the DFS
+    holds
     - ``chosen``, the ids picked so far, ascending, and ``e``, the edges
       they span;
     - ``inner[v]``, the neighbours of v among ``chosen``, for every v
       (an include adds 1 along the new vertex's neighbours, a backtrack
       takes it off again);
     - ``after[v]``, the neighbours of v among the ids pos..n-1 still to
-      decide (a row of a table built once per call);
+      decide (a row of a table built with the bitmask rows, once);
     - ``rem``, the vertices still to pick.
     It drops the node when ``prune(t, e, rem, pos, chosen, inner, after)``
     holds, and takes a t-subset when ``accept(t, e, chosen, inner)`` holds.
     The callbacks read these lists and must not change them.
-
-    Returns ``(t, witness_mask, explored)`` for the first size with an
-    accepted subset, or ``(0, None, explored)``; ``explored`` counts the
-    nodes visited over all sizes tried. Graphs above ``HARD_VERTEX_CAP``
-    vertices raise ``SizeCapError``.
     """
     if g.n > HARD_VERTEX_CAP:
         raise SizeCapError(f"exact search is capped at {HARD_VERTEX_CAP} vertices")
@@ -106,10 +79,9 @@ def largest_subset(g: Graph, sizes: Iterable[int], prune: Callable,
     after = [[(r >> pos).bit_count() for r in rows] for pos in range(n + 1)]
     inner = [0] * n
     chosen: list = []
-    explored = 0
+    explored = t = 0
 
     def dfs(pos: int, rem: int, e: int) -> Optional[int]:
-        # t is the size of the current pass of the loop below
         nonlocal explored
         explored += 1
         if rem == 0:
@@ -131,16 +103,18 @@ def largest_subset(g: Graph, sizes: Iterable[int], prune: Callable,
             return hit
         return dfs(pos + 1, rem, e)
 
-    for t in sizes:
-        hit = dfs(0, t, 0)
-        if hit is not None:
-            return t, hit, explored
-    return 0, None, explored
+    def search(size: int) -> tuple:
+        nonlocal explored, t
+        explored, t = 0, size
+        return dfs(0, size, 0), explored
+
+    return search
 
 
 def exact_f(g: Graph, c: Real) -> OracleResult:
-    """Largest induced c-nearly regular subgraph, by exhaustive search in
-    decreasing subset size (``largest_subset``). Graphs above
+    """Largest induced c-nearly regular subgraph, by one `subset_search`
+    run at sizes n, n-1, ..., 1 until a size holds a valid subset;
+    ``explored`` sums the nodes of every size searched. Graphs above
     ``VERTEX_CAP`` vertices raise ``SizeCapError``.
 
     A node of the search dies when its chosen vertices already force the
@@ -156,7 +130,10 @@ def exact_f(g: Graph, c: Real) -> OracleResult:
     """
     if g.n > VERTEX_CAP:
         raise SizeCapError(f"instance exceeds the size cap {VERTEX_CAP}")
-    c_num, c_den = _c_ratio(c)
+    cf = as_fraction(c)
+    if cf < 1:
+        raise PreconditionError("c must be >= 1")
+    c_num, c_den = cf.numerator, cf.denominator
     n = g.n
 
     def spread_too_wide(t: int, e: int, rem: int, pos: int, chosen: list,
@@ -202,58 +179,17 @@ def exact_f(g: Graph, c: Real) -> OracleResult:
         return True
 
     def valid(t: int, e: int, chosen: list, inner: list) -> bool:
-        return _subset_valid((inner[v] for v in chosen), c_num, c_den)
+        degrees = [inner[v] for v in chosen]  # t >= 1 of them
+        return max(degrees) * c_den <= c_num * min(degrees)
 
-    t, hit, explored = largest_subset(g, range(g.n, 0, -1), spread_too_wide,
-                                      valid)
-    witness = frozenset() if hit is None else frozenset(bit_indices(hit))
-    return OracleResult(t, witness, explored)
-
-
-def _labelled_graphs(n: int):
-    """All 2^C(n,2) labelled graphs on n vertices as adjacency-mask tuples."""
-    pairs = list(itertools.combinations(range(n), 2))
-    for code in range(1 << len(pairs)):
-        adj = [0] * n
-        bits = code
-        while bits:
-            lsb = bits & -bits
-            u, v = pairs[lsb.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            bits ^= lsb
-        yield adj
-
-
-def exact_f_n(n: int, c: Real) -> int:
-    """Minimum of exact_f over every labelled graph on n vertices; orders
-    above ``LABELLED_ORDER_CAP`` raise ``SizeCapError``."""
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
-    if n > LABELLED_ORDER_CAP:
-        raise SizeCapError(
-            f"labelled enumeration capped at {LABELLED_ORDER_CAP} vertices")
-    c_num, c_den = _c_ratio(c)
-    subsets_by_size = [
-        [sum(1 << v for v in combo)
-         for combo in itertools.combinations(range(n), t)]
-        for t in range(n + 1)
-    ]
-    best = n
-    for adj in _labelled_graphs(n):
-        # scan sizes downward; the first size with a valid subset is this
-        # graph's value (size 1 always succeeds), and a graph stops mattering
-        # as soon as its value is known to reach the current minimum
-        for t in range(n, 0, -1):
-            if any(_subset_valid(((adj[v] & mask).bit_count()
-                                  for v in bit_indices(mask)), c_num, c_den)
-                   for mask in subsets_by_size[t]):
-                if t < best:
-                    best = t
-                break
-        if best <= 1:
-            break  # a single vertex is always regular; 1 is the floor
-    return best
+    search = subset_search(g, spread_too_wide, valid)
+    explored = 0
+    for t in range(n, 0, -1):
+        hit, nodes = search(t)
+        explored += nodes
+        if hit is not None:
+            return OracleResult(t, frozenset(bit_indices(hit)), explored)
+    return OracleResult(0, frozenset(), explored)
 
 
 def point_prob_distribution(rhos: Sequence[float]) -> np.ndarray:

@@ -51,10 +51,6 @@ class PeelTrace:
     steps: list = field(default_factory=list)
     thresholds: list = field(default_factory=list)
 
-    def survivors(self, n: int) -> frozenset:
-        dead = frozenset(s.vertex for s in self.steps)
-        return frozenset(v for v in range(n) if v not in dead)
-
     def to_json(self) -> dict:
         return {
             "steps": [[s.vertex, s.degree, s.round_index] for s in self.steps],
@@ -171,8 +167,10 @@ def prop22_reduce(g: Graph, k: Real) -> tuple:
     Each round freezes the current average degree d_i and peels vertices of
     degree >= k*d_i/2 (recomputing degrees per deletion). Runs at most
     ceil(log2 n) + 1 round checks; the output keeps at least
-    n^(1 + log2(1 - 1/k)) vertices. Returns (subgraph, trace, ledger), the
-    ledger holding the checked Prop2.2-spread and Prop2.2-size entries.
+    n^(1 + log2(1 - 1/k)) vertices. Returns (subgraph, trace, ledger,
+    host_ids): the ledger holds the checked Prop2.2-spread and Prop2.2-size
+    entries, and ``host_ids[v]`` is the host id of the subgraph's vertex v,
+    the ids absent from ``trace.steps`` in ascending order.
     """
     kf = as_fraction(k)
     if not kf > 1:
@@ -206,8 +204,8 @@ def prop22_reduce(g: Graph, k: Real) -> tuple:
               kf * out_stats.avg_deg),
         check("Prop2.2-size", n_out, ">=", size_thr),
     ])
-    sub, _ = induced(g, members)
-    return sub, trace, checks
+    sub, host_ids = induced(g, members)
+    return sub, trace, checks, host_ids
 
 
 def proposition11_pipeline(g: Graph, c: Real) -> ExtractionResult:
@@ -222,11 +220,9 @@ def proposition11_pipeline(g: Graph, c: Real) -> ExtractionResult:
         raise PreconditionError("pipeline requires c > 2")
     af = (1 / cf + Fraction(1, 2)) / 2
     k1 = af * cf
-    reduced, trace, reduce_checks = prop22_reduce(g, k1)
+    reduced, _, reduce_checks, host_ids = prop22_reduce(g, k1)
     refined = prop21_refine(reduced, k1, af)
-    # map refined vertices (ids in `reduced`) back to host ids
-    survivors = sorted(trace.survivors(g.n))
-    host_vertices = frozenset(survivors[v] for v in refined.vertices)
+    host_vertices = frozenset(host_ids[v] for v in refined.vertices)
     # the refine keeps a (1-2a)/(k1-2a) share of what the reduce keeps
     reduce_size = next(c for c in reduce_checks if c.bound_id == "Prop2.2-size")
     size_thr = float((1 - 2 * af) / (k1 - 2 * af)) * reduce_size.threshold

@@ -44,7 +44,7 @@ from .graph import (
     ledger_ratio,
     require_bounds,
 )
-from .oracle import bit_indices, largest_subset
+from .oracle import bit_indices, subset_search
 from .peeling import peel_min
 
 Real = Union[int, float, Fraction]
@@ -126,7 +126,7 @@ def find_dense_subset(g: Graph, eps: Real) -> Optional[frozenset]:
     """Largest vertex set of at least an eps-fraction of the graph whose
     spanned edges beat C(|U|,2) * density * (1+eps); None when no such set.
 
-    The search is exhaustive (`oracle.largest_subset`), so a None answer
+    The search is exhaustive (`oracle.subset_search`), so a None answer
     certifies that no such set exists; graphs above 64 vertices raise
     ``SizeCapError``. Sets of fewer than two vertices are never candidates
     (their density is undefined, so they cannot witness a boost). Ties on
@@ -145,8 +145,8 @@ def find_dense_subset(g: Graph, eps: Real) -> Optional[frozenset]:
       L+1, L+2, ... up to the first miss; the last hit is the answer, and
       when L+1 already misses, L is searched for its witness;
     - with no qualifying suffix, t_min, t_min+1, ... in the same way.
-    Each probe is the same include-first search at one size, so the
-    witness at t* is the one a scan of every size from the top finds.
+    Each probe is the same include-first search at one size, all through
+    one set-up, so the witness at t* is the one a scan from the top finds.
     """
     if g.m < 1:
         raise PreconditionError("dense-subset search needs at least one edge")
@@ -173,16 +173,16 @@ def find_dense_subset(g: Graph, eps: Real) -> Optional[frozenset]:
     def dense_enough(t: int, e: int, chosen: list, inner: list) -> bool:
         return e * den >= comb(t, 2) * num
 
-    def probe(sizes: list) -> Optional[int]:
-        return largest_subset(g, sizes, short_of_edges, dense_enough)[1]
-
     # sizes at which even the whole graph is short of edges are skipped;
-    # with none left the search still refuses a graph above its cap
+    # with none left the search set-up still refuses a graph above its cap
+    search = subset_search(g, short_of_edges, dense_enough)
     sizes = [t for t in range(t_min, g.n + 1)
              if g.m * den >= comb(t, 2) * num]
-    hit = probe(sizes[-1:])
-    if hit is None and sizes:
-        top = sizes[-1]
+    if not sizes:
+        return None
+    top = sizes[-1]
+    hit = search(top)[0]
+    if hit is None:
         steps: list = []
         peel_min(g.neighbor_lists(), bytearray(b"\1") * g.n, g.degrees(),
                  math.inf, steps)
@@ -190,13 +190,13 @@ def find_dense_subset(g: Graph, eps: Real) -> Optional[frozenset]:
         known = None if cut is None else g.n - cut[0]
         t = t_min if known is None else known + 1
         while t < top:
-            found = probe([t])
+            found = search(t)[0]
             if found is None:
                 break
             hit = found
             t += 1
         if hit is None and known is not None:
-            hit = probe([known])
+            hit = search(known)[0]
     return None if hit is None else frozenset(bit_indices(hit))
 
 

@@ -1,13 +1,15 @@
 """Suite-wide fixtures."""
 
 import faulthandler
+import itertools
 import os
 import sys
 
 import pytest
 
-from nearreg import degree_stats
+from nearreg import PreconditionError, SizeCapError, degree_stats
 from nearreg.graph import as_fraction
+from nearreg.oracle import bit_indices
 
 # The slowest test takes a few seconds. One still running after this long
 # is taken to hang (a search that loops, say): the run ends with every
@@ -80,3 +82,61 @@ def nearly_regular_check(g, c) -> bool:
     if st.max_deg == 0:
         return True
     return st.max_deg <= cf * st.min_deg
+
+
+# --- f(n, c) over all labelled graphs: the reference for exact_f_n.json ----
+
+LABELLED_ORDER_CAP = 7     # 2^21 labelled graphs at n = 7
+
+
+def _labelled_graphs(n: int):
+    """All 2^C(n,2) labelled graphs on n vertices as adjacency-mask lists."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for code in range(1 << len(pairs)):
+        adj = [0] * n
+        bits = code
+        while bits:
+            lsb = bits & -bits
+            u, v = pairs[lsb.bit_length() - 1]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            bits ^= lsb
+        yield adj
+
+
+def exact_f_n(n: int, c) -> int:
+    """Minimum of the largest c-nearly regular induced subgraph over every
+    labelled graph on n vertices; orders above ``LABELLED_ORDER_CAP`` raise
+    ``SizeCapError``."""
+    if n < 1:
+        raise PreconditionError("n must be >= 1")
+    if n > LABELLED_ORDER_CAP:
+        raise SizeCapError(
+            f"labelled enumeration capped at {LABELLED_ORDER_CAP} vertices")
+    cf = as_fraction(c)
+    if cf < 1:
+        raise PreconditionError("c must be >= 1")
+    c_num, c_den = cf.numerator, cf.denominator
+    subsets_by_size = [
+        [sum(1 << v for v in combo)
+         for combo in itertools.combinations(range(n), t)]
+        for t in range(n + 1)
+    ]
+
+    def valid(adj, mask):
+        degrees = [(adj[v] & mask).bit_count() for v in bit_indices(mask)]
+        return max(degrees) * c_den <= c_num * min(degrees)
+
+    best = n
+    for adj in _labelled_graphs(n):
+        # scan sizes downward; the first size with a valid subset is this
+        # graph's value (size 1 always succeeds), and a graph stops mattering
+        # as soon as its value is known to reach the current minimum
+        for t in range(n, 0, -1):
+            if any(valid(adj, mask) for mask in subsets_by_size[t]):
+                if t < best:
+                    best = t
+                break
+        if best <= 1:
+            break  # a single vertex is always regular; 1 is the floor
+    return best

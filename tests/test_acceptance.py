@@ -20,7 +20,7 @@ import nearreg as nr
 from nearreg.cli import main as cli_main
 from nearreg.regularize import _density
 
-from conftest import bitmask_rows, nearly_regular_check
+from conftest import bitmask_rows, exact_f_n, nearly_regular_check
 
 SAMPLE_N = 100
 
@@ -67,7 +67,7 @@ def test_c02_prop22_contract_suite(contract_samples):
     runs = failures = 0
     for g, _ in contract_samples:
         for k in (2, 4, 8):
-            sub, _trace, _checks = nr.prop22_reduce(g, k)
+            sub, _trace, _checks, _ids = nr.prop22_reduce(g, k)
             runs += 1
             s = nr.degree_stats(sub)
             ok = (s.max_deg <= k * s.avg_deg
@@ -228,7 +228,7 @@ def test_c08_small_order_minima():
         .read_text())
     frozen = {int(k): v for k, v in fixtures["values"].items()}
     start = time.perf_counter()
-    values = {n: nr.exact_f_n(n, 1) for n in range(2, 7)}
+    values = {n: exact_f_n(n, 1) for n in range(2, 7)}
     elapsed = time.perf_counter() - start
     hand = values[2] == 2 and values[3] == 2
     matches = values == frozen

@@ -14,7 +14,6 @@ from nearreg import (
     estimate_point_prob,
     estimate_regular_prob,
     exact_f,
-    exact_f_n,
     induced,
     point_prob_distribution,
     sample_gnp_bar,
@@ -23,11 +22,12 @@ from nearreg import (
 )
 from nearreg import oracle
 from nearreg.instances import p_bar
-from nearreg.oracle import largest_subset
+from nearreg.oracle import subset_search
 
 from conftest import (
     bitmask_rows,
     count_edges_in,
+    exact_f_n,
     has_edge,
     nearly_regular_check,
 )
@@ -109,7 +109,7 @@ def test_exact_f_search_node_counts():
         assert (r.value, r.explored) == (value, explored)
 
 
-def test_largest_subset_carries_the_prefix_edge_count():
+def test_subset_search_carries_the_prefix_edge_count():
     g = sample_gnp_uniform(10, 0.4, 5)
 
     def independent(t, e, chosen, inner):
@@ -118,16 +118,31 @@ def test_largest_subset_carries_the_prefix_edge_count():
         assert inner == [(row & mask).bit_count() for row in bitmask_rows(g)]
         return e == 0
 
-    t, mask, _ = largest_subset(g, range(g.n, 0, -1),
-                                lambda *args: False, independent)
+    search = subset_search(g, lambda *args: False, independent)
+    t = g.n
+    while (mask := search(t)[0]) is None:
+        t -= 1
     expected = next(combo for k in range(g.n, 0, -1)
                     for combo in combinations(range(g.n), k)
                     if not any(has_edge(g, u, v)
                                for u, v in combinations(combo, 2)))
     assert (t, mask) == (len(expected), sum(1 << v for v in expected))
-    assert largest_subset(g, [], None, None) == (0, None, 0)
+
+
+def test_subset_search_refuses_65_vertices_before_any_search():
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return False
+
     with pytest.raises(SizeCapError):
-        largest_subset(Graph.empty(65), [1], None, None)
+        subset_search(Graph.empty(65), record, record)
+    assert calls == []
+    # 64 vertices are searched: one node per id, then the full set
+    search = subset_search(Graph.empty(64), lambda *args: False,
+                           lambda *args: True)
+    assert search(64) == ((1 << 64) - 1, 65)
 
 
 def test_exact_f_n_hand_values():

@@ -201,12 +201,12 @@ def test_prop21_contract_on_seeded_samples(seed, k, alpha):
 
 def test_prop22_regular_graph_returned_in_round_zero():
     g = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
-    sub, trace, _ = prop22_reduce(g, 2)
+    sub, trace, _, _ = prop22_reduce(g, 2)
     assert sub.n == 8 and trace.steps == [] and trace.thresholds == []
 
 
 def test_prop22_star_example():
-    sub, trace, checks = prop22_reduce(star(9), 2)
+    sub, trace, checks, _ = prop22_reduce(star(9), 2)
     assert (sub.n, sub.m) == (8, 0)
     assert [(c.bound_id, c.achieved, c.passed) for c in checks] == [
         ("Prop2.2-spread", 0, True), ("Prop2.2-size", 8, True)]
@@ -216,7 +216,7 @@ def test_prop22_star_example():
 
 
 def test_prop22_edgeless_unchanged():
-    sub, trace, _ = prop22_reduce(Graph.empty(7), 3)
+    sub, trace, _, _ = prop22_reduce(Graph.empty(7), 3)
     assert sub.n == 7 and trace.steps == []
 
 
@@ -224,7 +224,7 @@ def test_prop22_edgeless_unchanged():
 @pytest.mark.parametrize("k", [2, 4, 8])
 def test_prop22_contract_on_seeded_samples(seed, k):
     g = sample_gnp_uniform(50, 0.25, 100 + seed)
-    sub, trace, _ = prop22_reduce(g, k)
+    sub, trace, _, _ = prop22_reduce(g, k)
     s = degree_stats(sub)
     assert s.max_deg <= k * s.avg_deg
     assert sub.n >= g.n ** (1 + math.log2(1 - 1 / k)) - 1e-9
@@ -235,6 +235,30 @@ def test_prop22_contract_on_seeded_samples(seed, k):
 def test_prop22_deterministic():
     g = sample_gnp_uniform(40, 0.4, 3)
     assert prop22_reduce(g, 2)[1].steps == prop22_reduce(g, 2)[1].steps
+
+
+HOST_ID_GRAPHS = {
+    "star(9)": star(9),
+    "path(12)": Graph.from_edges(12, [(i, i + 1) for i in range(11)]),
+    "empty(7)": Graph.empty(7),
+    "G(40,0.2)#3": sample_gnp_uniform(40, 0.2, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOST_ID_GRAPHS))
+def test_prop22_host_ids_are_the_survivors_and_the_pipeline_reads_them(name):
+    g = HOST_ID_GRAPHS[name]
+    c = Fraction(3)
+    af = (1 / c + Fraction(1, 2)) / 2  # the pipeline's split of c
+    k1 = af * c
+    for k in (2, k1):
+        sub, trace, _, host_ids = prop22_reduce(g, k)
+        deleted = {s.vertex for s in trace.steps}
+        assert host_ids == tuple(v for v in range(g.n) if v not in deleted)
+        assert sorted(sub.edges()) == sorted(induced(g, host_ids)[0].edges())
+    refined = prop21_refine(sub, k1, af)
+    assert proposition11_pipeline(g, c).vertices == frozenset(
+        host_ids[v] for v in refined.vertices)
 
 
 def test_pipeline_rejects_small_c():

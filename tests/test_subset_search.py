@@ -8,10 +8,10 @@ nodes, so ``explored`` is compared as well as the answer. `exact_f`'s
 prune is also checked against the spread test alone, without the
 viability bound: the same answers, in no more nodes.
 
-`find_dense_subset` probes one size per search, in an order seeded by the
-smallest-last peel; its answer is checked against the reference's scan of
-every size from the top, and each probe's nodes against the reference
-run at that one size. A brute force over all vertex sets checks the lemma
+`find_dense_subset` probes one size per search, all through one search
+set-up, in an order seeded by the smallest-last peel; its answer is
+checked against the reference's scan of every size from the top, and
+each probe's nodes against the reference run at that one size. A brute force over all vertex sets checks the lemma
 the probe order rests on: the sizes holding a qualifying set form an
 interval starting at the least admissible size.
 """
@@ -31,7 +31,7 @@ from nearreg import (
 )
 from nearreg import regularize
 from nearreg.graph import as_fraction
-from nearreg.oracle import bit_indices, largest_subset
+from nearreg.oracle import bit_indices, subset_search
 from nearreg.regularize import _boost_target
 
 from conftest import bitmask_rows, count_edges_in, full_mask
@@ -161,19 +161,25 @@ def dense_search(g, eps, monkeypatch):
     """``(t, mask, explored, probes)`` of the searches inside
     `find_dense_subset`, None when it makes none: the size and mask of the
     set returned ((0, None) for no set), the nodes of all probes, and each
-    probe as ``(sizes, (t, mask, explored))``. Checks that each probe
-    searches at most one size, and that the set returned is the witness of
-    the probe at its size."""
+    probe ``search(t)`` as the one-size probe ``([t], (t, mask, explored))``,
+    with t 0 when the mask is None. Checks that the set returned is the
+    witness of the probe at its size."""
     probes = []
 
-    def recording(g, sizes, prune, accept):
-        probes.append((list(sizes), largest_subset(g, sizes, prune, accept)))
-        return probes[-1][1]
+    def recording(g, prune, accept):
+        search = subset_search(g, prune, accept)
+
+        def probe(t):
+            mask, explored = search(t)
+            probes.append(([t], (t if mask is not None else 0, mask,
+                                 explored)))
+            return mask, explored
+
+        return probe
 
     with monkeypatch.context() as m:
-        m.setattr(regularize, "largest_subset", recording)
+        m.setattr(regularize, "subset_search", recording)
         subset = find_dense_subset(g, eps)
-    assert all(len(sizes) <= 1 for sizes, _ in probes)
     if not probes:
         assert subset is None
         return None
@@ -268,6 +274,20 @@ def test_dense_search_matches_the_popcount_reference(name, eps, monkeypatch):
     assert run[:2] == scan[:2]
     for sizes, probe in run[3]:
         assert probe == reference_dense_search(g, eps, sizes)
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_SHAPES))
+@pytest.mark.parametrize("eps", [0.1, 0.2, 0.5])
+def test_dense_search_sets_up_one_search_per_call(name, eps, monkeypatch):
+    builds = []
+
+    def counting(g, prune, accept):
+        builds.append(g)
+        return subset_search(g, prune, accept)
+
+    monkeypatch.setattr(regularize, "subset_search", counting)
+    find_dense_subset(DENSE_SHAPES[name], eps)
+    assert builds == [DENSE_SHAPES[name]]
 
 
 # (t, mask, explored) of the searches inside find_dense_subset, pinned; a
