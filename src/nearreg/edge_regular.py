@@ -506,9 +506,7 @@ def theorem41(g: Graph) -> tuple:
     if d <= 0:
         raise PreconditionError("needs at least one edge")
     full_guarantee = d >= 64
-    alive = bytearray(b"\1") * g.n
-    peel_min(g.neighbor_lists(), alive, g.degrees(), d / 2, [])
-    g1, host_of = induced(g, compress(range(g.n), alive))
+    g1, host_of = induced(g, compress(range(g.n), peel_min(g, d / 2)[0]))
     bp = bipartite_half(g1)
     dprime = 1 << max(int(d).bit_length() - 1, 0)  # at most d, or 1
     rounds = dprime // 4 if dprime >= 4 else 1
@@ -529,19 +527,13 @@ def theorem41(g: Graph) -> tuple:
         lo = dprime >> (case2_i + 4)
         hi = dprime >> (case2_i + 3)
         block_vertices = cascade.sets[lo - 1][0] | cascade.sets[lo - 1][1]
-        block_edges = set()
-        for m_i in cascade.matchings[lo - 1:hi - 1]:
-            block_edges |= m_i
-        assert all(u in block_vertices and v in block_vertices
-                   for u, v in block_edges), "matchings left the block"
-        order = sorted(block_vertices)
-        pos = {v: i for i, v in enumerate(order)}
-        hgraph = Graph.from_edges(
-            len(order), [(pos[u], pos[v]) for u, v in block_edges])
-        refined = prop21_refine(hgraph, 2, 0.4)
-        kept = refined.vertices
+        block_edges = set().union(*cascade.matchings[lo - 1:hi - 1])
+        hgraph, order = induced(Graph.from_edges(g1.n, block_edges),
+                                block_vertices)
+        assert hgraph.m == len(block_edges), "matchings left the block"
+        kept = {order[v] for v in prop21_refine(hgraph, 2, 0.4).vertices}
         chosen_edges = frozenset(
-            (u, v) for u, v in block_edges if pos[u] in kept and pos[v] in kept)
+            (u, v) for u, v in block_edges if u in kept and v in kept)
         case_tag = "case2"
     host_edges = frozenset(
         normalize_edge(host_of[u], host_of[v]) for u, v in chosen_edges)

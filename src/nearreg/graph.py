@@ -13,8 +13,9 @@ thresholds never flip on float rounding. Every ledger entry is evaluated by
 thresholds; only the five log/pow thresholds Prop2.2-size, Prop1.1-size,
 Lem2.3-rounds, Lem2.3-size and Thm1.2-size are floats, compared as they
 stand with no slack. `DegreeStats.of` builds every degree-statistics record
-from a degree sequence and an edge count, so an extractor that tracked its
-survivors' degrees hands them over instead of recounting adjacency.
+from a degree sequence alone, its edge count half the degree sum, so an
+extractor that tracked its survivors' degrees hands them over instead of
+recounting adjacency.
 
 Graphs come from edges in one place, `Graph.from_edges`: it takes an
 (m, 2) integer array (or pairs), checks all edges at once and reports the
@@ -36,7 +37,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -202,20 +202,20 @@ class DegreeStats:
         }
 
     @staticmethod
-    def of(degrees: list, m: int) -> "DegreeStats":
-        """Statistics of a graph with degree sequence ``degrees`` and ``m``
-        edges; all zero when there are no vertices."""
-        n = len(degrees)
+    def of(degrees: list) -> "DegreeStats":
+        """Statistics of a graph with degree sequence ``degrees``, whose
+        sum is twice the edge count; all zero when there are no vertices."""
+        n, total = len(degrees), sum(degrees)
         if n == 0:
             return DegreeStats(0, 0, Fraction(0), Fraction(0))
-        density = Fraction(m, comb(n, 2)) if n > 1 else Fraction(0)
-        return DegreeStats(max(degrees), min(degrees), Fraction(2 * m, n),
+        density = Fraction(total, n * (n - 1)) if n > 1 else Fraction(0)
+        return DegreeStats(max(degrees), min(degrees), Fraction(total, n),
                            density)
 
 
 def degree_stats(g: Graph) -> DegreeStats:
     """Degree statistics of ``g``; all-zero for the graph with no vertices."""
-    return DegreeStats.of(g.degrees(), g.m)
+    return DegreeStats.of(g.degrees())
 
 
 def induced(g: Graph, u: Iterable) -> tuple:
@@ -376,8 +376,7 @@ class ExtractionResult:
         deg = Counter(v for e in edge_set for v in e)
         return ExtractionResult(
             frozenset(deg), edge_set,
-            DegreeStats.of(list(deg.values()), len(edge_set)), guarantee,
-            bounds)
+            DegreeStats.of(list(deg.values())), guarantee, bounds)
 
     def to_json(self) -> dict:
         return {

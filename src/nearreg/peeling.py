@@ -6,12 +6,14 @@ refine / reduce / pipeline operations. Thresholds are frozen when a round
 starts while degrees are recomputed after every single deletion. The
 min-degree peel takes the least degree first, the max-degree peel the
 eligible vertices by id; ties go to the lowest id, so traces are
-reproducible. Both primitives walk ascending neighbour lists
-(`Graph.neighbor_lists`) and mark the live set in a bytearray, 1 for live;
-they keep the degree of every live vertex exact, so the extractors read
-their survivors' statistics from the degrees the peel tracked, with no
-second pass over the adjacency. A caller that needs the peeled subgraph
-takes `induced` of the live set, whose id map gives the host ids.
+reproducible. `peel_min(g, threshold)` takes a graph and hands back its
+live set, a bytearray with 1 for live, with the degrees and the steps; the
+max-degree peel updates the reduce's live set in place. Both walk
+ascending neighbour lists (`Graph.neighbor_lists`) and keep the degree of
+every live vertex exact, so the extractors read their survivors'
+statistics from the degrees the peel tracked, with no second pass over
+the adjacency. A caller that needs the peeled subgraph takes `induced` of
+the live set, whose id map gives the host ids.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 from .errors import PreconditionError
 from .graph import (
@@ -30,6 +32,7 @@ from .graph import (
     Graph,
     as_fraction,
     check,
+    degree_stats,
     induced,
     ledger_ratio,
     require_bounds,
@@ -65,45 +68,37 @@ def _int_threshold(threshold: Real) -> Real:
     return threshold if threshold == math.inf else math.ceil(threshold)
 
 
-def peel_min(nbrs: list, alive: bytearray, deg: list, threshold: Real,
-             steps: list, cap: Optional[int] = None) -> bool:
-    """Smallest-last peel of the live set ``alive`` (a bytearray, 1 for
-    live, updated in place) of the graph with neighbour lists ``nbrs``:
-    delete the least-degree live vertex, lowest id first on ties, until its
-    degree is at least ``threshold`` or ``cap`` deletions are done, in
-    O(m log n) through one lazy (degree, id) heap. Keeps the live degrees
-    ``deg`` exact in place; appends one round-0 `PeelStep` per deletion to
-    ``steps``.
+def peel_min(g: Graph, threshold: Real) -> tuple:
+    """Smallest-last peel of ``g``: delete the least-degree live vertex,
+    lowest id first on ties, until its degree is at least ``threshold``,
+    in O(m log n) through one lazy (degree, id) heap. Returns (alive, deg,
+    steps): the live set, a bytearray with 1 for live; the degrees, exact
+    for every live vertex; and one round-0 `PeelStep` per deletion.
 
-    The deleted set is the complement of the threshold-core, and the steps
-    are the whole order's (``threshold`` = ``math.inf``) up to its first
-    degree >= threshold. Peeling the subgraph induced on a suffix
-    ``order[i:]`` gives that suffix with the same degrees at removal, as
-    ``induced`` keeps ids in order.
-
-    Returns wants_more: True iff the cap was reached while an eligible
-    vertex remained.
+    The live set is the threshold-core, unique whatever the deletion order
+    (Seidman 1983), and the steps are the whole order's (``threshold`` =
+    ``math.inf``) up to its first degree >= threshold. Peeling the subgraph
+    induced on a suffix ``order[i:]`` gives that suffix with the same
+    degrees at removal, as ``induced`` keeps ids in order.
     """
+    nbrs, alive, deg = g.neighbor_lists(), bytearray(b"\1") * g.n, g.degrees()
+    steps: list = []
     stop = _int_threshold(threshold)
-    heap = [(deg[v], v) for v in compress(range(len(alive)), alive)]
+    heap = [(d, v) for v, d in enumerate(deg)]
     heapq.heapify(heap)
-    deleted = 0
     while heap:
         d, v = heapq.heappop(heap)
         if d != deg[v] or not alive[v]:
             continue  # stale: v was deleted or has lost degree since
         if d >= stop:
             break
-        if deleted == cap:
-            return True
         steps.append(PeelStep(v, d, 0))
         alive[v] = 0
-        deleted += 1
         for u in nbrs[v]:
             if alive[u]:
                 deg[u] -= 1
                 heapq.heappush(heap, (deg[u], u))
-    return False
+    return alive, deg, steps
 
 
 def _peel_max(nbrs: list, alive: bytearray, deg: list, threshold: Fraction,
@@ -126,29 +121,25 @@ def prop21_refine(g: Graph, k: Real, alpha: Real) -> ExtractionResult:
     """Min-degree peel at alpha*avg_deg, yielding a (k/alpha)-nearly regular
     subgraph that keeps a guaranteed fraction of vertices and edges.
 
-    Requires max_deg <= k * avg_deg (reduce first if not). The edgeless
-    degenerate case short-circuits to the identity, which satisfies every
-    posted bound.
+    Requires max_deg <= k * avg_deg (reduce first if not). On the edgeless
+    graph the threshold is 0, so the peel keeps everything, which satisfies
+    every posted bound.
     """
     kf, af = as_fraction(k), as_fraction(alpha)
     if not kf > 1:
         raise PreconditionError("k must be > 1")
     if not 0 < af < Fraction(1, 2):
         raise PreconditionError("alpha must lie in (0, 1/2)")
-    deg = g.degrees()
-    st = DegreeStats.of(deg, g.m)
+    st = degree_stats(g)
     d0 = st.avg_deg
     if st.max_deg > kf * d0:
         raise PreconditionError(
             f"max degree {st.max_deg} exceeds k*avg = {float(kf * d0):.4g}; "
             "reduce first")
-    steps: list = []
-    alive = bytearray(b"\1") * g.n
-    if d0 > 0:
-        peel_min(g.neighbor_lists(), alive, deg, af * d0, steps)
+    alive, deg, steps = peel_min(g, af * d0)
     members = list(compress(range(g.n), alive))
     kept_m = g.m - sum(s.degree for s in steps)
-    kept = DegreeStats.of([deg[v] for v in members], kept_m)
+    kept = DegreeStats.of(list(compress(deg, alive)))
     checks = require_bounds("prop21_refine", [
         check("Prop2.1-ratio", ledger_ratio(kept.max_deg, kept.min_deg), "<=",
               kf / af),
@@ -179,30 +170,28 @@ def prop22_reduce(g: Graph, k: Real) -> tuple:
     alive = bytearray(b"\1") * g.n
     deg = g.degrees()
     nbrs = None  # built by the first round that peels
-    m_alive = g.m
     kstar = (g.n - 1).bit_length() if g.n >= 1 else 0
     for i in range(kstar + 1):
         live_deg = list(compress(deg, alive))
         if not live_deg:
             break
-        d_i = Fraction(2 * m_alive, len(live_deg))
+        d_i = Fraction(sum(live_deg), len(live_deg))
         if max(live_deg) <= kf * d_i:
             break
         thr = kf * d_i / 2
         trace.thresholds.append(thr)
-        before = len(trace.steps)
         if nbrs is None:
             nbrs = g.neighbor_lists()
         _peel_max(nbrs, alive, deg, thr, i, trace.steps)
-        m_alive -= sum(s.degree for s in trace.steps[before:])
     members = list(compress(range(g.n), alive))
-    n_out = len(members)
-    out_stats = DegreeStats.of([deg[v] for v in members], m_alive)
-    size_thr = g.n ** (1 + math.log2(1 - 1 / float(kf))) if g.n > 0 else 0.0
+    out_stats = DegreeStats.of(list(compress(deg, alive)))
+    # 1 - 1/float(k) is 0 for a k within a rounding step of 1
+    shrink = 1 - 1 / float(kf) or float((kf - 1) / kf)
+    size_thr = g.n ** (1 + math.log2(shrink)) if g.n > 0 else 0.0
     checks = require_bounds("prop22_reduce", [
         check("Prop2.2-spread", out_stats.max_deg, "<=",
               kf * out_stats.avg_deg),
-        check("Prop2.2-size", n_out, ">=", size_thr),
+        check("Prop2.2-size", len(members), ">=", size_thr),
     ])
     sub, host_ids = induced(g, members)
     return sub, trace, checks, host_ids

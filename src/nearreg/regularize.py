@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -183,9 +184,7 @@ def find_dense_subset(g: Graph, eps: Real) -> Optional[frozenset]:
     top = sizes[-1]
     hit = search(top)[0]
     if hit is None:
-        steps: list = []
-        peel_min(g.neighbor_lists(), bytearray(b"\1") * g.n, g.degrees(),
-                 math.inf, steps)
+        steps = peel_min(g, math.inf)[2]
         cut = _dense_cut(steps, 0, g.m, eps_f)
         known = None if cut is None else g.n - cut[0]
         t = t_min if known is None else known + 1
@@ -237,9 +236,7 @@ def density_boost(g: Graph, eps: Real,
     boosting = True
     cur, vmap = g, tuple(range(g.n))
     if not certified:
-        steps: list = []
-        peel_min(g.neighbor_lists(), bytearray(b"\1") * g.n, g.degrees(),
-                 math.inf, steps)
+        steps = peel_min(g, math.inf)[2]
         start, m = 0, g.m
         while boosting and g.n - start > exact_limit:
             cut = _dense_cut(steps, start, m, eps_f)
@@ -274,16 +271,18 @@ def density_boost(g: Graph, eps: Real,
 
 
 def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:
-    """Remove the floor(eps*n) highest-degree vertices, then peel vertices of
-    degree below n*p*(1 - 2*sqrt(eps)) with a hard cap of floor(2*sqrt(eps)*n)
-    deletions (n and p fixed at the input values).
+    """Take `induced` of all but the floor(eps*n) highest-degree vertices
+    (ties to the lowest id) and peel it below n*p*(1 - 2*sqrt(eps)), n and
+    p fixed at the input values.
 
-    Hitting the cap raises CapExceededError: it certifies the input does not
-    have the bounded-dense-subset property this extraction assumes. Otherwise
-    the output is checked to keep (1 - eps - 2*sqrt(eps)) * n vertices with
-    max degree <= (1 + 3*sqrt(eps)) * n * p, min degree >= (1 - 2*sqrt(eps))
-    * n * p, and degree ratio <= 1 + 6*sqrt(eps). All of these are exact; as
-    degrees are integers, the peel runs below ceil(n*p*(1 - 2*sqrt(eps))).
+    More than floor(2*sqrt(eps)*n) deletions (a count fixed by the unique
+    core the peel leaves) raise CapExceededError: they certify the input
+    lacks the bounded-dense-subset property this extraction assumes.
+    Otherwise the output is checked to keep (1 - eps - 2*sqrt(eps)) * n
+    vertices with max degree <= (1 + 3*sqrt(eps)) * n * p, min degree >=
+    (1 - 2*sqrt(eps)) * n * p, and degree ratio <= 1 + 6*sqrt(eps). All of
+    these are exact; as degrees are integers, the peel runs below
+    ceil(n*p*(1 - 2*sqrt(eps))).
 
     eps must lie in (0, 1/4): from 1/4 on, that threshold is <= 0, so the
     peel removes nothing and no degree bound follows.
@@ -297,28 +296,18 @@ def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:
         raise PreconditionError("extraction needs positive density")
     n = g.n
     np_ = n * _density(g)
-    top_count = math.floor(eps_f * n)
-    nbrs = g.neighbor_lists()
-    deg = g.degrees()
-    by_degree = sorted(range(n), key=lambda v: (-deg[v], v))
-    alive = bytearray(b"\1") * n
-    deleted_edges = 0
-    for v in by_degree[:top_count]:
-        alive[v] = 0
-        deleted_edges += deg[v]
-        for u in nbrs[v]:
-            if alive[u]:
-                deg[u] -= 1
+    # a stable sort of the negated degrees puts ties at the lowest id first
+    by_degree = np.argsort(-np.diff(g.indptr), kind="stable")
+    rest, host_ids = induced(g, by_degree[math.floor(eps_f * n):].tolist())
     min_deg_thr = Surd(np_, -2 * np_, eps_f)
     cap = math.isqrt(math.floor(4 * n * n * eps_f))  # floor(2*sqrt(eps)*n)
-    steps: list = []
-    if peel_min(nbrs, alive, deg, math.ceil(min_deg_thr), steps, cap=cap):
+    alive, deg, steps = peel_min(rest, math.ceil(min_deg_thr))
+    if len(steps) > cap:
         raise CapExceededError(
             f"peel wanted more than the cap of {cap} deletions; the "
             "input violates the bounded-dense-subset condition")
-    members = list(compress(range(n), alive))
-    kept_m = g.m - deleted_edges - sum(s.degree for s in steps)
-    st = DegreeStats.of([deg[v] for v in members], kept_m)
+    members = list(compress(host_ids, alive))
+    st = DegreeStats.of(list(compress(deg, alive)))
     checks = require_bounds("lemma25_extract", [
         check("Lem2.5-size", len(members), ">=",
               Surd((1 - eps_f) * n, -2 * n, eps_f)),
@@ -382,19 +371,20 @@ def turan_independent_set(g: Graph) -> ExtractionResult:
         check("Turan-size", len(members), ">=",
               g.n / (degree_stats(g).avg_deg + 1))])
     return ExtractionResult(members, None,
-                            DegreeStats.of([0] * len(members), 0),
+                            DegreeStats.of([0] * len(members)),
                             "Turan-greedy", checks)
 
 
 def _inner_epsilon(eps: Real) -> Fraction:
     """eps0 = eps^2/36 exactly, the boost and extraction parameter of the
     Thm 1.2 and 1.3 pipelines. Requires 0 < eps < 6, so that 0 < eps0 < 1
-    (an eps0 that underflows to 0 as a float is refused too, as are nan
-    and inf)."""
+    (an eps0 below the least normal float is refused too, as 1/eps0 would
+    overflow a float, and so are nan and inf)."""
     epsf = float(eps)
-    if not (0 < epsf < 6 and 0 < epsf * epsf / 36 < 1):
+    if not (0 < epsf < 6 and sys.float_info.min <= epsf * epsf / 36 < 1):
         raise PreconditionError(
-            "epsilon must lie in (0, 6), so that eps^2/36 lies in (0, 1)")
+            "epsilon must lie in (0, 6), so that eps^2/36 lies in (0, 1) "
+            "and is a normal float")
     return as_fraction(eps) ** 2 / 36
 
 
@@ -449,7 +439,7 @@ def theorem13_pipeline(g: Graph, eps: Real,
     eps0 = _inner_epsilon(eps)
     suffix = "" if float(eps) <= 0.1 else " no-guarantee"
     if g.n == 0:
-        return ExtractionResult(frozenset(), None, DegreeStats.of([], 0),
+        return ExtractionResult(frozenset(), None, DegreeStats.of([]),
                                 "Thm1.3-turan" + suffix)
     a = eps0 / (3 * math.log(1 / eps0))
     p = float(_density(g))

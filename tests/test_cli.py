@@ -475,6 +475,29 @@ def test_extract_thm12_refuses_epsilon_three_naming_epsilon(tmp_path,
     assert "epsilon must lie in (0, 3)" in err and "eps must" not in err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["prop11", "--c", "2.0000000000000004"], 0),
+    (["thm12", "--epsilon", "1e-155"], 2),
+    (["thm13", "--epsilon", "1e-155"], 2),
+])
+def test_extreme_parameters_exit_cleanly(argv, expected, tmp_path, capsys):
+    # c = 2 + 2^-52 gives k1 = 1 + 2^-54, which is 1.0 as a float, and the
+    # reduce's size bound took log2(0); eps = 1e-155 makes eps^2/36
+    # subnormal, and dividing by it overflowed a float. Both exited 5.
+    path, report = str(tmp_path / "uniform.el"), tmp_path / "report.json"
+    assert run_cli(["gen", "gnp-uniform", "--n", "40", "--p", "0.2",
+                    "--seed", "3", "--out", path], capsys)[0] == 0
+    code, out, err = run_cli(["extract", argv[0], path, *argv[1:],
+                              "--out", str(report)], capsys)
+    assert code == expected and out == ""
+    if expected == 0:
+        assert err == ""
+        assert all(b["pass"] for b in json.loads(report.read_text())["bounds"])
+    else:
+        assert err.startswith("precondition: epsilon must lie in (0, 6)")
+        assert err.count("\n") == 1 and not report.exists()
+
+
 @pytest.mark.parametrize("kind", ["gnp-uniform", "gnp-bar"])
 def test_gen_refuses_a_negative_seed(kind, tmp_path, capsys):
     code, out, err = run_cli(["gen", kind, "--n", "10", "--p", "0.5",

@@ -307,10 +307,14 @@ def test_as_fraction_refuses_non_finite_floats(x):
 
 
 def test_degree_stats_of_a_degree_sequence():
-    assert DegreeStats.of([], 0) == DegreeStats(0, 0, Fraction(0), Fraction(0))
-    assert DegreeStats.of([0], 0) == degree_stats(Graph.empty(1))
+    assert DegreeStats.of([]) == DegreeStats(0, 0, Fraction(0), Fraction(0))
+    assert DegreeStats.of([0]) == degree_stats(Graph.empty(1))
     for g in (complete(4), cycle(5), path(3)):
-        assert DegreeStats.of(g.degrees(), g.m) == degree_stats(g)
+        stats = DegreeStats.of(g.degrees())
+        assert stats.avg_deg * g.n == 2 * g.m
+        assert stats.density == Fraction(g.m, g.n * (g.n - 1) // 2)
+        assert (stats.max_deg, stats.min_deg) == (max(g.degrees()),
+                                                  min(g.degrees()))
 
 
 def test_result_of_an_induced_subgraph_reads_its_ratio_off_its_stats():

@@ -29,9 +29,7 @@ def complete(n):
 def peel_below(g, threshold):
     """The core above ``threshold`` as `theorem41` takes it: `peel_min`,
     then `induced` of the live set. Returns (subgraph, id map, steps)."""
-    alive = bytearray(b"\1") * g.n
-    steps = []
-    peel_min(g.neighbor_lists(), alive, g.degrees(), threshold, steps)
+    alive, _, steps = peel_min(g, threshold)
     sub, id_map = induced(g, compress(range(g.n), alive))
     return sub, id_map, steps
 
@@ -109,14 +107,8 @@ def _peel_shapes(seed):
                                  rng.randrange(2**32))
 
 
-def _all_alive(g):
-    return bytearray(b"\1") * g.n
-
-
 def _smallest_last_steps(g):
-    steps = []
-    peel_min(g.neighbor_lists(), _all_alive(g), g.degrees(), math.inf, steps)
-    return steps
+    return peel_min(g, math.inf)[2]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -128,19 +120,13 @@ def test_threshold_peel_is_a_prefix_of_the_smallest_last_order(seed):
         for t in thresholds:
             cut = next((i for i, s in enumerate(order) if s.degree >= t),
                        len(order))
-            steps, deg, alive = [], g.degrees(), _all_alive(g)
-            wants_more = peel_min(g.neighbor_lists(), alive, deg, t, steps)
-            assert steps == order[:cut] and wants_more is False
+            alive, deg, steps = peel_min(g, t)
+            assert steps == order[:cut]
             kept = sorted(s.vertex for s in order[cut:])
             assert [v for v in range(g.n) if alive[v]] == kept
             mask = sum(1 << v for v in kept)
             rows = bitmask_rows(g)
             assert all(deg[v] == (rows[v] & mask).bit_count() for v in kept)
-            for cap in (0, cut // 2, cut):
-                steps = []
-                wants_more = peel_min(g.neighbor_lists(), _all_alive(g),
-                                      g.degrees(), t, steps, cap=cap)
-                assert steps == order[:cap] and wants_more == (cut > cap)
 
 
 @pytest.mark.parametrize("seed", range(2))

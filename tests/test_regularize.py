@@ -83,10 +83,7 @@ def test_find_dense_subset_requires_an_edge():
 def _smallest_last_steps(g):
     """The steps of `peel_min` with no threshold: the whole smallest-last
     order of g with the degrees at removal."""
-    steps = []
-    peel_min(g.neighbor_lists(), bytearray(b"\1") * g.n, g.degrees(),
-             math.inf, steps)
-    return steps
+    return peel_min(g, math.inf)[2]
 
 
 def _smallest_last(g):
@@ -339,6 +336,18 @@ def test_lemma25_keeps_the_six_cycle_at_the_exact_inner_epsilon():
 def test_lemma25_star_hits_the_cap():
     with pytest.raises(CapExceededError):
         lemma25_extract(star(10), 0.1)
+
+
+def test_lemma25_cap_admits_exactly_cap_deletions():
+    # the peel deletes 5 vertices at both eps: that is the cap
+    # floor(2*sqrt(1/16)*10) = 5, which passes, and one more than the cap
+    # floor(2*sqrt(1/25)*10) = 4, which is refused
+    g = sample_gnp_uniform(10, 0.5, 0)
+    res = lemma25_extract(g, Fraction(1, 16))
+    assert res.vertices == frozenset({2, 4, 5, 6, 7})
+    assert res.ratio == Fraction(4, 3)
+    with pytest.raises(CapExceededError, match="cap of 4 deletions"):
+        lemma25_extract(g, Fraction(1, 25))
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 4), 0.3, 0.9])
@@ -642,11 +651,12 @@ def test_theorem13_branch_contract_always_holds():
 
 
 @pytest.mark.parametrize("pipeline", [theorem12_pipeline, theorem13_pipeline])
-@pytest.mark.parametrize("eps", [0, -1, 6, 7, 1e308, 1e-170, math.nan,
-                                 math.inf])
+@pytest.mark.parametrize("eps", [0, -1, 6, 7, 1e308, 1e-170, 1e-155,
+                                 math.nan, math.inf])
 def test_pipelines_share_one_epsilon_gate(pipeline, eps):
     # eps0 = eps^2/36 must lie in (0, 1): eps = 6 made ln(1/eps0) = 0,
-    # 1e308 overflowed eps0, and 1e-170 underflows it to 0
+    # 1e308 overflowed eps0, 1e-170 underflows it to 0, and 1e-155 makes it
+    # subnormal, so that 2/eps0 overflows a float
     with pytest.raises(PreconditionError, match=r"epsilon must lie in \(0, 6\)"):
         pipeline(complete(5), eps)
 
