@@ -70,10 +70,12 @@ def _int_threshold(threshold: Real) -> Real:
 
 def peel_min(g: Graph, threshold: Real) -> tuple:
     """Smallest-last peel of ``g``: delete the least-degree live vertex,
-    lowest id first on ties, until its degree is at least ``threshold``,
-    in O(m log n) through one lazy (degree, id) heap. Returns (alive, deg,
-    steps): the live set, a bytearray with 1 for live; the degrees, exact
-    for every live vertex; and one round-0 `PeelStep` per deletion.
+    lowest id first on ties, until its degree is at least ``threshold`` or
+    no vertex is left, in O(m log n) through one lazy heap of integer keys
+    ``degree * n + id``: as every id is below n, they order as the
+    (degree, id) pairs do. Returns (alive, deg, steps): the live set, a
+    bytearray with 1 for live; the degrees, exact for every live vertex;
+    and one round-0 `PeelStep` per deletion.
 
     The live set is the threshold-core, unique whatever the deletion order
     (Seidman 1983), and the steps are the whole order's (``threshold`` =
@@ -81,13 +83,14 @@ def peel_min(g: Graph, threshold: Real) -> tuple:
     induced on a suffix ``order[i:]`` gives that suffix with the same
     degrees at removal, as ``induced`` keeps ids in order.
     """
-    nbrs, alive, deg = g.neighbor_lists(), bytearray(b"\1") * g.n, g.degrees()
+    n = g.n
+    nbrs, alive, deg = g.neighbor_lists(), bytearray(b"\1") * n, g.degrees()
     steps: list = []
     stop = _int_threshold(threshold)
-    heap = [(d, v) for v, d in enumerate(deg)]
+    heap = [d * n + v for v, d in enumerate(deg)]
     heapq.heapify(heap)
-    while heap:
-        d, v = heapq.heappop(heap)
+    while len(steps) < n:  # every live vertex has a current entry
+        d, v = divmod(heapq.heappop(heap), n)
         if d != deg[v] or not alive[v]:
             continue  # stale: v was deleted or has lost degree since
         if d >= stop:
@@ -97,7 +100,7 @@ def peel_min(g: Graph, threshold: Real) -> tuple:
         for u in nbrs[v]:
             if alive[u]:
                 deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
+                heapq.heappush(heap, deg[u] * n + u)
     return alive, deg, steps
 
 

@@ -326,36 +326,43 @@ def turan_independent_set(g: Graph) -> ExtractionResult:
     Returns the set as a ``Turan-greedy`` result whose ledger holds the
     checked ``Turan-size`` entry.
 
-    Picks come off a lazy (degree, id) heap. After each pick, every live
-    vertex next to the dropped ones loses its edges into them and gets one
-    new entry, so the heap takes one push per such vertex, not one per edge.
+    Picks come off a lazy heap of integer keys ``degree * n + id``, which
+    order as the (degree, id) pairs do, until no vertex is live. After each
+    pick with a live neighbour, every live vertex next to the dropped ones
+    loses its edges into them and gets one new entry, so the heap takes one
+    push per such vertex, not one per edge.
     The lost edges are counted over the dropped vertices' neighbour lists:
     with numpy when they hold more than max(n, ``_NUMPY_COUNT``) entries,
     so each O(n) count is paid for by the entries it reads, and in Python
     otherwise, where numpy's fixed cost per call would dominate.
     """
+    n = g.n
     nbrs = g.neighbor_lists()
     deg = g.degrees()
-    heap = [(d, v) for v, d in enumerate(deg)]
+    heap = [d * n + v for v, d in enumerate(deg)]
     heapq.heapify(heap)
-    alive = bytearray(b"\1") * g.n
+    alive = bytearray(b"\1") * n
     live = alive.__getitem__
     live_mask = np.frombuffer(alive, np.bool_)  # a view: follows ``alive``
-    bulk = max(g.n, _NUMPY_COUNT)
+    bulk = max(n, _NUMPY_COUNT)
     ends = g.indptr.tolist()
     picked = []
-    while heap:
-        d, v = heapq.heappop(heap)
+    left = n  # live vertices: every one has a current entry in the heap
+    while left:
+        d, v = divmod(heapq.heappop(heap), n)
         if d != deg[v] or not alive[v]:
             continue  # stale: v was dropped or has lost degree since
         picked.append(v)
-        closed = [v, *filter(live, nbrs[v])]
+        closed = [v, *filter(live, nbrs[v])] if d else [v]
         for u in closed:
             alive[u] = 0
+        left -= len(closed)
+        if not d:
+            continue  # no live neighbour: no degree to recount
         if sum(map(len, map(nbrs.__getitem__, closed))) > bulk:
             heads = np.concatenate([g.indices[ends[u]:ends[u + 1]]
                                     for u in closed])
-            lost = np.bincount(heads[live_mask[heads]], minlength=g.n)
+            lost = np.bincount(heads[live_mask[heads]], minlength=n)
             near = np.flatnonzero(lost)
             counts = zip(near.tolist(), lost[near].tolist())
         else:
@@ -363,7 +370,7 @@ def turan_independent_set(g: Graph) -> ExtractionResult:
                 filter(live, nbrs[u]) for u in closed)).items()
         for w, c in counts:
             deg[w] -= c
-            heapq.heappush(heap, (deg[w], w))
+            heapq.heappush(heap, deg[w] * n + w)
     members = frozenset(picked)
     assert not any(members.intersection(nbrs[v]) for v in picked), \
         "greedy set is not independent"

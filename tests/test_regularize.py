@@ -549,6 +549,29 @@ def test_turan_matches_the_scan_reference(build):
     assert turan_independent_set(g).vertices == _turan_reference(g)
 
 
+@st.composite
+def graphs_isolated_on_top(draw):
+    """Edge sets on 0-30 vertices whose edges join only the first k ids, so
+    the ids from k up are isolated; k <= 1 gives the edgeless graph. Half
+    the draws take the complement within the first k, for dense graphs."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    k = draw(st.integers(min_value=0, max_value=n))
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    if draw(st.booleans()):
+        edges = set(pairs) - edges
+    return Graph.from_edges(n, sorted(edges))
+
+
+@given(graphs_isolated_on_top())
+@settings(max_examples=300, deadline=None)
+def test_min_degree_orders_match_the_scan_references(g):
+    # the integer heap keys, Turán's stop once no vertex is live and its
+    # picks with no live neighbour, against full scans of the live vertices
+    assert turan_independent_set(g).vertices == _turan_reference(g)
+    assert _smallest_last(g) == _peel_order_reference(g)
+
+
 def test_theorem12_on_cliques():
     for eps in (0.3, 0.5):
         res = theorem12_pipeline(complete(100), eps)
