@@ -54,6 +54,7 @@ from .peeling import (
     proposition11_pipeline,
 )
 from .regularize import (
+    DEFAULT_EXACT_LIMIT,
     density_boost,
     lemma25_extract,
     theorem12_pipeline,
@@ -281,7 +282,7 @@ def _build_parser() -> tuple:
     ext.add_argument("--alpha", type=float, default=0.4)
     ext.add_argument("--c", type=float, default=3.0)
     ext.add_argument("--epsilon", type=float, default=0.1)
-    ext.add_argument("--exact-limit", type=int, default=24)
+    ext.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT)
     ext.add_argument("--out", default=None)
 
     exp = sub.add_parser("experiment", help="run a statistical experiment")

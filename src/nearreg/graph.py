@@ -5,8 +5,7 @@ Adjacency is stored once, as read-only numpy CSR arrays: the neighbours of
 v, ascending, are ``indices[indptr[v]:indptr[v + 1]]``, so a graph takes
 O(n + m) memory at any n. Algorithms take every vertex's ascending
 neighbour list from `Graph.neighbor_lists` and track live sets as
-bytearrays; only the exhaustive search (`oracle.subset_search`) builds
-bitmask rows, on demand, for at most 64 vertices.
+bytearrays; no module builds bitmask rows.
 Average degree and density are carried as exact `Fraction`s so that peel
 thresholds never flip on float rounding. Every ledger entry is evaluated by
 `check`, exactly for integer, `Fraction` and a + b*sqrt(e) (`Surd`)

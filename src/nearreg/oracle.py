@@ -1,7 +1,8 @@
 """Ground truth at desk scale.
 
-The exhaustive subset search (`subset_search`: one set-up per graph, one
-include-first search per size), the largest nearly regular induced
+The exhaustive subset search (`subset_search`: one set-up per graph, from
+its neighbour lists, and one include-first search per size, whose witness
+is a tuple of ascending ids), the largest nearly regular induced
 subgraph it finds (`exact_f`), and vectorised Monte Carlo estimators for
 the point-probability and induced-regularity experiments, each
 cross-checked against an exact dynamic program where one exists.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .instances import p_bar
 
 Real = Union[int, float, Fraction]
 
-HARD_VERTEX_CAP = 64       # bitset rows; beyond this the search is refused
+HARD_VERTEX_CAP = 64       # an exponential search: refused above this
 VERTEX_CAP = 24            # exact_f and the gnpbar-scan experiment
 MC_CHUNK = 1 << 15         # Monte Carlo rows drawn at once, at most,
 MC_CHUNK_CELLS = 1 << 20   # and draws at once (8 MiB), unless one row has more
@@ -43,19 +44,12 @@ class OracleResult:
     explored: int
 
 
-def bit_indices(mask: int) -> Iterator[int]:
-    """Yield set-bit positions of ``mask`` in increasing order."""
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
-
-
 def subset_search(g: Graph, prune: Callable, accept: Callable) -> Callable:
     """Exhaustive search of ``g``, set up once: returns ``search(t) ->
-    (witness_mask or None, explored)``, one include-first DFS over
-    ascending ids at size t, so the witness is the lexicographically least
-    accepted t-subset, and ``explored`` counts that DFS's nodes.
+    (witness or None, explored)``, one include-first DFS over ascending ids
+    at size t, so the witness, a tuple of ascending ids, is the
+    lexicographically least accepted t-subset, and ``explored`` counts that
+    DFS's nodes.
 
     Graphs above ``HARD_VERTEX_CAP`` vertices raise ``SizeCapError`` here,
     before any size is searched. At the node deciding id ``pos`` the DFS
@@ -66,7 +60,7 @@ def subset_search(g: Graph, prune: Callable, accept: Callable) -> Callable:
       (an include adds 1 along the new vertex's neighbours, a backtrack
       takes it off again);
     - ``after[v]``, the neighbours of v among the ids pos..n-1 still to
-      decide (a row of a table built with the bitmask rows, once);
+      decide (a row of a table built once from the neighbour lists);
     - ``rem``, the vertices still to pick.
     It drops the node when ``prune(t, e, rem, pos, chosen, inner, after)``
     holds, and takes a t-subset when ``accept(t, e, chosen, inner)`` holds.
@@ -75,19 +69,20 @@ def subset_search(g: Graph, prune: Callable, accept: Callable) -> Callable:
     if g.n > HARD_VERTEX_CAP:
         raise SizeCapError(f"exact search is capped at {HARD_VERTEX_CAP} vertices")
     n, nbrs = g.n, g.neighbor_lists()
-    rows = [sum(1 << u for u in row) for row in nbrs]  # bitmask rows
-    after = [[(r >> pos).bit_count() for r in rows] for pos in range(n + 1)]
+    after = [[len(row) for row in nbrs]]  # row pos drops ids below pos
+    for row in nbrs:
+        after.append(after[-1][:])
+        for u in row:
+            after[-1][u] -= 1
     inner = [0] * n
     chosen: list = []
     explored = t = 0
 
-    def dfs(pos: int, rem: int, e: int) -> Optional[int]:
+    def dfs(pos: int, rem: int, e: int) -> Optional[tuple]:
         nonlocal explored
         explored += 1
         if rem == 0:
-            if accept(t, e, chosen, inner):
-                return sum(1 << v for v in chosen)
-            return None
+            return tuple(chosen) if accept(t, e, chosen, inner) else None
         if n - pos < rem:
             return None
         if prune(t, e, rem, pos, chosen, inner, after[pos]):
@@ -188,7 +183,7 @@ def exact_f(g: Graph, c: Real) -> OracleResult:
         hit, nodes = search(t)
         explored += nodes
         if hit is not None:
-            return OracleResult(t, frozenset(bit_indices(hit)), explored)
+            return OracleResult(t, frozenset(hit), explored)
     return OracleResult(0, frozenset(), explored)
 
 

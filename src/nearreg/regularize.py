@@ -45,7 +45,7 @@ from .graph import (
     ledger_ratio,
     require_bounds,
 )
-from .oracle import bit_indices, subset_search
+from .oracle import subset_search
 from .peeling import peel_min
 
 Real = Union[int, float, Fraction]
@@ -142,9 +142,9 @@ def find_dense_subset(g: Graph, eps: Real) -> Optional[frozenset]:
     - ``top``, the largest size at which even the whole graph has enough
       edges; a hit there is the answer;
     - on a miss, the smallest-last order's first qualifying suffix
-      (`_dense_cut`), a size L <= t* certified without a search, then
-      L+1, L+2, ... up to the first miss; the last hit is the answer, and
-      when L+1 already misses, L is searched for its witness;
+      (`_dense_cut`) gives a size L <= t* that is known to qualify; L,
+      L+1, ... are searched up to the first miss, and the last hit is the
+      answer;
     - with no qualifying suffix, t_min, t_min+1, ... in the same way.
     Each probe is the same include-first search at one size, all through
     one set-up, so the witness at t* is the one a scan from the top finds.
@@ -186,17 +186,11 @@ def find_dense_subset(g: Graph, eps: Real) -> Optional[frozenset]:
     if hit is None:
         steps = peel_min(g, math.inf)[2]
         cut = _dense_cut(steps, 0, g.m, eps_f)
-        known = None if cut is None else g.n - cut[0]
-        t = t_min if known is None else known + 1
-        while t < top:
-            found = search(t)[0]
-            if found is None:
-                break
+        t = t_min if cut is None else g.n - cut[0]
+        while t < top and (found := search(t)[0]) is not None:
             hit = found
             t += 1
-        if hit is None and known is not None:
-            hit = search(known)[0]
-    return None if hit is None else frozenset(bit_indices(hit))
+    return None if hit is None else frozenset(hit)
 
 
 def _raised(prev: Fraction, new: Fraction, eps: Fraction) -> Fraction:

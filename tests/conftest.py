@@ -9,7 +9,6 @@ import pytest
 
 from nearreg import PreconditionError, SizeCapError, degree_stats
 from nearreg.graph import as_fraction
-from nearreg.oracle import bit_indices
 
 # The slowest test takes a few seconds. One still running after this long
 # is taken to hang (a search that loops, say): the run ends with every
@@ -41,6 +40,14 @@ def watchdog(request):
 # --- bitmask adjacency, for the tests' exhaustive references -------------
 # The package stores neighbour arrays only; these helpers rebuild the
 # n-bit rows a reference counts with, from the public neighbour lists.
+
+def bit_indices(mask: int):
+    """Yield set-bit positions of ``mask`` in increasing order."""
+    while mask:
+        lsb = mask & -mask
+        yield lsb.bit_length() - 1
+        mask ^= lsb
+
 
 def bitmask_rows(g) -> list:
     """Row v is the bitmask of v's neighbours in ``g``."""

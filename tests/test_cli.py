@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from nearreg import cli, oracle
+from nearreg import cli, oracle, regularize
 from nearreg.cli import main
 
 
@@ -363,6 +363,12 @@ def test_calibration_figures_come_from_the_constants(capsys):
     assert code == 0
     body = json.loads(out)["result"]
     assert body["calibration_reference"] == 20 * (oracle.C1_CAP / 4) ** 2
+
+
+def test_exact_limit_default_is_the_library_default():
+    parser = cli._build_parser()[0]
+    args = parser.parse_args(["extract", "boost", "g.el"])
+    assert args.exact_limit == regularize.DEFAULT_EXACT_LIMIT
 
 
 def test_extract_boost_above_the_search_cap_is_refused(tmp_path, capsys):

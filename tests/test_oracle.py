@@ -120,13 +120,13 @@ def test_subset_search_carries_the_prefix_edge_count():
 
     search = subset_search(g, lambda *args: False, independent)
     t = g.n
-    while (mask := search(t)[0]) is None:
+    while (hit := search(t)[0]) is None:
         t -= 1
     expected = next(combo for k in range(g.n, 0, -1)
                     for combo in combinations(range(g.n), k)
                     if not any(has_edge(g, u, v)
                                for u, v in combinations(combo, 2)))
-    assert (t, mask) == (len(expected), sum(1 << v for v in expected))
+    assert (t, hit) == (len(expected), expected)
 
 
 def test_subset_search_refuses_65_vertices_before_any_search():
@@ -142,7 +142,7 @@ def test_subset_search_refuses_65_vertices_before_any_search():
     # 64 vertices are searched: one node per id, then the full set
     search = subset_search(Graph.empty(64), lambda *args: False,
                            lambda *args: True)
-    assert search(64) == ((1 << 64) - 1, 65)
+    assert search(64) == (tuple(range(64)), 65)
 
 
 def test_exact_f_n_hand_values():

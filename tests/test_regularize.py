@@ -29,11 +29,11 @@ from nearreg import (
     turan_independent_set,
 )
 from nearreg.graph import as_fraction
-from nearreg.oracle import bit_indices
 from nearreg.peeling import peel_min
 from nearreg.regularize import _dense_cut, _density, _inner_epsilon
 
 from conftest import (
+    bit_indices,
     bitmask_rows,
     count_edges_between,
     count_edges_in,

@@ -31,10 +31,10 @@ from nearreg import (
 )
 from nearreg import regularize
 from nearreg.graph import as_fraction
-from nearreg.oracle import bit_indices, subset_search
+from nearreg.oracle import subset_search
 from nearreg.regularize import _boost_target
 
-from conftest import bitmask_rows, count_edges_in, full_mask
+from conftest import bit_indices, bitmask_rows, count_edges_in, full_mask
 
 
 # --- reference: the popcount search and its two callers' prunes ---------
@@ -170,10 +170,11 @@ def dense_search(g, eps, monkeypatch):
         search = subset_search(g, prune, accept)
 
         def probe(t):
-            mask, explored = search(t)
-            probes.append(([t], (t if mask is not None else 0, mask,
+            hit, explored = search(t)
+            mask = None if hit is None else sum(1 << v for v in hit)
+            probes.append(([t], (t if hit is not None else 0, mask,
                                  explored)))
-            return mask, explored
+            return hit, explored
 
         return probe
 
@@ -292,7 +293,10 @@ def test_dense_search_sets_up_one_search_per_call(name, eps, monkeypatch):
 
 # (t, mask, explored) of the searches inside find_dense_subset, pinned; a
 # scan of every size from the top took 42712, 42284, 1154 and 5493 nodes
-# on the first four, and as many as the seeded probes on the other four
+# on the first four, and as many as the seeded probes on the next four.
+# The last one's answer lies two sizes above the peel's cut L, one below
+# the top size, which misses; after the top its probes search L, L+1 and
+# L+2 (17, 28 and 31 of its 121 nodes).
 DENSE_PINS = [
     (complete_bipartite(11, 22), 0.1, (6, 14343, 3295)),
     (complete_bipartite(11, 22), 0.2, (0, None, 2398)),
@@ -302,6 +306,7 @@ DENSE_PINS = [
     (sample_gnp_uniform(18, 0.4, 32), 0.1, (16, 260094, 884)),
     (sample_gnp_uniform(20, 0.25, 33), 0.2, (17, 442367, 555)),
     (sample_gnp_uniform(20, 0.5, 34), 0.1, (18, 1047295, 330)),
+    (sample_gnp_uniform(10, 0.3, 75), 0.2, (8, 879, 121)),
 ]
 
 
