@@ -7,8 +7,11 @@ unknown option, say), 3 a search-size cap was exceeded or the input is
 too large to hold in memory, 4 file or format trouble, 5 an internal error
 (any other exception, reported on one line of stderr; a bug, never an
 input condition). Reports are byte-identical across runs of the same
-command and seed except for the wall_time_s field, which covers the whole
-command from the input read.
+command and seed except for the wall_time_s field, which runs from the
+start of the command's work (for extract, the input read) to the report
+built: encoding and writing the report lie outside it. A report, and the
+`gen` sidecar, is the text ``json.dumps(report, indent=2, sort_keys=True)``
+gives, plus a newline.
 
 `extract` draws nothing at random. The randomness of `gen` and
 `experiment` flows from their --seed flag: the random generators consume
@@ -26,6 +29,7 @@ import math
 import statistics
 import sys
 import time
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -96,8 +100,69 @@ def _graph_summary(g: Graph) -> dict:
     return out
 
 
+_str_text = json.encoder.encode_basestring_ascii
+# the C encoder: the text of a non-finite float (NaN, Infinity, -Infinity),
+# and the TypeError of a value JSON has no form for
+_stdlib_text = json.JSONEncoder().encode
+
+
+def _json_text(value, pad: str = "") -> str:
+    """The text ``json.dumps(value, indent=2, sort_keys=True)`` returns for a
+    value whose first line is indented by ``pad``.
+
+    The lists that make a report long (vertices, edge pairs, peel steps) are
+    each written by one ``%`` format of a template repeated per element: a
+    list of ints with one ``%d`` per element, a list of int rows of one
+    width with one row of ``%d`` per row. ``%d`` writes an int as
+    ``int.__repr__`` does; these paths take exact ints only, so a bool or an
+    int-like numpy scalar, and rows of width 0, take the general path. Any
+    other list or tuple is written element by element, a dict in key order,
+    and a scalar as the stdlib writes it. Dict keys must be strings, as a
+    report's are: any other key raises TypeError, where ``json.dumps`` would
+    write it as a string.
+    """
+    if isinstance(value, str):
+        return _str_text(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            body = sep.join(["%d"] * len(value)) % tuple(value)
+        elif (kinds <= {list, tuple} and len(set(map(len, value))) == 1
+                and set(map(type, chain.from_iterable(value))) == {int}):
+            cell = ",\n" + inner + "  "
+            row = "[" + cell[1:] + cell.join(["%d"] * len(value[0])) \
+                + "\n" + inner + "]"
+            cells = tuple(chain.from_iterable(value))
+            body = sep.join([row] * len(value)) % cells
+        else:
+            body = sep.join([_json_text(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return "{\n" + inner + (",\n" + inner).join([
+            _str_text(k) + ": " + _json_text(v, inner)
+            for k, v in sorted(value.items())]) + "\n" + pad + "}"
+    return _stdlib_text(value)
+
+
 def _emit(report: dict, out: Optional[str]) -> None:
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    payload = _json_text(report) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -139,7 +204,7 @@ def _cmd_gen(args, argv: list) -> int:
         "m": g.m,
     }
     with open(args.out + ".json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        fh.write(_json_text(sidecar) + "\n")
     return 0
 
 
