@@ -434,17 +434,13 @@ def theorem13_pipeline(g: Graph, eps: Real,
     branch's contract: an independent set, or degree ratio <= 1 + eps.
 
     eps must lie in (0, 6) for the sparse branch and in (0, 3) for the
-    dense one. The sparse branch returns the result of
-    `turan_independent_set` retagged, its ``Turan-size`` check renamed to
-    ``Thm1.3-turan-size``."""
+    dense one. The sparse branch, which the graph with no vertices takes,
+    returns the result of `turan_independent_set` retagged, its
+    ``Turan-size`` check renamed to ``Thm1.3-turan-size``."""
     eps0 = _inner_epsilon(eps)
     suffix = "" if float(eps) <= 0.1 else " no-guarantee"
-    if g.n == 0:
-        return ExtractionResult(frozenset(), None, DegreeStats.of([]),
-                                "Thm1.3-turan" + suffix)
     a = eps0 / (3 * math.log(1 / eps0))
-    p = float(_density(g))
-    if p < g.n ** (-a):
+    if not g.n or float(_density(g)) < g.n ** (-a):
         turan = turan_independent_set(g)
         checks = require_bounds("theorem13_pipeline", [
             replace(turan.bounds[0], bound_id="Thm1.3-turan-size")])

@@ -639,7 +639,9 @@ def test_theorem13_on_no_vertices():
                   "avg_deg_exact": "0", "density": 0.0,
                   "density_exact": "0"},
         "ratio": 1.0, "ratio_exact": "1",
-        "guarantee": "Thm1.3-turan no-guarantee", "bounds": []}
+        "guarantee": "Thm1.3-turan no-guarantee",
+        "bounds": [{"id": "Thm1.3-turan-size", "kind": "lower",
+                    "threshold": 0.0, "achieved": 0, "pass": True}]}
 
 
 def test_theorem13_edgeless_goes_turan():

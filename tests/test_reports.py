@@ -26,8 +26,9 @@ from nearreg.cli import EXTRACT_ALGORITHMS, main
 
 REPORTS = pathlib.Path(__file__).parent / "fixtures" / "reports"
 GEN_PINS = pathlib.Path(__file__).parent / "fixtures" / "gen"
-GRAPHS = ("k4-plus-2", "star-9", "path-12", "gnp-uniform-40-0.2-s3",
-          "gnp-bar-30-s1", "k-3-5", "gnp-uniform-300-0.23-s1")
+GRAPHS = ("empty-0", "k4-plus-2", "star-9", "path-12",
+          "gnp-uniform-40-0.2-s3", "gnp-bar-30-s1", "k-3-5",
+          "gnp-uniform-300-0.23-s1")
 EXPERIMENTS = {
     "point-prob": ["--t", "30", "--trials", "2000", "--seed", "1"],
     "regular-prob": ["--n", "20", "--k", "6", "--trials", "2000",
