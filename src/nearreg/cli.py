@@ -1,5 +1,7 @@
 """Command-line front door: generate instances, run extractions, and drive
-the experiments, emitting machine-readable JSON reports.
+the experiments, emitting machine-readable JSON reports. Every report is
+built here: the library returns plain data, and `EXTRACT_KINDS` names each
+algorithm's extractor, its options and the writer of its report.
 
 Exit codes: 0 all guarantee checks passed, 1 a guarantee failed, 2 an
 algorithm precondition failed or argparse refused the command line (an
@@ -42,7 +44,13 @@ from .errors import (
     PreconditionError,
     SizeCapError,
 )
-from .graph import Graph, degree_stats, parse_edge_list, serialize_edge_list
+from .graph import (
+    Graph,
+    _sign_of_difference,
+    degree_stats,
+    parse_edge_list,
+    serialize_edge_list,
+)
 from .oracle import (
     C0_CAP,
     VERTEX_CAP,
@@ -68,16 +76,6 @@ from .regularize import (
 
 SCHEMA = "nearreg-report/1"
 
-# every extract algorithm, with the options it takes after the graph, which
-# its report echoes as ``params``
-EXTRACT_PARAMS = {
-    "prop21": ("k", "alpha"), "prop22": ("k",), "prop11": ("c",),
-    "boost": ("epsilon", "exact_limit"), "lemma25": ("epsilon",),
-    "thm12": ("epsilon", "exact_limit"), "thm13": ("epsilon", "exact_limit"),
-    "thm41": (), "turan": (), "matching": (),
-}
-EXTRACT_ALGORITHMS = tuple(EXTRACT_PARAMS)
-
 # every gen kind, with the name of its generator in `instances` and the
 # options that generator takes, in its argument order
 GEN_KINDS = {
@@ -93,11 +91,100 @@ GEN_KINDS = {
 GEN_OPTIONS = ("s", "n", "k", "p", "seed")
 
 
+def _number(x):
+    """A report number: an int as it is, anything else as a float, and an
+    exact value beyond the float range as +-inf (the check stays exact)."""
+    if isinstance(x, int):
+        return x
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if _sign_of_difference(0, x) < 0 else -math.inf
+
+
+def _stats_json(st) -> dict:
+    """The report entries of a `DegreeStats`."""
+    return {"max_deg": st.max_deg, "min_deg": st.min_deg,
+            "avg_deg": float(st.avg_deg), "avg_deg_exact": str(st.avg_deg),
+            "density": float(st.density), "density_exact": str(st.density)}
+
+
 def _graph_summary(g: Graph) -> dict:
-    st = degree_stats(g)
-    out = {"n": g.n, "m": g.m}
-    out.update(st.to_json())
-    return out
+    return {"n": g.n, "m": g.m, **_stats_json(degree_stats(g))}
+
+
+def _ledger(checks) -> list:
+    """The report entries of a ledger of `BoundCheck`s, in its order."""
+    return [{"id": c.bound_id, "kind": c.kind,
+             "threshold": _number(c.threshold),
+             "achieved": _number(c.achieved), "pass": c.passed}
+            for c in checks]
+
+
+# The report writers: each takes what an extractor returns and gives the
+# report's ``result`` and ``bounds``, one list that ``result`` may hold too.
+
+def _result(res) -> tuple:
+    """Of an `ExtractionResult`."""
+    ledger, ratio = _ledger(res.bounds), res.ratio
+    return {"vertices": sorted(res.vertices),
+            "edges": None if res.edges is None else sorted(res.edges),
+            "stats": _stats_json(res.stats), "ratio": float(ratio),
+            "ratio_exact": str(ratio), "guarantee": res.guarantee,
+            "bounds": ledger}, ledger
+
+
+def _reduction(out: tuple) -> tuple:
+    """Of `prop22_reduce`: the subgraph's summary and the peel trace, its
+    steps as int lists [vertex, degree, round], `_json_text`'s fast rows."""
+    sub, trace, checks, _ = out
+    trace_json = {"steps": [list(step) for step in trace.steps],
+                  "thresholds": [str(t) for t in trace.thresholds]}
+    return {"subgraph": _graph_summary(sub), "trace": trace_json}, \
+        _ledger(checks)
+
+
+def _boost(boost) -> tuple:
+    """Of a `BoostOutcome`."""
+    ledger = _ledger(boost.bounds)
+    return {"n": boost.subgraph.n, "m": boost.subgraph.m,
+            "density": float(boost.density),
+            "density_exact": str(boost.density),
+            "certified": boost.certified, "rounds": boost.rounds,
+            "vertices": sorted(boost.vertices), "bounds": ledger}, ledger
+
+
+def _cascade_json(cascade) -> dict:
+    """The report entries of a `CascadeState`."""
+    return {"rounds": cascade.rounds,
+            "set_sizes": [[len(a), len(b)] for a, b in cascade.sets],
+            "matching_sizes": [len(m) for m in cascade.matchings],
+            "residual_edges": cascade.residual_edges}
+
+
+def _edge_result(out: tuple) -> tuple:
+    """Of `theorem41`: its result with the cascade's entries added."""
+    res, cascade = out
+    result, ledger = _result(res)
+    return {**result, "cascade": _cascade_json(cascade)}, ledger
+
+
+# every extract algorithm, with the name of its extractor in this module,
+# the options that extractor takes after the graph, in its argument order
+# (the report echoes them as ``params``), and its report writer
+EXTRACT_KINDS = {
+    "prop21": ("prop21_refine", ("k", "alpha"), _result),
+    "prop22": ("prop22_reduce", ("k",), _reduction),
+    "prop11": ("proposition11_pipeline", ("c",), _result),
+    "boost": ("density_boost", ("epsilon", "exact_limit"), _boost),
+    "lemma25": ("lemma25_extract", ("epsilon",), _result),
+    "thm12": ("theorem12_pipeline", ("epsilon", "exact_limit"), _result),
+    "thm13": ("theorem13_pipeline", ("epsilon", "exact_limit"), _result),
+    "thm41": ("theorem41", (), _edge_result),
+    "turan": ("turan_independent_set", (), _result),
+    "matching": ("matching_lower_bound", (), _result),
+}
+EXTRACT_ALGORITHMS = tuple(EXTRACT_KINDS)
 
 
 _str_text = json.encoder.encode_basestring_ascii
@@ -213,40 +300,22 @@ def _load_graph(path: str) -> Graph:
         return parse_edge_list(fh.read())
 
 
-def _run_extract(args, g: Graph):
-    """Dispatch one extraction; returns (result_json, bounds, params_json).
-    The extractors are looked up at call time, so that a rebinding of this
-    module's names (as a tracer does) reaches every one of them."""
-    algo = args.algorithm
-    params = {name: getattr(args, name) for name in EXTRACT_PARAMS[algo]}
-    if algo == "prop22":
-        sub, trace, checks, _ = prop22_reduce(g, args.k)
-        out = {"subgraph": _graph_summary(sub), "trace": trace.to_json()}
-        return out, checks, params
-    if algo == "thm41":
-        res, cascade = theorem41(g)
-        out = res.to_json()
-        out["cascade"] = cascade.to_json()
-        return out, res.bounds, params
-    fn = {"prop21": prop21_refine, "prop11": proposition11_pipeline,
-          "boost": density_boost, "lemma25": lemma25_extract,
-          "thm12": theorem12_pipeline, "thm13": theorem13_pipeline,
-          "turan": turan_independent_set,
-          "matching": matching_lower_bound}[algo]
-    res = fn(g, *params.values())
-    return res.to_json(), res.bounds, params
-
-
 def _cmd_extract(args, argv: list) -> int:
+    """Run the algorithm's extractor, looked up in this module at call time
+    (so that a rebinding of its names, as a tracer does, reaches every
+    one), on the options it takes, and report what it returns."""
+    extractor, names, write = EXTRACT_KINDS[args.algorithm]
+    params = {name: getattr(args, name) for name in names}
+
     def body() -> dict:
         g = _load_graph(args.graph)
-        result, bounds, params = _run_extract(args, g)
+        result, ledger = write(globals()[extractor](g, *params.values()))
         return {
             "algorithm": args.algorithm,
             "params": params,
             "input": _graph_summary(g),
             "result": result,
-            "bounds": [c.to_json() for c in bounds],
+            "bounds": ledger,
         }
 
     return _write_report(argv, args.out, body)

@@ -415,14 +415,6 @@ class CascadeState:
     def rounds(self) -> int:
         return len(self.matchings)
 
-    def to_json(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "set_sizes": [[len(a), len(b)] for a, b in self.sets],
-            "matching_sizes": [len(m) for m in self.matchings],
-            "residual_edges": self.residual_edges,
-        }
-
 
 def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
     """Run ``rounds`` iterations of minimal-tight-set extraction, deleting

@@ -1,4 +1,5 @@
-"""Core graph representation and shared result types.
+"""Core graph representation and the shared result types, plain data that
+`nearreg.cli` writes into reports.
 
 Graphs are immutable simple undirected graphs over dense ids 0..n-1.
 Adjacency is stored once, as read-only numpy CSR arrays: the neighbours of
@@ -190,16 +191,6 @@ class DegreeStats:
     avg_deg: Fraction
     density: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "max_deg": self.max_deg,
-            "min_deg": self.min_deg,
-            "avg_deg": float(self.avg_deg),
-            "avg_deg_exact": str(self.avg_deg),
-            "density": float(self.density),
-            "density_exact": str(self.density),
-        }
-
     @staticmethod
     def of(degrees: list) -> "DegreeStats":
         """Statistics of a graph with degree sequence ``degrees``, whose
@@ -288,17 +279,6 @@ def _sign_of_difference(x, t) -> int:
     return sc * ((c * c > r2) - (c * c < r2))
 
 
-def _json_number(x):
-    """A report number: an int as it is, anything else as a float, and an
-    exact value beyond the float range as +-inf (the check stays exact)."""
-    if isinstance(x, int):
-        return x
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if _sign_of_difference(0, x) < 0 else -math.inf
-
-
 @dataclass(frozen=True)
 class BoundCheck:
     """One evaluated guarantee: an id, the required threshold, the achieved
@@ -310,15 +290,6 @@ class BoundCheck:
     achieved: Union[int, Fraction, float]
     passed: bool
     kind: str = "lower"
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.bound_id,
-            "kind": self.kind,
-            "threshold": _json_number(self.threshold),
-            "achieved": _json_number(self.achieved),
-            "pass": self.passed,
-        }
 
 
 def check(bound_id: str, achieved, op: str, threshold) -> BoundCheck:
@@ -376,17 +347,6 @@ class ExtractionResult:
         return ExtractionResult(
             frozenset(deg), edge_set,
             DegreeStats.of(list(deg.values())), guarantee, bounds)
-
-    def to_json(self) -> dict:
-        return {
-            "vertices": sorted(self.vertices),
-            "edges": sorted(self.edges) if self.edges is not None else None,
-            "stats": self.stats.to_json(),
-            "ratio": float(self.ratio),
-            "ratio_exact": str(self.ratio),
-            "guarantee": self.guarantee,
-            "bounds": [c.to_json() for c in self.bounds],
-        }
 
 
 def _int64(ids):

@@ -54,12 +54,6 @@ class PeelTrace:
     steps: list = field(default_factory=list)
     thresholds: list = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "steps": [[s.vertex, s.degree, s.round_index] for s in self.steps],
-            "thresholds": [str(t) for t in self.thresholds],
-        }
-
 
 def _int_threshold(threshold: Real) -> Real:
     """The least integer at least ``threshold`` (``math.inf`` as it is):

@@ -71,18 +71,6 @@ class BoostOutcome:
     vertices: frozenset
     bounds: tuple = field(default=())
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.subgraph.n,
-            "m": self.subgraph.m,
-            "density": float(self.density),
-            "density_exact": str(self.density),
-            "certified": self.certified,
-            "rounds": self.rounds,
-            "vertices": sorted(self.vertices),
-            "bounds": [c.to_json() for c in self.bounds],
-        }
-
 
 def _density(g: Graph) -> Fraction:
     return Fraction(g.m, comb(g.n, 2)) if g.n > 1 else Fraction(0)

@@ -6,11 +6,13 @@ import json
 import math
 import pathlib
 import re
+from fractions import Fraction
 
 import pytest
 
 from nearreg import cli, oracle, regularize
 from nearreg.cli import main
+from nearreg.graph import Surd, check
 
 
 def run_cli(argv, capsys):
@@ -393,6 +395,41 @@ def test_extract_lemma25_refuses_eps_from_a_quarter(tmp_path, capsys):
     assert "precondition" in err
 
 
+# the name in `cli` of the extractor each algorithm runs
+EXTRACTORS = {
+    "prop21": "prop21_refine", "prop22": "prop22_reduce",
+    "prop11": "proposition11_pipeline", "boost": "density_boost",
+    "lemma25": "lemma25_extract", "thm12": "theorem12_pipeline",
+    "thm13": "theorem13_pipeline", "thm41": "theorem41",
+    "turan": "turan_independent_set", "matching": "matching_lower_bound",
+}
+
+
+def test_every_algorithm_names_its_extractor():
+    assert sorted(cli.EXTRACT_ALGORITHMS) == sorted(EXTRACTORS)
+
+
+@pytest.mark.parametrize("algorithm", sorted(EXTRACTORS))
+def test_a_rebound_extractor_is_the_one_extract_runs(algorithm, tmp_path,
+                                                     capsys, monkeypatch):
+    # a tracer rebinds the extractors' names in `cli` after import, so the
+    # extract command must look each one up when it runs
+    name = EXTRACTORS[algorithm]
+    extractor, calls = getattr(cli, name), []
+
+    def wrapper(g, *params):
+        calls.append((g.n, g.m, params))
+        return extractor(g, *params)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    path = write_graph(tmp_path, "k4.el", "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code, out, _ = run_cli(["extract", algorithm, path], capsys)
+    assert [call[:2] for call in calls] == [(4, 6)]
+    if code == 0:
+        assert sorted(json.loads(out)["params"].values()) == \
+            sorted(calls[0][2])
+
+
 def test_unexpected_exception_is_internal_error(tmp_path, capsys,
                                                 monkeypatch):
     def boom(g):
@@ -456,6 +493,19 @@ def test_thresholds_beyond_floats_are_reported_infinite(argv, tmp_path,
     bounds = json.loads(out)["bounds"]
     assert math.inf in [b["threshold"] for b in bounds]
     assert all(b["pass"] for b in bounds)
+
+
+def test_check_json_writes_thresholds_beyond_floats_as_infinite():
+    def threshold(entry):
+        return cli._ledger([entry])[0]["threshold"]
+
+    huge = Fraction(10 ** 400)
+    assert threshold(check("t", 4, "<=", huge)) == math.inf
+    low = check("t", 4, ">=", -huge)
+    assert (threshold(low), low.passed) == (-math.inf, True)
+    assert not check("t", 4, ">=", huge + Fraction(1, 3)).passed
+    surd = Surd(-huge, Fraction(1), Fraction(2))
+    assert threshold(check("t", 0, ">=", surd)) == -math.inf
 
 
 @pytest.mark.parametrize("algorithm", ["thm12", "thm13"])
