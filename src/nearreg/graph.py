@@ -312,7 +312,7 @@ def require_bounds(op: str, checks: Iterable[BoundCheck]) -> tuple:
     bad = [c for c in checks if not c.passed]
     if bad:
         ids = ", ".join(c.bound_id for c in bad)
-        raise BoundViolationError(f"{op}: guarantee failed: {ids}", checks)
+        raise BoundViolationError(f"{op}: {ids}", checks)
     return checks
 
 
