@@ -1,7 +1,8 @@
 """Command-line front door: generate instances, run extractions, and drive
 the experiments, emitting machine-readable JSON reports. Every report is
-built here: the library returns plain data, and `EXTRACT_KINDS` names each
-algorithm's extractor, its options and the writer of its report.
+built here: the library returns plain data. `OPTIONS` gives each command's
+options a type and default, and the `*_KINDS` tables each kind's function
+and the options it takes; `_options` refuses any other option (exit 2).
 
 Exit codes: 0 all guarantee checks passed, 1 a guarantee failed, 2 an
 algorithm precondition failed or argparse refused the command line (an
@@ -76,6 +77,20 @@ from .regularize import (
 
 SCHEMA = "nearreg-report/1"
 
+# every option of each command, with its type and default. A gen option has
+# no default, so a kind that takes it needs it; every kind of every command
+# refuses an option it does not take (see `_options`).
+OPTIONS = {
+    "gen": {"s": (int, None), "n": (int, None), "k": (int, None),
+            "p": (float, None), "seed": (int, None)},
+    "extract": {"k": (float, 2.0), "alpha": (float, 0.4), "c": (float, 3.0),
+                "epsilon": (float, 0.1),
+                "exact_limit": (int, DEFAULT_EXACT_LIMIT)},
+    "experiment": {"t": (int, 100), "n": (int, 20), "k": (int, 4),
+                   "trials": (int, 100000), "samples": (int, 10),
+                   "seed": (int, 0)},
+}
+
 # every gen kind, with the name of its generator in `instances` and the
 # options that generator takes, in its argument order
 GEN_KINDS = {
@@ -86,9 +101,6 @@ GEN_KINDS = {
     "complete-bipartite": ("complete_bipartite", ("k", "n")),
     "star": ("star", ("n",)),
 }
-# every option of gen; a kind refuses those it does not take, and the
-# sidecar echoes the ones it takes
-GEN_OPTIONS = ("s", "n", "k", "p", "seed")
 
 
 def _number(x):
@@ -184,7 +196,6 @@ EXTRACT_KINDS = {
     "turan": ("turan_independent_set", (), _result),
     "matching": ("matching_lower_bound", (), _result),
 }
-EXTRACT_ALGORITHMS = tuple(EXTRACT_KINDS)
 
 
 _str_text = json.encoder.encode_basestring_ascii
@@ -268,30 +279,40 @@ def _write_report(argv: list, out: Optional[str], body: Callable) -> int:
     return 0
 
 
+def _options(args, kind: str, names: tuple) -> dict:
+    """The values of the options ``names`` that ``kind`` takes, as given or
+    by default. Refused in turn: a negative --seed, a missing option (one
+    with no default) and a given option the kind does not take."""
+    table = OPTIONS[args.command]
+    given = {name: getattr(args, name) for name in table
+             if getattr(args, name) is not None}
+    if given.get("seed", 0) < 0:
+        raise PreconditionError("--seed must be >= 0")
+    missing = [name for name in names
+               if name not in given and table[name][1] is None]
+    extra = [name for name in given if name not in names]
+    for verb, wrong in (("needs", missing), ("does not take", extra)):
+        if wrong:
+            raise PreconditionError(f"{args.command} {kind} {verb} --"
+                                    + wrong[0].replace("_", "-"))
+    return {name: given.get(name, table[name][1]) for name in names}
+
+
 def _cmd_gen(args, argv: list) -> int:
     """Run the kind's generator, looked up in `instances` at call time (so
-    a rebinding of its names reaches it), on the options it takes; an
-    option it does not take is refused."""
+    a rebinding of its names reaches it), on the options it takes."""
     generator, names = GEN_KINDS[args.kind]
-    for name in names:
-        if getattr(args, name) is None:
-            raise PreconditionError(f"gen {args.kind} needs --{name}")
-    for name in GEN_OPTIONS:
-        if name not in names and getattr(args, name) is not None:
-            raise PreconditionError(f"gen {args.kind} does not take --{name}")
-    g = getattr(instances, generator)(*(getattr(args, name) for name in names))
+    values = _options(args, args.kind, names)
+    g = getattr(instances, generator)(*values.values())
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_edge_list(g))
-    params = {"kind": args.kind.replace("-", "_")}
-    params.update((name, getattr(args, name)) for name in names)
     sidecar = {
         "schema": "nearreg-gen/1",
-        "params": params,
+        "params": {"kind": args.kind.replace("-", "_"), **values},
         "n": g.n,
         "m": g.m,
     }
-    with open(args.out + ".json", "w", encoding="utf-8") as fh:
-        fh.write(_json_text(sidecar) + "\n")
+    _emit(sidecar, args.out + ".json")
     return 0
 
 
@@ -305,7 +326,7 @@ def _cmd_extract(args, argv: list) -> int:
     (so that a rebinding of its names, as a tracer does, reaches every
     one), on the options it takes, and report what it returns."""
     extractor, names, write = EXTRACT_KINDS[args.algorithm]
-    params = {name: getattr(args, name) for name in names}
+    params = _options(args, args.algorithm, names)
 
     def body() -> dict:
         g = _load_graph(args.graph)
@@ -321,114 +342,98 @@ def _cmd_extract(args, argv: list) -> int:
     return _write_report(argv, args.out, body)
 
 
-def _experiment_point_prob(args) -> dict:
-    if args.t < 1:
+def _experiment_point_prob(t: int, trials: int, seed: int) -> dict:
+    if t < 1:
         raise PreconditionError("--t must be at least 1")
-    rng = np.random.Generator(np.random.PCG64(args.seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
     lo, hi = 1 / 16, 9 / 16
-    rhos = lo + (hi - lo) * rng.random(args.t)
+    rhos = lo + (hi - lo) * rng.random(t)
     dist = point_prob_distribution(rhos)
     s_star = int(np.argmax(dist))
     exact = float(dist[s_star])
-    est = estimate_point_prob(list(rhos), s_star, args.trials, args.seed + 1)
-    cap_bound = C0_CAP / math.sqrt(args.t)
+    est = estimate_point_prob(list(rhos), s_star, trials, seed + 1)
+    cap_bound = C0_CAP / math.sqrt(t)
     return {
-        "t": args.t,
-        "trials": args.trials,
         "argmax_s": s_star,
         "max_exact": exact,
         "mc_estimate": est,
         "mc_dp_gap": abs(est - exact),
-        "gap_bound": 4 / math.sqrt(args.trials),
+        "gap_bound": 4 / math.sqrt(trials),
         "calibration_cap": cap_bound,
         "within_calibration_cap": exact <= cap_bound,
     }
 
 
-def _experiment_regular_prob(args) -> dict:
-    est = estimate_regular_prob(args.n, args.k, args.trials, args.seed)
+def _experiment_regular_prob(n: int, k: int, trials: int, seed: int) -> dict:
+    est = estimate_regular_prob(n, k, trials, seed)
     # an estimate of 0 or 1 is clamped into [1/(trials+1), 1 - 1/(trials+1)]
     # first, so no run claims a zero error; an estimate strictly between
     # 0 and 1 is at least 1/trials away from both ends and stays as it is
-    p = min(max(est, 1 / (args.trials + 1)), 1 - 1 / (args.trials + 1))
-    se = math.sqrt(p * (1 - p) / args.trials)
-    return {
-        "n": args.n,
-        "k": args.k,
-        "trials": args.trials,
-        "estimate": est,
-        "standard_error": se,
-        "calibration_reference": regular_prob_reference(args.n, args.k),
-    }
+    p = min(max(est, 1 / (trials + 1)), 1 - 1 / (trials + 1))
+    return {"estimate": est,
+            "standard_error": math.sqrt(p * (1 - p) / trials),
+            "calibration_reference": regular_prob_reference(n, k)}
 
 
-def _experiment_gnpbar_scan(args) -> dict:
-    if args.samples < 1:
+def _experiment_gnpbar_scan(n: int, samples: int, seed: int) -> dict:
+    if samples < 1:
         raise PreconditionError("--samples must be at least 1")
-    if args.n > VERTEX_CAP:
+    if n > VERTEX_CAP:
         raise SizeCapError(
-            f"scan instances of {args.n} vertices exceed the cap {VERTEX_CAP}")
+            f"scan instances of {n} vertices exceed the cap {VERTEX_CAP}")
     rows = []
-    for i in range(args.samples):
-        g = instances.sample_gnp_bar(args.n, args.seed + i)
+    for i in range(samples):
+        g = instances.sample_gnp_bar(n, seed + i)
         res = exact_f(g, 1)
         rows.append({
             "sample": i,
-            "seed": args.seed + i,
+            "seed": seed + i,
             "m": g.m,
             "largest_regular": res.value,
             "witness": sorted(res.witness),
             "explored": res.explored,
         })
-    return {
-        "n": args.n,
-        "samples": args.samples,
-        "rows": rows,
-        "median": statistics.median(r["largest_regular"] for r in rows),
-    }
+    return {"rows": rows,
+            "median": statistics.median(r["largest_regular"] for r in rows)}
+
+
+# every experiment, with its function and the options that function takes;
+# the report echoes them, --seed beside the result and the others in it
+EXPERIMENT_KINDS = {
+    "point-prob": (_experiment_point_prob, ("t", "trials", "seed")),
+    "regular-prob": (_experiment_regular_prob, ("n", "k", "trials", "seed")),
+    "gnpbar-scan": (_experiment_gnpbar_scan, ("n", "samples", "seed")),
+}
 
 
 def _cmd_experiment(args, argv: list) -> int:
-    run = {"point-prob": _experiment_point_prob,
-           "regular-prob": _experiment_regular_prob,
-           "gnpbar-scan": _experiment_gnpbar_scan}[args.name]
+    run, names = EXPERIMENT_KINDS[args.name]
+    values = _options(args, args.name, names)
+    seed = values.pop("seed")
     return _write_report(argv, args.out, lambda: {
-        "experiment": args.name, "seed": args.seed, "result": run(args)})
+        "experiment": args.name, "seed": seed,
+        "result": {**values, **run(**values, seed=seed)}})
 
 
 def _build_parser() -> tuple:
-    """The top-level parser, and each command's own parser by name."""
+    """The top-level parser, and each command's own parser by name: its
+    positional arguments, then every option `OPTIONS` gives it, and --out."""
     parser = argparse.ArgumentParser(
         prog="nearreg",
         description="Nearly regular subgraph extraction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate an instance as an edge list")
-    gen.add_argument("kind", choices=GEN_KINDS)
-    for name in GEN_OPTIONS:
-        gen.add_argument(f"--{name}", type=float if name == "p" else int)
-    gen.add_argument("--out", required=True)
-
+    sub.add_parser("gen", help="generate an instance as an edge list") \
+        .add_argument("kind", choices=GEN_KINDS)
     ext = sub.add_parser("extract", help="run one extraction on a graph file")
-    ext.add_argument("algorithm", choices=EXTRACT_ALGORITHMS)
+    ext.add_argument("algorithm", choices=EXTRACT_KINDS)
     ext.add_argument("graph", help="edge-list file")
-    ext.add_argument("--k", type=float, default=2.0)
-    ext.add_argument("--alpha", type=float, default=0.4)
-    ext.add_argument("--c", type=float, default=3.0)
-    ext.add_argument("--epsilon", type=float, default=0.1)
-    ext.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT)
-    ext.add_argument("--out", default=None)
-
-    exp = sub.add_parser("experiment", help="run a statistical experiment")
-    exp.add_argument("name", choices=["point-prob", "regular-prob",
-                                      "gnpbar-scan"])
-    exp.add_argument("--t", type=int, default=100)
-    exp.add_argument("--n", type=int, default=20)
-    exp.add_argument("--k", type=int, default=4)
-    exp.add_argument("--trials", type=int, default=100000)
-    exp.add_argument("--samples", type=int, default=10)
-    exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--out", default=None)
+    sub.add_parser("experiment", help="run a statistical experiment") \
+        .add_argument("name", choices=EXPERIMENT_KINDS)
+    for command, options in OPTIONS.items():
+        add = sub.choices[command].add_argument
+        for name, (cast, _) in options.items():
+            add("--" + name.replace("_", "-"), type=cast)
+        add("--out", required=command == "gen")
     return parser, sub.choices
 
 
@@ -458,13 +463,8 @@ def _run(argv: Optional[list]) -> int:
         commands[args.command].error(
             "unrecognized arguments: " + " ".join(extra))
     try:
-        if (getattr(args, "seed", None) or 0) < 0:  # gen and experiment
-            raise PreconditionError("--seed must be >= 0")
-        if args.command == "gen":
-            return _cmd_gen(args, argv)
-        if args.command == "extract":
-            return _cmd_extract(args, argv)
-        return _cmd_experiment(args, argv)
+        return {"gen": _cmd_gen, "extract": _cmd_extract,
+                "experiment": _cmd_experiment}[args.command](args, argv)
     except BoundViolationError as exc:
         print(f"guarantee failed: {exc}", file=sys.stderr)
         return 1

@@ -8,7 +8,7 @@ seed) triple always reproduces the same graph.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -72,9 +72,11 @@ def blocks_padded(n: int) -> Graph:
     return sub
 
 
-def p_bar(n: int) -> list:
-    """Per-vertex edge weights 1/4 + i/(2n) for i = 1..n (exact rationals)."""
-    return [Fraction(1, 4) + Fraction(i, 2 * n) for i in range(1, n + 1)]
+def p_bar(n: int, k: Optional[int] = None) -> list:
+    """Per-vertex edge weights 1/4 + i/(2n) for i = 1..k, k = n unless
+    given (exact rationals)."""
+    return [Fraction(1, 4) + Fraction(i, 2 * n)
+            for i in range(1, (n if k is None else k) + 1)]
 
 
 def pair_probability_range(n: int) -> tuple:

@@ -247,7 +247,7 @@ def estimate_regular_prob(n: int, k: int, trials: int, seed: int) -> float:
     if k < 3:
         # 0, 1 or 2 vertices: every graph is regular
         return 1.0
-    ps = np.array([float(p) for p in p_bar(n)[:k]])
+    ps = np.array([float(p) for p in p_bar(n, k)])
     # one draw per pair i < j, in row-major order
     first, second = np.triu_indices(k, 1)
     probs = ps[first] * ps[second]

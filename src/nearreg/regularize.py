@@ -426,6 +426,8 @@ def theorem13_pipeline(g: Graph, eps: Real,
     returns the result of `turan_independent_set` retagged, its
     ``Turan-size`` check renamed to ``Thm1.3-turan-size``."""
     eps0 = _inner_epsilon(eps)
+    if exact_limit < 1:
+        raise PreconditionError("exact_limit must be >= 1")
     suffix = "" if float(eps) <= 0.1 else " no-guarantee"
     a = eps0 / (3 * math.log(1 / eps0))
     if not g.n or float(_density(g)) < g.n ** (-a):

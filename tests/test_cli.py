@@ -127,6 +127,9 @@ def test_gen_refuses_an_unknown_kind(tmp_path, capsys):
     assert "invalid choice: 'mystery'" in err
 
 
+K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+
+
 def write_graph(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -368,9 +371,8 @@ def test_calibration_figures_come_from_the_constants(capsys):
 
 
 def test_exact_limit_default_is_the_library_default():
-    parser = cli._build_parser()[0]
-    args = parser.parse_args(["extract", "boost", "g.el"])
-    assert args.exact_limit == regularize.DEFAULT_EXACT_LIMIT
+    assert cli.OPTIONS["extract"]["exact_limit"] == \
+        (int, regularize.DEFAULT_EXACT_LIMIT)
 
 
 def test_extract_boost_above_the_search_cap_is_refused(tmp_path, capsys):
@@ -406,7 +408,58 @@ EXTRACTORS = {
 
 
 def test_every_algorithm_names_its_extractor():
-    assert sorted(cli.EXTRACT_ALGORITHMS) == sorted(EXTRACTORS)
+    assert sorted(cli.EXTRACT_KINDS) == sorted(EXTRACTORS)
+
+
+# the options each extract algorithm and experiment takes: the parameters of
+# the construction or experiment it runs
+TAKES = {
+    "extract": {
+        "prop21": ("k", "alpha"), "prop22": ("k",), "prop11": ("c",),
+        "boost": ("epsilon", "exact_limit"), "lemma25": ("epsilon",),
+        "thm12": ("epsilon", "exact_limit"),
+        "thm13": ("epsilon", "exact_limit"),
+        "thm41": (), "turan": (), "matching": (),
+    },
+    "experiment": {
+        "point-prob": ("t", "trials", "seed"),
+        "regular-prob": ("n", "k", "trials", "seed"),
+        "gnpbar-scan": ("n", "samples", "seed"),
+    },
+}
+KIND_TABLES = {"gen": cli.GEN_KINDS, "extract": cli.EXTRACT_KINDS,
+               "experiment": cli.EXPERIMENT_KINDS}
+
+
+def test_every_kind_takes_the_parameters_of_what_it_runs():
+    for command, kinds in TAKES.items():
+        assert {kind: entry[1] for kind, entry in
+                KIND_TABLES[command].items()} == kinds
+
+
+def test_every_option_a_kind_takes_is_in_the_option_table():
+    # a name missing from OPTIONS would exit 5 with a KeyError
+    for command, kinds in KIND_TABLES.items():
+        for kind, entry in kinds.items():
+            assert set(entry[1]) <= set(cli.OPTIONS[command]), (command, kind)
+
+
+@pytest.mark.parametrize("command, kind, option", [
+    (command, kind, option)
+    for command, kinds in TAKES.items()
+    for kind, names in kinds.items()
+    for option in cli.OPTIONS[command] if option not in names])
+def test_a_kind_refuses_an_option_it_does_not_take(command, kind, option,
+                                                   tmp_path, capsys):
+    flag = "--" + option.replace("_", "-")
+    graph = [write_graph(tmp_path, "k4.el", K4)] if command == "extract" \
+        else []
+    out = tmp_path / "report.json"
+    code, stdout, err = run_cli([command, kind, *graph, flag, "1",
+                                 "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"precondition: {command} {kind} does not take {flag}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("algorithm", sorted(EXTRACTORS))

@@ -117,6 +117,12 @@ def test_pair_probabilities_strictly_inside_interval():
         assert p_bar(n)[-1] == Fraction(3, 4)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_p_bar_of_k_is_the_first_k_weights(n):
+    for k in range(n + 1):
+        assert p_bar(n, k) == p_bar(n)[:k]
+
+
 def test_gnp_bar_two_vertices_pair_probability():
     ps = p_bar(2)
     assert ps[0] * ps[1] == Fraction(3, 8)

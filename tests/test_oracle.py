@@ -218,7 +218,7 @@ def test_estimate_point_prob_converges_to_dp():
 def incidence_regular_prob(n, k, trials, seed):
     """`estimate_regular_prob` as a pairs-by-vertices incidence product:
     the same draws, the degrees by a matrix product."""
-    ps = [float(p) for p in p_bar(n)[:k]]
+    ps = [float(p) for p in p_bar(n, k)]
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     probs = np.array([ps[i] * ps[j] for i, j in pairs])
     incidence = np.zeros((len(pairs), k), dtype=np.int8)
@@ -245,6 +245,7 @@ def incidence_regular_prob(n, k, trials, seed):
     (12, 12, 3000, 3),        # k = n
     (40, 17, 7777, 4),
     (5, 5, 1, 5),
+    (10**6, 6, 1000, 6),      # the weights of 6 vertices among a million
 ])
 def test_regular_prob_matches_the_incidence_product(n, k, trials, seed):
     assert estimate_regular_prob(n, k, trials, seed) == \
@@ -260,6 +261,18 @@ def test_regular_prob_memory_grows_with_the_pairs_not_pairs_times_k():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_regular_prob_at_large_n_builds_only_k_weights():
+    # all n weights of a million vertices took 145 MB as Fractions
+    tracemalloc.start()
+    try:
+        estimate = estimate_regular_prob(10**6, 6, 1000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < estimate < 1
+    assert peak < 4 * 2**20
 
 
 def test_regular_prob_tiny_k():

@@ -646,6 +646,15 @@ def test_theorem13_on_no_vertices():
                     "threshold": 0.0, "achieved": 0, "pass": True}]}
 
 
+@pytest.mark.parametrize("g", [Graph.empty(0), Graph.from_edges(4, [(0, 1)]),
+                               complete(10)])
+def test_theorem13_checks_exact_limit_before_it_branches(g, boost_tripwire):
+    # the Turan branch (the first two graphs) runs no boost, and the dense
+    # one fails before the boost would check the limit itself
+    with pytest.raises(PreconditionError, match="exact_limit must be >= 1"):
+        theorem13_pipeline(g, 0.1, 0)
+
+
 def test_theorem13_edgeless_goes_turan():
     res = theorem13_pipeline(Graph.empty(12), 0.1)
     assert res.vertices == frozenset(range(12))

@@ -22,7 +22,7 @@ import tempfile
 
 import pytest
 
-from nearreg.cli import EXTRACT_ALGORITHMS, main
+from nearreg.cli import EXTRACT_KINDS, main
 
 REPORTS = pathlib.Path(__file__).parent / "fixtures" / "reports"
 GEN_PINS = pathlib.Path(__file__).parent / "fixtures" / "gen"
@@ -85,7 +85,7 @@ def outcomes():
 
 
 @pytest.mark.parametrize("graph", GRAPHS)
-@pytest.mark.parametrize("algorithm", EXTRACT_ALGORITHMS)
+@pytest.mark.parametrize("algorithm", EXTRACT_KINDS)
 def test_extract_report_is_pinned(algorithm, graph, outcomes, tmp_path,
                                   monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -121,7 +121,7 @@ def _rewrite():
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
         for graph in GRAPHS:
-            for algorithm in EXTRACT_ALGORITHMS:
+            for algorithm in EXTRACT_KINDS:
                 code, err, report = _extract(algorithm, graph)
                 table[f"{graph} {algorithm}"] = [code, err]
                 if report is not None:
