@@ -4,10 +4,12 @@ them into a 5-nearly regular subgraph with many edges, and the ceil(m/n)
 matching guarantee, returned as a result that carries its checked ledger.
 
 Every matching here comes from one exact augmenting-path search,
-Edmonds' blossom algorithm, run iteratively with no size cap: the
-ceil(m/n) matching is a maximum matching of the whole graph, and each
-cascade round matches its candidates in ascending id on the bipartite
-residual graph, where no blossom ever forms. The searches of one driver (a
+Edmonds' blossom algorithm, run iteratively with no size cap and rooted
+in ascending id: the ceil(m/n) matching is a maximum matching of the whole
+graph, rooted at each still-free vertex, and each cascade round roots its
+candidates on the bipartite residual graph, where no blossom ever forms.
+There is no separate greedy pass: a root with a free neighbour takes the
+lowest-id one at once (see below). The searches of one driver (a
 maximum matching, or a whole cascade) share one workspace of search
 arrays; each search resets only the entries it touched, so a search that
 fails after two steps costs two steps.
@@ -28,9 +30,9 @@ taken is the one holding the least vertex u0; when u0 lies in one, a
 backward frontier search over each side-B vertex's set of side-A
 neighbours proves it by reaching all of u0's closure. Only otherwise are
 the arcs listed and the sinks found by an iterative Tarjan. On dense
-graphs every round is settled by the proof. Most augmenting searches of a
-round end at once too: a free vertex in the root's own row is matched to
-it without touching the search arrays.
+graphs every round is settled by the proof. Most augmenting searches of
+either driver end at once too: a free vertex in the root's own row is
+matched to it without touching the search arrays.
 
 The cascade does not rebuild the residual graph between rounds. The
 halved graph is itself a CSR `Graph` on the host's ids, so its ascending
@@ -140,19 +142,13 @@ def _max_matching(nbrs: list) -> list:
     """Maximum matching of the graph on vertices 0..k-1 whose ascending
     neighbour lists are ``nbrs``; returns each vertex's mate, -1 if none.
 
-    A greedy pass seeds the matching: each free vertex, in ascending id,
-    takes its lowest-id free neighbour. Then each still-free vertex, in
-    ascending id, roots one augmenting-path search; all of them share one
-    workspace. A vertex with no
-    augmenting path never gains one through later augmentations, so one
-    pass over the roots leaves a maximum matching.
+    Each still-free vertex, in ascending id, roots one augmenting-path
+    search; all of them share one workspace. A root with a free neighbour
+    takes the lowest-id one, so most searches are a greedy step. A vertex
+    with no augmenting path never gains one through later augmentations,
+    so one pass over the roots leaves a maximum matching.
     """
     mate = [-1] * len(nbrs)
-    for v, row in enumerate(nbrs):
-        if mate[v] < 0:
-            u = next((u for u in row if mate[u] < 0), -1)
-            if u >= 0:
-                mate[v], mate[u] = u, v
     ws = _workspace(len(nbrs))
     for root in range(len(nbrs)):
         if mate[root] < 0:

@@ -405,13 +405,33 @@ def test_exact_max_matching_helper():
 
 def test_max_matching_grows_through_blossoms():
     # The free ends 8 and 9 are joined through the triangles 1-2-3 and
-    # 4-5-6. The greedy seed matches 0-1, 2-3, 4-5 and 6-7. From either free
-    # end the search labels inner the triangle vertex it must leave by, so
-    # it finds the one augmenting path only by shrinking that triangle.
+    # 4-5-6. Roots 0, 2, 4 and 6 each take their lowest free neighbour, so
+    # 0-1, 2-3, 4-5 and 6-7 are matched first. From either free end the
+    # search labels inner the triangle vertex it must leave by, so it finds
+    # the one augmenting path only by shrinking that triangle.
     g = Graph.from_edges(10, [(0, 8), (0, 1), (1, 2), (1, 3), (2, 3),
                               (2, 4), (4, 5), (4, 6), (5, 6), (6, 7),
                               (7, 9)])
     assert max_matching_edges(g) == 5
+
+
+def test_max_matching_roots_each_free_vertex_in_ascending_id(monkeypatch):
+    # No greedy pass runs first: every root goes through the search, and a
+    # root whose own row holds a free vertex takes the lowest-id one.
+    from nearreg import edge_regular
+
+    roots = []
+    search = edge_regular._augment_from
+
+    def recorded(root, rows, mate, ws):
+        roots.append(root)
+        return search(root, rows, mate, ws)
+
+    monkeypatch.setattr(edge_regular, "_augment_from", recorded)
+    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    mate = _max_matching(rows_of(p4))
+    assert roots == [0, 2]
+    assert mate == [1, 0, 3, 2]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -809,7 +829,7 @@ def test_workspace_is_reset_after_every_search(name, monkeypatch):
 
     monkeypatch.setattr(edge_regular, "_augment_from", checked)
     mate = _max_matching(rows_of(g))
-    assert used  # the greedy seed left free vertices to search from
+    assert used
     assert all(ws is used[0] for ws in used)
     assert all(mate[mate[v]] == v for v in range(g.n) if mate[v] >= 0)
 
