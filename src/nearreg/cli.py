@@ -281,13 +281,11 @@ def _write_report(argv: list, out: Optional[str], body: Callable) -> int:
 
 def _options(args, kind: str, names: tuple) -> dict:
     """The values of the options ``names`` that ``kind`` takes, as given or
-    by default. Refused in turn: a negative --seed, a missing option (one
-    with no default) and a given option the kind does not take."""
+    by default. Refused in turn: a missing option (one with no default), a
+    given option the kind does not take and a negative --seed."""
     table = OPTIONS[args.command]
     given = {name: getattr(args, name) for name in table
              if getattr(args, name) is not None}
-    if given.get("seed", 0) < 0:
-        raise PreconditionError("--seed must be >= 0")
     missing = [name for name in names
                if name not in given and table[name][1] is None]
     extra = [name for name in given if name not in names]
@@ -295,6 +293,8 @@ def _options(args, kind: str, names: tuple) -> dict:
         if wrong:
             raise PreconditionError(f"{args.command} {kind} {verb} --"
                                     + wrong[0].replace("_", "-"))
+    if given.get("seed", 0) < 0:
+        raise PreconditionError("--seed must be >= 0")
     return {name: given.get(name, table[name][1]) for name in names}
 
 

@@ -8,11 +8,9 @@ Edmonds' blossom algorithm, run iteratively with no size cap and rooted
 in ascending id: the ceil(m/n) matching is a maximum matching of the whole
 graph, rooted at each still-free vertex, and each cascade round roots its
 candidates on the bipartite residual graph, where no blossom ever forms.
-There is no separate greedy pass: a root with a free neighbour takes the
-lowest-id one at once (see below). The searches of one driver (a
-maximum matching, or a whole cascade) share one workspace of search
-arrays; each search resets only the entries it touched, so a search that
-fails after two steps costs two steps.
+The searches of one driver (a maximum matching, or a whole cascade) share
+one workspace of search arrays; each search resets only the entries it
+touched, so a search that fails after two steps costs two steps.
 
 A tight set is a subset S of the candidate side with |N(S)| <= |S| in the
 residual graph. Inclusion-minimal tight sets are what carry a perfect
@@ -31,8 +29,9 @@ backward frontier search over each side-B vertex's set of side-A
 neighbours proves it by reaching all of u0's closure. Only otherwise are
 the arcs listed and the sinks found by an iterative Tarjan. On dense
 graphs every round is settled by the proof. Most augmenting searches of
-either driver end at once too: a free vertex in the root's own row is
-matched to it without touching the search arrays.
+either driver end at once too, and this own-row shortcut is each
+driver's greedy step: a free vertex in the root's own row is matched to
+it without touching the search arrays.
 
 The cascade does not rebuild the residual graph between rounds. The
 halved graph is itself a CSR `Graph` on the host's ids, so its ascending

@@ -79,12 +79,12 @@ def _density(g: Graph) -> Fraction:
 def _boost_target(n: int, m: int, eps: Fraction) -> Optional[tuple]:
     """The bar a boost round must clear on a graph with n >= 2 vertices and
     m edges: (num, den, t_min) such that a set of t >= t_min vertices
-    qualifies iff it spans e edges with e * den >= C(t, 2) * num. None when
-    the target density p * (1+eps) exceeds 1, where no set can qualify."""
-    target = Fraction(m, comb(n, 2)) * (1 + eps)
-    if target > 1:
-        return None
-    return target.numerator, target.denominator, max(2, math.ceil(eps * n))
+    qualifies iff it spans e edges with e * den >= C(t, 2) * num, where
+    num/den = m(1+eps)/C(n, 2), unreduced. None when that target density
+    exceeds 1, where no set can qualify."""
+    a, b = eps.numerator, eps.denominator
+    num, den = m * (a + b), comb(n, 2) * b
+    return None if num > den else (num, den, max(2, -(-a * n // b)))
 
 
 def _dense_cut(steps: list, start: int, m: int,

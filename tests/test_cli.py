@@ -57,6 +57,8 @@ def test_gen_star_needs_two_vertices(tmp_path, capsys):
     (["complete-bipartite", "--n", "8"], "k"),
     (["complete-bipartite", "--k", "3"], "n"),
     (["star", "--k", "3"], "n"),
+    # a missing option is refused before a negative seed
+    (["gnp-uniform", "--n", "10", "--seed", "-1"], "p"),
 ])
 def test_gen_refuses_a_missing_option(argv, missing, tmp_path, capsys):
     out = tmp_path / "g.el"
@@ -98,6 +100,8 @@ def test_gen_refuses_options_out_of_range(argv, tmp_path, capsys):
     (["gnp-uniform", "--n", "10", "--p", "0.5", "--seed", "1", "--s", "3"],
      "s"),
     (["complete-bipartite", "--k", "3", "--n", "8", "--seed", "0"], "seed"),
+    # an option the kind does not take is refused before its value is read
+    (["blocks", "--s", "2", "--seed", "-1"], "seed"),
 ])
 def test_gen_refuses_an_option_its_kind_does_not_take(argv, option,
                                                        tmp_path, capsys):
@@ -187,6 +191,23 @@ def test_extract_prop21_precondition_exit(tmp_path, capsys):
     code, _, err = run_cli(["extract", "prop21", path,
                             "--k", "2", "--alpha", "0.4"], capsys)
     assert code == 2 and "precondition" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["extract", "prop21", "G", "--k", "1"], "k must be > 1"),
+    (["extract", "prop22", "G", "--k", "1"], "k must be > 1"),
+    (["experiment", "regular-prob", "--k", "0"], "need 1 <= k <= n"),
+    (["experiment", "point-prob", "--trials", "0"], "trials must be >= 1"),
+])
+def test_out_of_range_parameters_exit_2_with_no_report(argv, message,
+                                                       tmp_path, capsys):
+    path = write_graph(tmp_path, "k4.el", K4)
+    out = tmp_path / "report.json"
+    code, stdout, err = run_cli([path if a == "G" else a for a in argv]
+                                + ["--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"precondition: {message}\n"
+    assert not out.exists()
 
 
 def test_extract_missing_file_is_io_error(capsys):
@@ -609,11 +630,13 @@ def test_extreme_parameters_exit_cleanly(argv, expected, tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["gnp-uniform", "gnp-bar"])
 def test_gen_refuses_a_negative_seed(kind, tmp_path, capsys):
-    code, out, err = run_cli(["gen", kind, "--n", "10", "--p", "0.5",
-                              "--seed", "-1", "--out",
-                              str(tmp_path / "g.el")], capsys)
-    assert code == 2 and out == ""
+    own = ["--p", "0.5"] if kind == "gnp-uniform" else []
+    out = tmp_path / "g.el"
+    code, stdout, err = run_cli(["gen", kind, "--n", "10", *own,
+                                 "--seed", "-1", "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
     assert err == "precondition: --seed must be >= 0\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

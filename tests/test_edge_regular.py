@@ -296,6 +296,13 @@ def test_cascade_refuses_an_edge_inside_a_side(inside, rounds):
         matching_cascade(bp, rounds)
 
 
+def test_cascade_refuses_negative_rounds():
+    bp = bipartite_half(complete(4))
+    with pytest.raises(PreconditionError) as exc:
+        matching_cascade(bp, -1)
+    assert str(exc.value) == "rounds must be >= 0"
+
+
 @pytest.mark.parametrize("side_a", [{0, 5}, {0, -1}])
 def test_cascade_refuses_a_side_outside_the_graph(side_a):
     bp = Bipartition(frozenset(side_a), frozenset({1}),
@@ -416,8 +423,8 @@ def test_max_matching_grows_through_blossoms():
 
 
 def test_max_matching_roots_each_free_vertex_in_ascending_id(monkeypatch):
-    # No greedy pass runs first: every root goes through the search, and a
-    # root whose own row holds a free vertex takes the lowest-id one.
+    # Every free vertex roots the search, in ascending id; a root whose own
+    # row holds a free vertex takes the lowest-id one.
     from nearreg import edge_regular
 
     roots = []

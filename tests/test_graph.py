@@ -174,6 +174,10 @@ def test_surd_ceiling_is_exact():
     assert math.ceil(six) == 6
     assert math.ceil(Surd(Fraction(0), Fraction(1), Fraction(2))) == 2
     assert math.ceil(Surd(Fraction(0), Fraction(-1), Fraction(2))) == -1
+    # the float rounds 1 + 10^-20 * sqrt(2) down to 1.0, so the ceiling
+    # is corrected upward
+    tiny = Surd(Fraction(1), Fraction(1, 10**20), Fraction(2))
+    assert float(tiny) == 1.0 and math.ceil(tiny) == 2
 
 
 def test_parse_examples():

@@ -9,6 +9,7 @@ import pytest
 
 from nearreg import (
     Graph,
+    PreconditionError,
     SizeCapError,
     blocks,
     estimate_point_prob,
@@ -54,6 +55,28 @@ def test_exact_f_examples():
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     r = exact_f(p3, 1)
     assert r.value == 2 and r.witness == frozenset({0, 1})
+
+
+def test_exact_f_refuses_c_below_one():
+    with pytest.raises(PreconditionError) as exc:
+        exact_f(complete(3), 0.5)
+    assert str(exc.value) == "c must be >= 1"
+
+
+def test_exact_f_on_the_graph_with_no_vertices():
+    assert exact_f(Graph.empty(0), 2) == oracle.OracleResult(0, frozenset(), 0)
+
+
+@pytest.mark.parametrize("estimate, message", [
+    (lambda: estimate_point_prob([0.5, 0.5], 1, 0, 0), "trials must be >= 1"),
+    (lambda: estimate_regular_prob(10, 4, 0, 0), "trials must be >= 1"),
+    (lambda: estimate_regular_prob(10, 0, 10, 0), "need 1 <= k <= n"),
+    (lambda: estimate_regular_prob(10, 11, 10, 0), "need 1 <= k <= n"),
+], ids=["point-trials", "regular-trials", "regular-k-0", "regular-k-above-n"])
+def test_estimates_check_their_arguments(estimate, message):
+    with pytest.raises(PreconditionError) as exc:
+        estimate()
+    assert str(exc.value) == message
 
 
 def test_exact_f_witness_is_lexicographically_least():

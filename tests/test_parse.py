@@ -329,6 +329,14 @@ def test_from_edges_refuses_ids_that_are_not_integers(name):
         Graph.from_edges(3, np.array(edges) if name == "numpy" else edges)
 
 
+@pytest.mark.parametrize("name", EDGES)
+def test_from_edges_refuses_a_negative_vertex_count(name):
+    with pytest.raises(ValueError) as info:
+        Graph.from_edges(-1, EDGES[name]([]))
+    assert type(info.value) is ValueError
+    assert str(info.value) == "vertex count must be nonnegative"
+
+
 def test_from_edges_builds_the_neighbour_arrays_of_a_star_and_a_path():
     n = 3000
     star = Graph.from_edges(n, [(v, 0) for v in range(n - 1, 0, -1)])

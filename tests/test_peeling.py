@@ -160,6 +160,25 @@ def test_prop21_constants_for_the_edge_pipeline():
     assert (k - 2 * k * alpha) / (2 * k - 4 * alpha) == Fraction(1, 6)
 
 
+@pytest.mark.parametrize("k, alpha, message", [
+    (1, 0.4, "k must be > 1"),
+    (Fraction(1, 2), 0.4, "k must be > 1"),
+    (2, 0, "alpha must lie in (0, 1/2)"),
+    (2, 0.5, "alpha must lie in (0, 1/2)"),
+])
+def test_prop21_checks_its_arguments(k, alpha, message):
+    with pytest.raises(PreconditionError) as exc:
+        prop21_refine(complete(4), k, alpha)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("k", [1, 0.5])
+def test_prop22_refuses_k_at_most_one(k):
+    with pytest.raises(PreconditionError) as exc:
+        prop22_reduce(complete(4), k)
+    assert str(exc.value) == "k must be > 1"
+
+
 def test_prop21_rejects_spread_precondition():
     with pytest.raises(PreconditionError):
         prop21_refine(star(10), 2, 0.4)

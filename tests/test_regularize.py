@@ -31,7 +31,12 @@ from nearreg import (
 from nearreg.cli import _boost, _ledger, _result
 from nearreg.graph import as_fraction
 from nearreg.peeling import peel_min
-from nearreg.regularize import _dense_cut, _density, _inner_epsilon
+from nearreg.regularize import (
+    _boost_target,
+    _dense_cut,
+    _density,
+    _inner_epsilon,
+)
 
 from conftest import (
     bit_indices,
@@ -99,6 +104,32 @@ def _heuristic_dense_subset(g, eps):
     cut = _dense_cut(steps, 0, g.m, as_fraction(eps))
     return None if cut is None else frozenset(s.vertex
                                               for s in steps[cut[0]:])
+
+
+@pytest.mark.parametrize("eps", [0, 1, Fraction(3, 2)])
+def test_find_dense_subset_refuses_eps_outside_0_1(eps):
+    with pytest.raises(PreconditionError) as exc:
+        find_dense_subset(complete(4), eps)
+    assert str(exc.value) == "eps must lie in (0, 1)"
+
+
+def test_find_dense_subset_is_none_when_no_size_has_the_edges():
+    # one edge on 4 vertices at eps 0.9: sets need at least 4 vertices,
+    # and 4 vertices would need 1.9 edges
+    assert find_dense_subset(Graph.from_edges(4, [(0, 1)]), 0.9) is None
+
+
+@given(st.integers(2, 40), st.integers(0, 800), st.fractions(0, 1))
+@settings(max_examples=300, deadline=None)
+def test_boost_target_is_the_target_density_and_its_least_size(n, m, eps):
+    target = Fraction(m, comb(n, 2)) * (1 + eps)
+    bar = _boost_target(n, m, eps)
+    if target > 1:
+        assert bar is None
+    else:
+        num, den, t_min = bar
+        assert Fraction(num, den) == target
+        assert t_min == max(2, math.ceil(eps * n))
 
 
 def test_find_dense_subset_heuristic_mode():
