@@ -25,9 +25,9 @@ Every forward search of a round is one frontier search of whole rows,
 with no per-arc Python (`_closure`): the alternating reachability that
 shrinks the candidates, and the first half of the sink proof. The sink
 taken is the one holding the least vertex u0; when u0 lies in one, a
-backward frontier search over each side-B vertex's set of side-A
-neighbours proves it by reaching all of u0's closure. Only otherwise are
-the arcs listed and the sinks found by an iterative Tarjan. On dense
+backward frontier search over the side-B rows, which list side-A
+neighbours, proves it by reaching all of u0's closure. Only otherwise
+are the arcs listed and the sinks found by an iterative Tarjan. On dense
 graphs every round is settled by the proof. Most augmenting searches of
 either driver end at once too, and this own-row shortcut is each
 driver's greedy step: a free vertex in the root's own row is matched to
@@ -36,10 +36,10 @@ it without touching the search arrays.
 The cascade does not rebuild the residual graph between rounds. The
 halved graph is itself a CSR `Graph` on the host's ids, so its ascending
 neighbour lists are the cascade's rows: each side-A vertex's row holds
-its side-B neighbours, and one set per row gives each side-B vertex its
-side-A neighbours. After each round each matched pair of S leaves the
-other's row or set; the next round's candidates are S, whose rows then
-hold exactly their residual edges, so only their count is kept.
+its side-B neighbours, and each side-B vertex's row its side-A
+neighbours. After each round each matched pair of S leaves the other's
+row; the next round's candidates are S, whose rows then hold exactly
+their residual edges, so only their count is kept.
 """
 
 from __future__ import annotations
@@ -329,17 +329,18 @@ def _closure(u0: int, rows: list, mate: list) -> tuple:
     return reach, nbhd
 
 
-def _sink_holding(u0: int, rows: list, cols: list, mate: list):
+def _sink_holding(u0: int, rows: list, mate: list):
     """``(S, N(S))`` if ``u0`` lies in a sink component S of the
     orientation a -> mate[b] of each residual edge a-b, else None.
 
     u0's component is the part of its `_closure` F that reaches u0 back
-    over the column sets of the partners; it is a sink iff it is all of F."""
+    over the rows of the partners, which list their side-A neighbours; it
+    is a sink iff it is all of F."""
     reach, nbhd = _closure(u0, rows, mate)
     back = {u0}
     frontier = [u0]
     while frontier and len(back) < len(reach):
-        pred = set().union(*(cols[mate[a]] for a in frontier))
+        pred = set().union(*(rows[mate[a]] for a in frontier))
         pred &= reach
         pred -= back
         back |= pred
@@ -347,15 +348,15 @@ def _sink_holding(u0: int, rows: list, cols: list, mate: list):
     return (reach, nbhd) if len(back) == len(reach) else None
 
 
-def _tight_round(rows: list, cols: list, cand: list, ws: tuple) -> tuple:
+def _tight_round(rows: list, cand: list, ws: tuple) -> tuple:
     """One tight-set round on the residual graph given by ``rows``, a list
     indexed by vertex id in which each candidate's entry is its ascending
-    list of side-B neighbours, and ``cols``, in which each side-B vertex's
-    entry is the set of its residual side-A neighbours (other side-A
-    vertices may appear there too). ``cand`` is the ascending candidate
-    list, nonempty, tight and with no empty row, and ``ws`` a
-    ``_workspace`` over ``len(rows)`` vertices. Returns ``(S, N(S), M_S,
-    mate)``, with ``mate`` the round's matching."""
+    list of side-B neighbours and each side-B vertex's entry lists its
+    residual side-A neighbours (other side-A vertices may appear there
+    too). ``cand`` is the ascending candidate list, nonempty, tight and
+    with no empty row, and ``ws`` a ``_workspace`` over ``len(rows)``
+    vertices. Returns ``(S, N(S), M_S, mate)``, with ``mate`` the round's
+    matching."""
     # Match the candidates one at a time in ascending id. Which candidate
     # first fails to join the lower ones depends only on the graph, not on
     # the paths the search picks, so neither does the tight set below.
@@ -373,7 +374,7 @@ def _tight_round(rows: list, cols: list, cand: list, ws: tuple) -> tuple:
     # Orient each residual edge a-b toward b's partner: a -> mate[b], and
     # take the sink component holding the least vertex.
     node_set = set(universe)
-    found = _sink_holding(universe[0], rows, cols, mate)
+    found = _sink_holding(universe[0], rows, mate)
     if found is not None:
         chosen, neighbourhood = found
         if not node_set.issuperset(chosen):
@@ -431,9 +432,9 @@ def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
     all requested rounds. A breach is refused before any matching.
 
     The residual graph is kept across rounds as the module docstring
-    describes, in rows read from ``bp.graph``. All rounds share one search
-    workspace. The residual edge count is the kept edges less the matched
-    ones: each M_i is made of residual edges.
+    describes, in the rows of both sides read from ``bp.graph``. All
+    rounds share one search workspace. The residual edge count is the kept
+    edges less the matched ones: each M_i is made of residual edges.
     """
     if rounds < 0:
         raise PreconditionError("rounds must be >= 0")
@@ -459,11 +460,10 @@ def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
                 f"side A is not tight: side B has {len(bp.side_b)} vertices, "
                 f"side A {len(bp.side_a)}")
         rows = g.neighbor_lists()
-        cols = [set(r) for r in rows]
         ws = _workspace(len(rows))
         cand = sorted(bp.side_a)
         for _ in range(rounds):
-            s, t, matching, mate = _tight_round(rows, cols, cand, ws)
+            s, t, matching, mate = _tight_round(rows, cand, ws)
             if sets and not s <= sets[-1][0]:
                 raise BoundViolationError("tight sets stopped nesting")
             if len(s) != len(t) or len(matching) != len(s):
@@ -471,7 +471,7 @@ def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
             for a in s:
                 b = mate[a]
                 rows[a].remove(b)
-                cols[b].discard(a)
+                rows[b].remove(a)
             sets.append((s, t))
             matchings.append(matching)
             cand = sorted(s)
@@ -522,8 +522,7 @@ def theorem41(g: Graph) -> tuple:
         chosen_edges = frozenset(
             (u, v) for u, v in block_edges if u in kept and v in kept)
         case_tag = "case2"
-    host_edges = frozenset(
-        normalize_edge(host_of[u], host_of[v]) for u, v in chosen_edges)
+    host_edges = frozenset((host_of[u], host_of[v]) for u, v in chosen_edges)
     tag = f"Thm4.1-{case_tag}"
     if not full_guarantee:
         tag += " no-guarantee"

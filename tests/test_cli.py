@@ -79,7 +79,7 @@ def test_gen_refuses_a_missing_option(argv, missing, tmp_path, capsys):
     ["complete-bipartite", "--k", "0", "--n", "8"],
     ["complete-bipartite", "--k", "8", "--n", "8"],
     ["star", "--n", "1"],
-    ["blocks", "--s", "2", "--seed", "-1"],
+    ["gnp-uniform", "--n", "5", "--p", "-0.5", "--seed", "0"],
     # above the edge cap: about 10^12 edges, and s = 16 with 4.3e9
     ["blocks", "--s", "20"],
     ["blocks-padded", "--n", "1000000"],

@@ -2,9 +2,11 @@
 matching guarantee."""
 
 import math
+import tracemalloc
 from collections import Counter
 from itertools import chain, combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -301,6 +303,22 @@ def test_cascade_refuses_negative_rounds():
     with pytest.raises(PreconditionError) as exc:
         matching_cascade(bp, -1)
     assert str(exc.value) == "rounds must be >= 0"
+
+
+def test_cascade_on_a_long_path_keeps_one_copy_of_the_residual_graph():
+    # the rows of both sides hold the residual graph once, about 320 bytes
+    # a vertex; a second copy of the side-B adjacency passes 500
+    n = 50_000
+    v = np.arange(n - 1)
+    bp = bipartite_half(Graph.from_edges(n, np.column_stack((v, v + 1))))
+    tracemalloc.start()
+    try:
+        state = matching_cascade(bp, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [[len(s), len(t)] for s, t in state.sets] == [[1, 1]]
+    assert peak < 400 * n
 
 
 @pytest.mark.parametrize("side_a", [{0, 5}, {0, -1}])
