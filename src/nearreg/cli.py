@@ -4,17 +4,20 @@ built here: the library returns plain data. `OPTIONS` gives each command's
 options a type and default, and the `*_KINDS` tables each kind's function
 and the options it takes; `_options` refuses any other option (exit 2).
 
-Exit codes: 0 all guarantee checks passed, 1 a guarantee failed, 2 an
-algorithm precondition failed or argparse refused the command line (an
-unknown option, say), 3 a search-size cap was exceeded or the input is
-too large to hold in memory, 4 file or format trouble, 5 an internal error
-(any other exception, reported on one line of stderr; a bug, never an
-input condition). Reports are byte-identical across runs of the same
-command and seed except for the wall_time_s field, which runs from the
-start of the command's work (for extract, the input read) to the report
-built: encoding and writing the report lie outside it. A report, and the
-`gen` sidecar, is the text ``json.dumps(report, indent=2, sort_keys=True)``
-gives, plus a newline.
+Exit codes: 0 all guarantee checks passed, 1 a guarantee failed
+(`BoundViolationError`), 2 an algorithm precondition failed
+(`PreconditionError`, `CapExceededError`) or argparse refused the command
+line (an unknown option, say), 3 a search-size cap was exceeded
+(`SizeCapError`) or the input is too large to hold in memory
+(`MemoryError`), 4 file or format trouble (`EdgeListError`, `OSError`), 5
+an internal error (any other exception; a bug, never an input condition).
+An exception ends the command with one line of stderr; a package error
+with its type's `label` and `exit_code` (see `errors`). Reports are
+byte-identical across runs of the same command and seed except for the
+wall_time_s field, which runs from the start of the command's work (for
+extract, the input read) to the report built: encoding and writing the
+report lie outside it. A report, and the `gen` sidecar, is the text
+``json.dumps(report, indent=2, sort_keys=True)`` gives, plus a newline.
 
 `extract` draws nothing at random. The randomness of `gen` and
 `experiment` flows from their --seed flag: the random generators consume
@@ -39,12 +42,7 @@ import numpy as np
 
 from . import instances
 from .edge_regular import matching_lower_bound, theorem41
-from .errors import (
-    BoundViolationError,
-    EdgeListError,
-    PreconditionError,
-    SizeCapError,
-)
+from .errors import NearRegError, PreconditionError, SizeCapError
 from .graph import (
     Graph,
     _sign_of_difference,
@@ -465,18 +463,9 @@ def _run(argv: Optional[list]) -> int:
     try:
         return {"gen": _cmd_gen, "extract": _cmd_extract,
                 "experiment": _cmd_experiment}[args.command](args, argv)
-    except BoundViolationError as exc:
-        print(f"guarantee failed: {exc}", file=sys.stderr)
-        return 1
-    except SizeCapError as exc:
-        print(f"size cap: {exc}", file=sys.stderr)
-        return 3
-    except PreconditionError as exc:
-        print(f"precondition: {exc}", file=sys.stderr)
-        return 2
-    except EdgeListError as exc:
-        print(f"bad edge list: {exc}", file=sys.stderr)
-        return 4
+    except NearRegError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4

@@ -424,10 +424,10 @@ def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
     lower candidates that the first such candidate competes with; among
     the minimal sets found, S is the one holding the smallest id.
 
-    The sides must hold only vertices of ``bp.graph``, every edge of which
-    must join side A to side B; side A must be tight (with every side-B
-    vertex covered, side B no larger), and the kept graph needs minimum
-    degree >= rounds: every matching lowers the degrees inside the
+    The sides must be disjoint and hold only vertices of ``bp.graph``, every
+    edge of which must join side A to side B; side A must be tight (with
+    every side-B vertex covered, side B no larger), and the kept graph needs
+    minimum degree >= rounds: every matching lowers the degrees inside the
     surviving tight set by exactly one, so the process provably completes
     all requested rounds. A breach is refused before any matching.
 
@@ -442,6 +442,8 @@ def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
     ids = bp.side_a | bp.side_b
     if ids and not (0 <= min(ids) and max(ids) < g.n):
         raise PreconditionError("a side names a vertex outside the graph")
+    if bp.side_a & bp.side_b:
+        raise PreconditionError("a vertex lies on both sides")
     side = np.zeros(g.n, np.int8)
     side[list(bp.side_a)] = 1
     side[list(bp.side_b)] = 2

@@ -1,21 +1,27 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit-code contract: precondition failures
-(including inputs that violate an assumed structural condition) exit 2,
-search-size caps exit 3, file/format problems exit 4, and a failed
-guarantee check exits 1. Any other exception is an internal error and
-exits 5.
-"""
+Each type carries its exit code and stderr label as the class attributes
+`exit_code` and `label`, and `cli` ends a package error with the line
+``<label>: <message>`` and that code: a failed guarantee check exits 1
+(`guarantee failed`), a precondition failure (including an input that
+violates an assumed structural condition) 2 (`precondition`), a search-size
+cap 3 (`size cap`) and a malformed edge list 4 (`bad edge list`). Any other
+exception is an internal error and exits 5."""
 
 from __future__ import annotations
 
 
 class NearRegError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. Each subclass sets its own exit
+    code; a bare one is a bug, as any other exception is."""
+
+    exit_code, label = 5, "internal error"
 
 
 class PreconditionError(NearRegError):
     """An operation's stated precondition does not hold for the input."""
+
+    exit_code, label = 2, "precondition"
 
 
 class CapExceededError(PreconditionError):
@@ -31,6 +37,8 @@ class BoundViolationError(NearRegError):
     On valid inputs this indicates a bug, never an input condition.
     """
 
+    exit_code, label = 1, "guarantee failed"
+
     def __init__(self, message: str, checks: tuple = ()):  # noqa: ANN001
         super().__init__(message)
         self.checks = checks
@@ -39,7 +47,11 @@ class BoundViolationError(NearRegError):
 class SizeCapError(NearRegError):
     """An exhaustive search was asked to exceed its instance-size cap."""
 
+    exit_code, label = 3, "size cap"
+
 
 class EdgeListError(NearRegError):
     """Malformed edge-list text: bad header, bad line, id out of range,
     self-loop, or duplicate edge."""
+
+    exit_code, label = 4, "bad edge list"

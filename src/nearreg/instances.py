@@ -8,12 +8,13 @@ seed) triple always reproduces the same graph.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import PreconditionError
-from .graph import Graph, induced
+from .graph import Graph
 
 # the most edges `blocks` builds: its edge list costs about 200 bytes an
 # edge while it is built, so s = 10 (1,042,432 edges) is the largest s
@@ -33,21 +34,22 @@ def blocks(s: int) -> Graph:
     anything is allocated, above ``BLOCKS_EDGE_CAP`` edges."""
     if s < 0:
         raise PreconditionError("s must be >= 0")
+    return _blocks_prefix(s, (s + 1) << s)
+
+
+def _blocks_prefix(s: int, n: int) -> Graph:
+    """The first n ids of ``blocks(s)``: each clique cut at id n. Refused
+    when ``blocks(s)`` has more than ``BLOCKS_EDGE_CAP`` edges."""
     if blocks_edge_count(s) > BLOCKS_EDGE_CAP:
         raise PreconditionError(
             f"blocks with s = {s} has {blocks_edge_count(s)} edges, above "
             f"the cap {BLOCKS_EDGE_CAP}")
     part = 1 << s
-    n = (s + 1) * part
     edges = []
     for i in range(s + 1):
-        base = i * part
         size = 1 << i
-        for c in range(1 << (s - i)):
-            lo = base + c * size
-            for a in range(lo, lo + size):
-                for b in range(a + 1, lo + size):
-                    edges.append((a, b))
+        for lo in range(i * part, min((i + 1) * part, n), size):
+            edges.extend(combinations(range(lo, min(lo + size, n)), 2))
     return Graph.from_edges(n, edges)
 
 
@@ -59,17 +61,11 @@ def blocks_minimal_s(n: int) -> int:
 
 
 def blocks_padded(n: int) -> Graph:
-    """Blocks graph for the minimal s with (s+1)*2^s >= n, restricted to the
-    first n ids (the padded size never exceeds 3n)."""
+    """Blocks graph for the minimal s with (s+1)*2^s >= n (at most 3n),
+    built on its first n ids only."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    s = blocks_minimal_s(n)
-    full = blocks(s)
-    assert full.n <= 3 * n, "padding blew past the 3n cap"
-    if full.n == n:
-        return full
-    sub, _ = induced(full, range(n))
-    return sub
+    return _blocks_prefix(blocks_minimal_s(n), n)
 
 
 def p_bar(n: int, k: Optional[int] = None) -> list:

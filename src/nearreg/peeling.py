@@ -30,6 +30,7 @@ from .graph import (
     DegreeStats,
     ExtractionResult,
     Graph,
+    Surd,
     as_fraction,
     check,
     degree_stats,
@@ -55,14 +56,14 @@ class PeelTrace:
     thresholds: list = field(default_factory=list)
 
 
-def _int_threshold(threshold: Real) -> Real:
+def _int_threshold(threshold: Union[Real, Surd]) -> Real:
     """The least integer at least ``threshold`` (``math.inf`` as it is):
     an integer degree is >= threshold exactly when it is >= this, and
     comparing two ints is cheaper than comparing with a `Fraction`."""
     return threshold if threshold == math.inf else math.ceil(threshold)
 
 
-def peel_min(g: Graph, threshold: Real) -> tuple:
+def peel_min(g: Graph, threshold: Union[Real, Surd]) -> tuple:
     """Smallest-last peel of ``g``: delete the least-degree live vertex,
     lowest id first on ties, until its degree is at least ``threshold`` or
     no vertex is left, in O(m log n) through one lazy heap of integer keys

@@ -283,7 +283,7 @@ def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:
     rest, host_ids = induced(g, by_degree[math.floor(eps_f * n):].tolist())
     min_deg_thr = Surd(np_, -2 * np_, eps_f)
     cap = math.isqrt(math.floor(4 * n * n * eps_f))  # floor(2*sqrt(eps)*n)
-    alive, deg, steps = peel_min(rest, math.ceil(min_deg_thr))
+    alive, deg, steps = peel_min(rest, min_deg_thr)
     if len(steps) > cap:
         raise CapExceededError(
             f"peel wanted more than the cap of {cap} deletions; the "

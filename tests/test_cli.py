@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from nearreg import cli, oracle, regularize
+from nearreg import cli, errors, oracle, regularize
 from nearreg.cli import main
 from nearreg.graph import Surd, check
 
@@ -514,6 +514,38 @@ def test_unexpected_exception_is_internal_error(tmp_path, capsys,
     code, out, err = run_cli(["extract", "matching", path], capsys)
     assert code == 5 and out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("error, exit_code, label", [
+    (errors.BoundViolationError, 1, "guarantee failed"),
+    (errors.PreconditionError, 2, "precondition"),
+    (errors.CapExceededError, 2, "precondition"),
+    (errors.SizeCapError, 3, "size cap"),
+    (errors.EdgeListError, 4, "bad edge list"),
+    (RuntimeError, 5, "internal error: RuntimeError"),
+])
+def test_each_error_type_ends_with_its_exit_code_and_label(
+        tmp_path, capsys, monkeypatch, error, exit_code, label):
+    def boom(g):
+        raise error("boom")
+
+    monkeypatch.setattr("nearreg.cli.matching_lower_bound", boom)
+    path = write_graph(tmp_path, "k2.el", "2 1\n0 1\n")
+    target = tmp_path / "report.json"
+    code, out, err = run_cli(
+        ["extract", "matching", path, "--out", str(target)], capsys)
+    assert (code, out, err) == (exit_code, "", f"{label}: boom\n")
+    assert not target.exists()
+
+
+def test_every_package_error_declares_an_exit_code():
+    # a new type without one would fall through to the internal error, 5
+    types = [t for t in vars(errors).values() if isinstance(t, type)
+             and issubclass(t, errors.NearRegError)
+             and t is not errors.NearRegError]
+    assert len(types) == 5
+    for t in types:
+        assert t.exit_code in range(1, 5) and t.label, t.__name__
 
 
 def test_experiment_determinism(capsys):

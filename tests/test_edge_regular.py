@@ -329,6 +329,17 @@ def test_cascade_refuses_a_side_outside_the_graph(side_a):
         matching_cascade(bp, 1)
 
 
+@pytest.mark.parametrize("side_a, side_b, edges", [
+    ({0, 1}, {1, 2}, [(0, 1), (0, 2)]),
+    ({0, 1, 2}, {1}, [(0, 1), (1, 2)]),
+])
+def test_cascade_refuses_a_vertex_on_both_sides(side_a, side_b, edges):
+    bp = Bipartition(frozenset(side_a), frozenset(side_b),
+                     Graph.from_edges(3, edges))
+    with pytest.raises(PreconditionError, match="a vertex lies on both sides"):
+        matching_cascade(bp, 1)
+
+
 def test_cascade_nesting_disjointness_and_degree_drop():
     g = sample_gnp_uniform(30, 0.6, 1234)
     bp = bipartite_half(g)
