@@ -439,8 +439,8 @@ def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
     if rounds < 0:
         raise PreconditionError("rounds must be >= 0")
     g = bp.graph
-    ids = bp.side_a | bp.side_b
-    if ids and not (0 <= min(ids) and max(ids) < g.n):
+    if any(side and not (0 <= min(side) and max(side) < g.n)
+           for side in (bp.side_a, bp.side_b)):
         raise PreconditionError("a side names a vertex outside the graph")
     if bp.side_a & bp.side_b:
         raise PreconditionError("a vertex lies on both sides")
@@ -453,7 +453,8 @@ def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
     matchings: list = []
     if rounds > 0:
         deg = g.degrees()
-        min_deg = min((deg[v] for v in ids), default=0)
+        min_deg = min(map(deg.__getitem__, chain(bp.side_a, bp.side_b)),
+                      default=0)
         if min_deg < rounds:
             raise PreconditionError(
                 f"minimum kept degree {min_deg} is below {rounds} rounds")

@@ -37,6 +37,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -341,9 +342,11 @@ class ExtractionResult:
     @staticmethod
     def from_edge_subgraph(edges: Iterable, guarantee: str,
                            bounds: tuple = ()) -> "ExtractionResult":
-        """Result of an edge-version extraction: vertex set = covered endpoints."""
-        edge_set = frozenset(normalize_edge(u, v) for u, v in edges)
-        deg = Counter(v for e in edge_set for v in e)
+        """Result of an edge-version extraction: vertex set = covered
+        endpoints. ``edges`` holds (low, high) pairs, as both edge extractors
+        build them, kept as given (a frozenset is kept itself)."""
+        edge_set = frozenset(edges)
+        deg = Counter(chain.from_iterable(edge_set))
         return ExtractionResult(
             frozenset(deg), edge_set,
             DegreeStats.of(list(deg.values())), guarantee, bounds)

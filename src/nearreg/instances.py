@@ -75,13 +75,6 @@ def p_bar(n: int, k: Optional[int] = None) -> list:
             for i in range(1, (n if k is None else k) + 1)]
 
 
-def pair_probability_range(n: int) -> tuple:
-    """(min, max) pair probability of the skewed model; strictly inside
-    (1/16, 9/16) for every n >= 2."""
-    ps = p_bar(n)
-    return ps[0] * ps[1], ps[-2] * ps[-1]
-
-
 def _sample_pairs(n: int, row_probs: Callable, seed: int) -> Graph:
     """Draw the pairs (i, j), i < j, in lexicographic order, one row of
     uniforms per vertex i, against ``row_probs(i)``: the probability of
@@ -103,8 +96,6 @@ def sample_gnp_bar(n: int, seed: int) -> Graph:
     id i-1."""
     if n < 2:
         raise PreconditionError("n must be >= 2")
-    lo, hi = pair_probability_range(n)
-    assert Fraction(1, 16) < lo and hi < Fraction(9, 16)
     ps = np.array([float(p) for p in p_bar(n)])
     return _sample_pairs(n, lambda i: ps[i] * ps[i + 1:], seed)
 

@@ -1,19 +1,20 @@
 """Degree-peeling extractors.
 
-Two primitives: delete-while-below-threshold (min-degree peel) and
-delete-while-at-or-above-threshold (max-degree peel), composed into the
-refine / reduce / pipeline operations. Thresholds are frozen when a round
-starts while degrees are recomputed after every single deletion. The
-min-degree peel takes the least degree first, the max-degree peel the
-eligible vertices by id; ties go to the lowest id, so traces are
-reproducible. `peel_min(g, threshold)` takes a graph and hands back its
-live set, a bytearray with 1 for live, with the degrees and the steps; the
-max-degree peel updates the reduce's live set in place. Both walk
-ascending neighbour lists (`Graph.neighbor_lists`) and keep the degree of
-every live vertex exact, so the extractors read their survivors'
-statistics from the degrees the peel tracked, with no second pass over
-the adjacency. A caller that needs the peeled subgraph takes `induced` of
-the live set, whose id map gives the host ids.
+One primitive, delete-while-below-threshold (`peel_min`, the min-degree
+peel), serves the refine and the callers in other modules; the reduce runs
+its own delete-while-at-or-above-threshold scan (the max-degree peel), and
+the pipeline composes the two. Thresholds are frozen when a round starts
+while degrees are recomputed after every single deletion. The min-degree
+peel takes the least degree first, the max-degree peel the eligible
+vertices by id; ties go to the lowest id, so traces are reproducible.
+`peel_min(g, threshold)` takes a graph and hands back its live set, a
+bytearray with 1 for live, with the degrees and the steps; the max-degree
+peel updates the reduce's live set in place. Both walk ascending neighbour
+lists (`Graph.neighbor_lists`) and keep the degree of every live vertex
+exact, so the extractors read their survivors' statistics from the degrees
+the peel tracked, with no second pass over the adjacency. A caller that
+needs the peeled subgraph takes `induced` of the live set, whose id map
+gives the host ids.
 """
 
 from __future__ import annotations
@@ -99,22 +100,6 @@ def peel_min(g: Graph, threshold: Union[Real, Surd]) -> tuple:
     return alive, deg, steps
 
 
-def _peel_max(nbrs: list, alive: bytearray, deg: list, threshold: Fraction,
-              round_index: int, steps: list) -> None:
-    """Delete vertices of degree >= threshold from ``alive``, lowest id
-    first, recomputing degrees after each deletion, so that ``deg`` stays
-    exact for every live vertex. Since degrees only drop, one ascending
-    scan visits every vertex that could ever be eligible."""
-    stop = _int_threshold(threshold)
-    for v in compress(range(len(alive)), alive):
-        if deg[v] >= stop:
-            steps.append(PeelStep(v, deg[v], round_index))
-            alive[v] = 0
-            for u in nbrs[v]:
-                if alive[u]:
-                    deg[u] -= 1
-
-
 def prop21_refine(g: Graph, k: Real, alpha: Real) -> ExtractionResult:
     """Min-degree peel at alpha*avg_deg, yielding a (k/alpha)-nearly regular
     subgraph that keeps a guaranteed fraction of vertices and edges.
@@ -180,7 +165,16 @@ def prop22_reduce(g: Graph, k: Real) -> tuple:
         trace.thresholds.append(thr)
         if nbrs is None:
             nbrs = g.neighbor_lists()
-        _peel_max(nbrs, alive, deg, thr, i, trace.steps)
+        stop = _int_threshold(thr)
+        # degrees only drop, so one ascending scan meets every vertex that
+        # could ever reach the threshold
+        for v in compress(range(g.n), alive):
+            if deg[v] >= stop:
+                trace.steps.append(PeelStep(v, deg[v], i))
+                alive[v] = 0
+                for u in nbrs[v]:
+                    if alive[u]:
+                        deg[u] -= 1
     members = list(compress(range(g.n), alive))
     out_stats = DegreeStats.of(list(compress(deg, alive)))
     # 1 - 1/float(k) is 0 for a k within a rounding step of 1

@@ -260,6 +260,8 @@ def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:
     More than floor(2*sqrt(eps)*n) deletions (a count fixed by the unique
     core the peel leaves) raise CapExceededError: they certify the input
     lacks the bounded-dense-subset property this extraction assumes.
+    A peel that leaves no vertex within the cap (only for eps >= 3 -
+    2*sqrt(2)) raises PreconditionError: no bound speaks of an empty set.
     Otherwise the output is checked to keep (1 - eps - 2*sqrt(eps)) * n
     vertices with max degree <= (1 + 3*sqrt(eps)) * n * p, min degree >=
     (1 - 2*sqrt(eps)) * n * p, and degree ratio <= 1 + 6*sqrt(eps). All of
@@ -289,6 +291,8 @@ def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:
             f"peel wanted more than the cap of {cap} deletions; the "
             "input violates the bounded-dense-subset condition")
     members = list(compress(host_ids, alive))
+    if not members:
+        raise PreconditionError("the peel left no vertex")
     st = DegreeStats.of(list(compress(deg, alive)))
     checks = require_bounds("lemma25_extract", [
         check("Lem2.5-size", len(members), ">=",
@@ -327,7 +331,6 @@ def turan_independent_set(g: Graph) -> ExtractionResult:
     live = alive.__getitem__
     live_mask = np.frombuffer(alive, np.bool_)  # a view: follows ``alive``
     bulk = max(n, _NUMPY_COUNT)
-    ends = g.indptr.tolist()
     picked = []
     left = n  # live vertices: every one has a current entry in the heap
     while left:
@@ -342,7 +345,7 @@ def turan_independent_set(g: Graph) -> ExtractionResult:
         if not d:
             continue  # no live neighbour: no degree to recount
         if sum(map(len, map(nbrs.__getitem__, closed))) > bulk:
-            heads = np.concatenate([g.indices[ends[u]:ends[u + 1]]
+            heads = np.concatenate([g.indices[g.indptr[u]:g.indptr[u + 1]]
                                     for u in closed])
             lost = np.bincount(heads[live_mask[heads]], minlength=n)
             near = np.flatnonzero(lost)

@@ -418,6 +418,18 @@ def test_extract_lemma25_refuses_eps_from_a_quarter(tmp_path, capsys):
     assert "precondition" in err
 
 
+def test_extract_lemma25_refuses_a_peel_that_leaves_no_vertex(tmp_path,
+                                                              capsys):
+    path = write_graph(tmp_path, "s9.el",
+                       "9 8\n" + "".join(f"0 {v}\n" for v in range(1, 9)))
+    out = tmp_path / "l25.json"
+    code, stdout, err = run_cli(["extract", "lemma25", path, "--epsilon",
+                                 "0.2", "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err == "precondition: the peel left no vertex\n"
+    assert not out.exists()
+
+
 # the name in `cli` of the extractor each algorithm runs
 EXTRACTORS = {
     "prop21": "prop21_refine", "prop22": "prop22_reduce",

@@ -525,6 +525,47 @@ def test_adversarial_shapes(shape):
     assert all(has_edge(g, u, v) for u, v in res.edges)
 
 
+LOW_HIGH_INPUTS = {
+    **{f"gnp-{seed}": (lambda seed=seed: sample_gnp_uniform(60, 0.15, seed))
+       for seed in range(3)},
+    "gnp-dense": lambda: sample_gnp_uniform(300, 0.23, 1),
+    "path": lambda: path(2000),
+    "star": lambda: star(1000),
+    "cliques": lambda: disjoint_cliques(40, 25),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOW_HIGH_INPUTS))
+def test_edge_extractors_hand_only_low_high_pairs(name):
+    # the edge result keeps its extractor's pairs as they are, so each
+    # extractor must build them (low, high)
+    g = LOW_HIGH_INPUTS[name]()
+    for res in (matching_lower_bound(g), theorem41(g)[0]):
+        assert res.edges and all(u < v for u, v in res.edges)
+
+
+def test_upward_labelled_path_takes_one_sink_probe(monkeypatch):
+    # edges (2i, 2i+1) and (2i, 2i+3): the orientation runs upward, so the
+    # least vertex lies in no sink; one probe and one Tarjan pass settle
+    # the round, where probes in ascending id would take about k calls
+    from nearreg import edge_regular
+
+    k = 4000
+    g = Graph.from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)]
+                         + [(2 * i, 2 * i + 3) for i in range(k - 1)])
+    calls = Counter()
+    for name in ("_sink_holding", "_sink_components"):
+        def counted(*args, name=name, wrapped=getattr(edge_regular, name)):
+            calls[name] += 1
+            return wrapped(*args)
+        monkeypatch.setattr(edge_regular, name, counted)
+    res, cascade = theorem41(g)
+    assert cascade.rounds == 1
+    assert [[len(s), len(t)] for s, t in cascade.sets] == [[1, 1]]
+    assert len(res.edges) == 1
+    assert calls == {"_sink_holding": 1, "_sink_components": 1}
+
+
 # --- the cascade against a per-round rebuild -------------------------------
 
 

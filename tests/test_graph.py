@@ -116,6 +116,17 @@ def test_ratio_conventions():
     assert res.ratio == math.inf
 
 
+def test_edge_result_keeps_the_pairs_it_is_given():
+    # a path 0-1-2 and an edge 4-5: vertex 3 is uncovered
+    edges = frozenset({(0, 1), (1, 2), (4, 5)})
+    res = ExtractionResult.from_edge_subgraph(edges, "t")
+    assert res.edges is edges
+    assert res.vertices == frozenset({0, 1, 2, 4, 5})
+    assert res.stats == DegreeStats.of([1, 2, 1, 1, 1])
+    listed = ExtractionResult.from_edge_subgraph([(0, 1), (1, 2)], "t")
+    assert listed.edges == frozenset({(0, 1), (1, 2)})
+
+
 @pytest.mark.parametrize("threshold", [
     Fraction(6),
     Surd(Fraction(4), Fraction(4), Fraction(1, 4)),    # 4 + 4 * (1/2)

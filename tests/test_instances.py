@@ -22,7 +22,6 @@ from nearreg.instances import (
     blocks_edge_count,
     blocks_minimal_s,
     p_bar,
-    pair_probability_range,
 )
 
 from conftest import has_edge
@@ -112,9 +111,10 @@ def test_blocks_padded_never_pads_past_3n(n):
 
 def test_pair_probabilities_strictly_inside_interval():
     for n in (2, 3, 10, 50, 200):
-        lo, hi = pair_probability_range(n)
-        assert Fraction(1, 16) < lo and hi < Fraction(9, 16)
-        assert p_bar(n)[-1] == Fraction(3, 4)
+        ps = p_bar(n)
+        assert Fraction(1, 16) < ps[0] * ps[1]
+        assert ps[-2] * ps[-1] < Fraction(9, 16)
+        assert ps[-1] == Fraction(3, 4)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50])

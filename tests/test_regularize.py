@@ -383,6 +383,16 @@ def test_lemma25_cap_admits_exactly_cap_deletions():
         lemma25_extract(g, Fraction(1, 25))
 
 
+@pytest.mark.parametrize("n", [5, 9])
+@pytest.mark.parametrize("eps", [0.2, 0.24])
+def test_lemma25_refuses_a_peel_that_leaves_no_vertex(n, eps):
+    # the top cut takes the hub, and the peel below ceil(n*p*(1 -
+    # 2*sqrt(eps))) = 1 deletes every isolated leaf within the cap
+    # floor(2*sqrt(eps)*n), which eps >= 3 - 2*sqrt(2) lets reach n - 1
+    with pytest.raises(PreconditionError, match="^the peel left no vertex$"):
+        lemma25_extract(star(n), eps)
+
+
 @pytest.mark.parametrize("eps", [Fraction(1, 4), 0.3, 0.9])
 def test_lemma25_refuses_eps_from_a_quarter(eps):
     # from eps = 1/4 on the peel threshold n*p*(1 - 2*sqrt(eps)) is <= 0:
