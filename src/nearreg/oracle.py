@@ -1,15 +1,18 @@
 """Ground truth at desk scale.
 
-The exhaustive subset search (`subset_search`: one set-up per graph, from
-its neighbour lists, and one include-first search per size, whose witness
-is a tuple of ascending ids), the largest nearly regular induced
-subgraph it finds (`exact_f`), and vectorised Monte Carlo estimators for
-the point-probability and induced-regularity experiments, each
-cross-checked against an exact dynamic program where one exists.
+The largest nearly regular induced subgraph (`exact_f`: one branch and
+bound over every size, whose witness is the lexicographically least
+largest set), the exhaustive one-size-per-call subset search behind the
+boost's dense-subset search (`subset_search`: one set-up per graph, from
+its neighbour lists, and one include-first search per size, whose
+witness is a tuple of ascending ids), and vectorised Monte Carlo
+estimators for the point-probability and induced-regularity experiments,
+each cross-checked against an exact dynamic program where one exists.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -19,6 +22,7 @@ import numpy as np
 from .errors import PreconditionError, SizeCapError
 from .graph import Graph, as_fraction
 from .instances import p_bar
+from .peeling import peel_min
 
 Real = Union[int, float, Fraction]
 
@@ -36,20 +40,31 @@ C1_CAP = 16.0
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Exact optimum: its value, one witness achieving it (lexicographically
-    least), and how many search nodes were visited."""
+    """Exact optimum: its value, one witness achieving it (the
+    lexicographically least of the largest sets), and how many nodes the
+    search visited (0 when the whole graph is the answer)."""
 
     value: int
     witness: frozenset
     explored: int
 
 
+def _after_table(n: int, nbrs: list) -> list:
+    """Row pos: the neighbours of each vertex among the ids pos..n-1."""
+    after = [[len(row) for row in nbrs]]  # row pos drops ids below pos
+    for row in nbrs:
+        after.append(after[-1][:])
+        for u in row:
+            after[-1][u] -= 1
+    return after
+
+
 def subset_search(g: Graph, prune: Callable, accept: Callable) -> Callable:
-    """Exhaustive search of ``g``, set up once: returns ``search(t) ->
-    (witness or None, explored)``, one include-first DFS over ascending ids
-    at size t, so the witness, a tuple of ascending ids, is the
-    lexicographically least accepted t-subset, and ``explored`` counts that
-    DFS's nodes.
+    """Exhaustive search of ``g`` at one size per call, set up once; the
+    search behind `find_dense_subset`. Returns ``search(t) -> (witness or
+    None, explored)``, one include-first DFS over ascending ids at size t,
+    so the witness, a tuple of ascending ids, is the lexicographically
+    least accepted t-subset, and ``explored`` counts that DFS's nodes.
 
     Graphs above ``HARD_VERTEX_CAP`` vertices raise ``SizeCapError`` here,
     before any size is searched. At the node deciding id ``pos`` the DFS
@@ -69,11 +84,7 @@ def subset_search(g: Graph, prune: Callable, accept: Callable) -> Callable:
     if g.n > HARD_VERTEX_CAP:
         raise SizeCapError(f"exact search is capped at {HARD_VERTEX_CAP} vertices")
     n, nbrs = g.n, g.neighbor_lists()
-    after = [[len(row) for row in nbrs]]  # row pos drops ids below pos
-    for row in nbrs:
-        after.append(after[-1][:])
-        for u in row:
-            after[-1][u] -= 1
+    after = _after_table(n, nbrs)
     inner = [0] * n
     chosen: list = []
     explored = t = 0
@@ -106,22 +117,58 @@ def subset_search(g: Graph, prune: Callable, accept: Callable) -> Callable:
     return search
 
 
-def exact_f(g: Graph, c: Real) -> OracleResult:
-    """Largest induced c-nearly regular subgraph, by one `subset_search`
-    run at sizes n, n-1, ..., 1 until a size holds a valid subset;
-    ``explored`` sums the nodes of every size searched. Graphs above
-    ``VERTEX_CAP`` vertices raise ``SizeCapError``.
+def _nearly_regular_suffix(g: Graph, nbrs: list, c_num: int,
+                           c_den: int) -> int:
+    """Size of the largest suffix of the smallest-last order whose maximum
+    degree is at most c = c_num / c_den times its minimum degree: one
+    reverse pass adds the vertices back, last deleted first, and keeps
+    each suffix's maximum degree; its minimum is the degree its first
+    vertex had when deleted. ``nbrs`` are the neighbour lists of ``g``."""
+    steps = peel_min(g, math.inf)[2]
+    deg = [0] * g.n
+    placed = bytearray(g.n)
+    top = size = 0
+    for i in range(g.n - 1, -1, -1):
+        v, least = steps[i].vertex, steps[i].degree
+        placed[v] = 1
+        deg[v] = least
+        for u in nbrs[v]:
+            if placed[u]:
+                deg[u] += 1
+                if deg[u] > top:
+                    top = deg[u]
+        if least > top:
+            top = least
+        if top * c_den <= c_num * least:
+            size = g.n - i
+    return size
 
-    A node of the search dies when its chosen vertices already force the
-    degree spread past c: the largest degree among them, best_max, is a
-    floor on the completion's maximum, and the smallest degree any of them
-    can still reach, worst_hi, a ceiling on its minimum. Every degree of a
-    completion then lies in [best_max / c, c * worst_hi], so the node also
-    dies when fewer of the ids still to decide than are still to be picked
-    can end with a degree in that window (the viability bound). All bounds
-    are compared in integers. Neither test removes a valid subset, so the
-    value and the lexicographically least witness are those of the plain
-    search; only ``explored`` shrinks.
+
+def exact_f(g: Graph, c: Real) -> OracleResult:
+    """Largest induced c-nearly regular subgraph, by one include-first
+    branch and bound over ascending ids that maximises the size. Graphs
+    above ``VERTEX_CAP`` vertices raise ``SizeCapError``.
+
+    ``best`` is the largest size known to hold a valid set. It starts one
+    below L, the size of the largest nearly regular suffix of the
+    smallest-last order (`_nearly_regular_suffix`), so every set of size
+    at least L stays in reach; when L is n the whole graph is the answer
+    and no node is searched. A node whose chosen set is valid and larger
+    than ``best`` records it. The chosen vertices' largest degree,
+    best_max, is a floor on any completion's maximum degree, and the
+    smallest degree any of them can still reach (counting every id still
+    to decide), worst_hi, a ceiling on its minimum; so every degree of a
+    completion lies in the window [best_max / c, c * worst_hi]. A node
+    dies when it cannot hold a valid set larger than ``best``:
+    - the spread test: best_max exceeds c * worst_hi;
+    - the viability bound: fewer than best + 1 - |chosen| of the ids still
+      to decide can end with a degree inside the window.
+    A node takes its id only when that id can end inside the window, as
+    the spread test would end the child that takes it. All bounds are
+    compared in integers. No node is cut that holds a valid set larger
+    than ``best``, and sets of one size are met in lexicographic order, so
+    the first set of the largest size recorded is the lexicographically
+    least; ``explored`` counts the nodes.
     """
     if g.n > VERTEX_CAP:
         raise SizeCapError(f"instance exceeds the size cap {VERTEX_CAP}")
@@ -129,62 +176,76 @@ def exact_f(g: Graph, c: Real) -> OracleResult:
     if cf < 1:
         raise PreconditionError("c must be >= 1")
     c_num, c_den = cf.numerator, cf.denominator
-    n = g.n
-
-    def spread_too_wide(t: int, e: int, rem: int, pos: int, chosen: list,
-                        inner: list, after: list) -> bool:
-        # The completed subset's maximum degree is at least best_max, the
-        # largest degree among the chosen, and its minimum at most
-        # worst_hi, the smallest degree a chosen vertex can still reach.
-        worst_hi = None
-        best_max = 0
-        for v in chosen:
-            cur = inner[v]
-            free = after[v]
-            hi = cur + (free if free < rem else rem)
-            if worst_hi is None or hi < worst_hi:
-                worst_hi = hi
-            if cur > best_max:
-                best_max = cur
-        if worst_hi is None:
-            return False
-        # some chosen vertex is forced above c times that minimum
-        if best_max * c_den > c_num * worst_hi:
-            return True
-        # Viability: every degree of the completion lies in [lo, hi]. A
-        # vertex u still to pick ends between inner[u] and inner[u] +
-        # min(after[u], rem - 1); the node dies unless rem of the ids
-        # pos..n-1 can land in the window. The count stops as soon as
-        # rem ids fit, or more than the n - pos - rem spare ones miss.
-        lo = -(-best_max * c_den // c_num)
-        hi = c_num * worst_hi // c_den
-        floor = lo - rem + 1
-        need = rem
-        spare = n - pos - rem
-        for u in range(pos, n):
-            cur = inner[u]
-            if floor <= cur <= hi and cur + after[u] >= lo:
-                need -= 1
-                if not need:
-                    return False
-            else:
-                spare -= 1
-                if spare < 0:
-                    return True
-        return True
-
-    def valid(t: int, e: int, chosen: list, inner: list) -> bool:
-        degrees = [inner[v] for v in chosen]  # t >= 1 of them
-        return max(degrees) * c_den <= c_num * min(degrees)
-
-    search = subset_search(g, spread_too_wide, valid)
+    n, nbrs = g.n, g.neighbor_lists()
+    best = _nearly_regular_suffix(g, nbrs, c_num, c_den)
+    if best == n:
+        return OracleResult(n, frozenset(range(n)), 0)
+    best -= 1
+    after = _after_table(n, nbrs)
+    inner = [0] * n
+    chosen: list = []
+    witness: tuple = ()
     explored = 0
-    for t in range(n, 0, -1):
-        hit, nodes = search(t)
-        explored += nodes
-        if hit is not None:
-            return OracleResult(t, frozenset(hit), explored)
-    return OracleResult(0, frozenset(), explored)
+
+    def dfs(pos: int) -> None:
+        nonlocal best, witness, explored
+        explored += 1
+        size = len(chosen)
+        need = best + 1 - size  # ids still to pick to beat best
+        if n - pos < need:
+            return
+        if chosen:
+            free = after[pos]
+            best_max = least = inner[chosen[0]]
+            worst_hi = n
+            for v in chosen:
+                cur = inner[v]
+                if cur > best_max:
+                    best_max = cur
+                elif cur < least:
+                    least = cur
+                hi = cur + free[v]
+                if hi < worst_hi:
+                    worst_hi = hi
+            if need <= 0 and best_max * c_den <= c_num * least:
+                best, witness, need = size, tuple(chosen), 1
+            # some chosen vertex is forced above c times the minimum
+            if best_max * c_den > c_num * worst_hi:
+                return
+            # Every degree of a completion lies in [lo, hi], and a vertex u
+            # still to decide ends between inner[u] and inner[u] + free[u].
+            lo = -(-best_max * c_den // c_num)
+            hi = c_num * worst_hi // c_den
+            # Viability: the count stops as soon as need ids fit, or more
+            # than the n - pos - need spare ones miss.
+            if need > 0:
+                spare = n - pos - need
+                for u in range(pos, n):
+                    cur = inner[u]
+                    if cur <= hi and cur + free[u] >= lo:
+                        need -= 1
+                        if not need:
+                            break
+                    else:
+                        spare -= 1
+                        if spare < 0:
+                            return
+        if pos == n:
+            return
+        # an id that cannot end inside the window is not taken: the spread
+        # test would end the child that takes it
+        if not chosen or inner[pos] <= hi and inner[pos] + free[pos] >= lo:
+            chosen.append(pos)
+            for u in nbrs[pos]:
+                inner[u] += 1
+            dfs(pos + 1)
+            for u in nbrs[pos]:
+                inner[u] -= 1
+            chosen.pop()
+        dfs(pos + 1)
+
+    dfs(0)
+    return OracleResult(best, frozenset(witness), explored)
 
 
 def point_prob_distribution(rhos: Sequence[float]) -> np.ndarray:

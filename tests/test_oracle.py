@@ -2,10 +2,13 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearreg import (
     Graph,
@@ -32,6 +35,7 @@ from conftest import (
     has_edge,
     nearly_regular_check,
 )
+from test_subset_search import exact_search, reference_exact_f
 
 
 def complete(n):
@@ -80,9 +84,11 @@ def test_estimates_check_their_arguments(estimate, message):
 
 
 def test_exact_f_witness_is_lexicographically_least():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    # the path 0-1-2-3 at c = 1: no 3-set is regular and all six 2-sets
+    # are, so the least of them is the witness
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     r = exact_f(g, 1)
-    assert r.value == 4  # 1-regular
+    assert (r.value, r.witness) == (2, frozenset({0, 1}))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -122,14 +128,38 @@ def test_exact_f_caps():
 
 
 def test_exact_f_search_node_counts():
-    # the node counts of the include-first search, ``explored``, pinned
-    cases = [(sample_gnp_uniform(12, 0.5, 800), 1, 6, 1453),
-             (sample_gnp_uniform(12, 0.5, 801), 1.5, 9, 373),
-             (blocks(2), 2, 7, 941),
-             (sample_gnp_bar(14, 3), 1, 9, 577)]
+    # the node counts of the all-sizes search, ``explored``, pinned
+    cases = [(sample_gnp_uniform(12, 0.5, 800), 1, 6, 648),
+             (sample_gnp_uniform(12, 0.5, 801), 1.5, 9, 248),
+             (blocks(2), 2, 7, 469),
+             (sample_gnp_bar(14, 3), 1, 9, 323)]
     for g, c, value, explored in cases:
         r = exact_f(g, c)
         assert (r.value, r.explored) == (value, explored)
+
+
+def test_exact_f_scan_nodes_fall_below_half_of_the_per_size_search():
+    # the benchmark's exact scan, gnp-bar(18) at seeds 0..9 and c = 1: one
+    # search per size from the top took 106,236 nodes in all
+    total = sum(exact_f(sample_gnp_bar(18, s), 1).explored for s in range(10))
+    assert total == 42039
+    assert 2 * total < 106236
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=14))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@given(small_graphs(), st.sampled_from([1, Fraction(5, 4), Fraction(3, 2),
+                                        2, 3]))
+@settings(max_examples=300, deadline=None)
+def test_exact_f_answers_as_the_per_size_search(g, c):
+    assert exact_search(g, c)[:2] == reference_exact_f(g, c)[:2]
 
 
 def test_subset_search_carries_the_prefix_edge_count():

@@ -1,12 +1,19 @@
-"""The exhaustive subset search behind `exact_f` and `find_dense_subset`,
-against a mask-based reference: the same nodes, sizes and witnesses.
+"""The exhaustive searches behind `exact_f` and `find_dense_subset`,
+against mask-based references: the same nodes, sizes and witnesses.
 
-The reference below is the search as it was when every prune popcounted
-the adjacency rows of the chosen prefix and of the pool at each node. The
-search now tracks those counts incrementally; both must visit the same
-nodes, so ``explored`` is compared as well as the answer. `exact_f`'s
-prune is also checked against the spread test alone, without the
-viability bound: the same answers, in no more nodes.
+The references below are the searches written with popcounts of the
+adjacency rows of the chosen prefix and of the ids still to decide at
+each node, where the searches under test track those counts
+incrementally; both must visit the same nodes, so ``explored`` is
+compared as well as the answer.
+
+`exact_f` makes one branch and bound over every size, seeded by the
+smallest-last order's largest nearly regular suffix. Its value and
+witness are checked against the search it replaced, one include-first
+search per size from the top (`reference_exact_f`), and its nodes against
+a popcount copy of the all-sizes search (`reference_all_sizes`). The
+viability bound is also dropped from that copy, leaving the spread test
+and the test on the id a node takes: the same answers, in no more nodes.
 
 `find_dense_subset` probes one size per search, all through one search
 set-up, in an order seeded by the smallest-last peel; its answer is
@@ -37,7 +44,7 @@ from nearreg.regularize import _boost_target
 from conftest import bit_indices, bitmask_rows, count_edges_in, full_mask
 
 
-# --- reference: the popcount search and its two callers' prunes ---------
+# --- references: the popcount searches and their prunes ------------------
 
 def reference_largest_subset(g, sizes, prune, accept):
     n, adj = g.n, bitmask_rows(g)
@@ -80,41 +87,41 @@ def degree_window(adj, chosen, avail, rem):
     return None if worst_hi is None else (best_max, worst_hi)
 
 
-def reference_exact_f(g, c, viability=True):
-    """The search `exact_f` makes; ``viability=False`` drops the viability
-    bound and keeps only the spread test."""
+def fits_window(adj, u, chosen, avail, cap, window, c_num, c_den):
+    """Whether id ``u``, still to decide, can end with a degree d that has
+    best_max <= c * d and d <= c * worst_hi, where its degree ends between
+    its neighbours among the chosen and that plus at most ``cap`` more."""
+    best_max, worst_hi = window
+    low = (adj[u] & chosen).bit_count()
+    high = low + min((adj[u] & avail).bit_count(), cap)
+    return high * c_num >= best_max * c_den and low * c_den <= c_num * worst_hi
+
+
+def window_fits(adj, chosen, avail, cap, window, c_num, c_den):
+    """How many ids still to decide can end inside the window."""
+    return sum(fits_window(adj, u, chosen, avail, cap, window, c_num, c_den)
+               for u in bit_indices(avail))
+
+
+def reference_exact_f(g, c):
+    """``(value, mask, explored)`` of the per-size search `exact_f` made
+    before it searched every size at once: sizes n, n-1, ... until one
+    holds a valid set, each pruned by the spread test and the viability
+    bound."""
     cf = as_fraction(c)
     c_num, c_den = cf.numerator, cf.denominator
     adj = bitmask_rows(g)
 
-    def spread_only(t, chosen, e, avail, rem):
-        window = degree_window(adj, chosen, avail, rem)
-        if window is None:
-            return False
-        best_max, worst_hi = window
-        if worst_hi == 0:
-            return best_max != 0
-        return best_max * c_den > c_num * worst_hi
-
-    def unviable(t, chosen, e, avail, rem):
-        # fewer than rem ids still to decide can end with a degree d that
-        # has best_max <= c * d and d <= c * worst_hi
-        window = degree_window(adj, chosen, avail, rem)
-        if window is None:
-            return False
-        best_max, worst_hi = window
-        fits = 0
-        for u in bit_indices(avail):
-            low = (adj[u] & chosen).bit_count()
-            high = low + min((adj[u] & avail).bit_count(), rem - 1)
-            if (high * c_num >= best_max * c_den
-                    and low * c_den <= c_num * worst_hi):
-                fits += 1
-        return fits < rem
-
     def spread_too_wide(t, chosen, e, avail, rem):
-        return spread_only(t, chosen, e, avail, rem) or (
-            viability and unviable(t, chosen, e, avail, rem))
+        window = degree_window(adj, chosen, avail, rem)
+        if window is None:
+            return False
+        best_max, worst_hi = window
+        if best_max * c_den > c_num * worst_hi:
+            return True
+        # fewer than rem ids still to decide can end inside the window
+        return window_fits(adj, chosen, avail, rem - 1, window, c_num,
+                           c_den) < rem
 
     def valid(t, chosen, e):
         degrees = [(adj[v] & chosen).bit_count() for v in bit_indices(chosen)]
@@ -123,6 +130,67 @@ def reference_exact_f(g, c, viability=True):
 
     return reference_largest_subset(g, range(g.n, 0, -1), spread_too_wide,
                                     valid)
+
+
+def nearly_regular(adj, mask, c_num, c_den):
+    degrees = [(adj[v] & mask).bit_count() for v in bit_indices(mask)]
+    return max(degrees) * c_den <= c_num * min(degrees)
+
+
+def nearly_regular_suffix(g, c_num, c_den):
+    """Size of the first c-nearly regular set met while deleting a
+    least-degree vertex, lowest id first, from the whole graph: the largest
+    such suffix of the smallest-last order."""
+    adj, live = bitmask_rows(g), full_mask(g)
+    while live and not nearly_regular(adj, live, c_num, c_den):
+        live ^= 1 << min(bit_indices(live),
+                         key=lambda v: ((adj[v] & live).bit_count(), v))
+    return live.bit_count()
+
+
+def reference_all_sizes(g, c, viability=True):
+    """``(value, mask, explored)`` of the search `exact_f` makes: one
+    include-first search over every size, from a best size one below the
+    seed suffix's; ``viability=False`` drops the count of the ids that fit
+    the window and keeps the spread test and the include test."""
+    cf = as_fraction(c)
+    c_num, c_den = cf.numerator, cf.denominator
+    n, adj, full = g.n, bitmask_rows(g), full_mask(g)
+    best = nearly_regular_suffix(g, c_num, c_den)
+    if best == n:
+        return n, full or None, 0
+    best -= 1
+    witness, explored = None, 0
+
+    def dfs(pos, chosen):
+        nonlocal best, witness, explored
+        explored += 1
+        size = chosen.bit_count()
+        need = best + 1 - size
+        if n - pos < need:
+            return
+        avail = full >> pos << pos
+        window = degree_window(adj, chosen, avail, n)
+        if window is not None:
+            if size > best and nearly_regular(adj, chosen, c_num, c_den):
+                best, witness, need = size, chosen, 1
+            best_max, worst_hi = window
+            if best_max * c_den > c_num * worst_hi:
+                return
+            # fewer than need ids still to decide can end inside the window
+            if viability and window_fits(adj, chosen, avail, n, window,
+                                         c_num, c_den) < need:
+                return
+        if pos == n:
+            return
+        # an id that cannot end inside the window is not taken
+        if window is None or fits_window(adj, pos, chosen, avail, n, window,
+                                         c_num, c_den):
+            dfs(pos + 1, chosen | (1 << pos))
+        dfs(pos + 1, chosen)
+
+    dfs(0, 0)
+    return best, witness, explored
 
 
 def reference_dense_search(g, eps, sizes=None):
@@ -243,9 +311,10 @@ DENSE_SHAPES.update({f"K{a},{b}": complete_bipartite(a, a + b)
 
 def check_exact_f_search(g, c):
     run = exact_search(g, c)
-    assert run == reference_exact_f(g, c)
-    # the viability bound only drops nodes that hold no valid subset
-    spread = reference_exact_f(g, c, viability=False)
+    assert run[:2] == reference_exact_f(g, c)[:2]
+    assert run == reference_all_sizes(g, c)
+    # the viability bound only drops nodes that hold no larger valid set
+    spread = reference_all_sizes(g, c, viability=False)
     assert run[:2] == spread[:2]
     assert run[2] <= spread[2]
 
