@@ -44,6 +44,8 @@ import numpy as np
 
 from .errors import BoundViolationError, EdgeListError, PreconditionError
 
+Real = Union[int, float, Fraction]
+
 
 def as_fraction(x: Union[int, float, Fraction, str]) -> Fraction:
     """Exact rational view of a parameter.

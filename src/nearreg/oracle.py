@@ -2,31 +2,26 @@
 
 The largest nearly regular induced subgraph (`exact_f`: one branch and
 bound over every size, whose witness is the lexicographically least
-largest set), the exhaustive one-size-per-call subset search behind the
-boost's dense-subset search (`subset_search`: one set-up per graph, from
-its neighbour lists, and one include-first search per size, whose
-witness is a tuple of ascending ids), and vectorised Monte Carlo
-estimators for the point-probability and induced-regularity experiments,
-each cross-checked against an exact dynamic program where one exists.
+largest set), and vectorised Monte Carlo estimators for the
+point-probability and induced-regularity experiments, each cross-checked
+against an exact dynamic program where one exists. `_after_table`, the
+table of neighbours among the ids still to decide, also serves the
+boost's dense-subset search (`regularize._dense_search`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import PreconditionError, SizeCapError
-from .graph import Graph, as_fraction
+from .graph import Graph, Real, as_fraction
 from .instances import p_bar
 from .peeling import peel_min
 
-Real = Union[int, float, Fraction]
-
-HARD_VERTEX_CAP = 64       # an exponential search: refused above this
 VERTEX_CAP = 24            # exact_f and the gnpbar-scan experiment
 MC_CHUNK = 1 << 15         # Monte Carlo rows drawn at once, at most,
 MC_CHUNK_CELLS = 1 << 20   # and draws at once (8 MiB), unless one row has more
@@ -57,64 +52,6 @@ def _after_table(n: int, nbrs: list) -> list:
         for u in row:
             after[-1][u] -= 1
     return after
-
-
-def subset_search(g: Graph, prune: Callable, accept: Callable) -> Callable:
-    """Exhaustive search of ``g`` at one size per call, set up once; the
-    search behind `find_dense_subset`. Returns ``search(t) -> (witness or
-    None, explored)``, one include-first DFS over ascending ids at size t,
-    so the witness, a tuple of ascending ids, is the lexicographically
-    least accepted t-subset, and ``explored`` counts that DFS's nodes.
-
-    Graphs above ``HARD_VERTEX_CAP`` vertices raise ``SizeCapError`` here,
-    before any size is searched. At the node deciding id ``pos`` the DFS
-    holds
-    - ``chosen``, the ids picked so far, ascending, and ``e``, the edges
-      they span;
-    - ``inner[v]``, the neighbours of v among ``chosen``, for every v
-      (an include adds 1 along the new vertex's neighbours, a backtrack
-      takes it off again);
-    - ``after[v]``, the neighbours of v among the ids pos..n-1 still to
-      decide (a row of a table built once from the neighbour lists);
-    - ``rem``, the vertices still to pick.
-    It drops the node when ``prune(t, e, rem, pos, chosen, inner, after)``
-    holds, and takes a t-subset when ``accept(t, e, chosen, inner)`` holds.
-    The callbacks read these lists and must not change them.
-    """
-    if g.n > HARD_VERTEX_CAP:
-        raise SizeCapError(f"exact search is capped at {HARD_VERTEX_CAP} vertices")
-    n, nbrs = g.n, g.neighbor_lists()
-    after = _after_table(n, nbrs)
-    inner = [0] * n
-    chosen: list = []
-    explored = t = 0
-
-    def dfs(pos: int, rem: int, e: int) -> Optional[tuple]:
-        nonlocal explored
-        explored += 1
-        if rem == 0:
-            return tuple(chosen) if accept(t, e, chosen, inner) else None
-        if n - pos < rem:
-            return None
-        if prune(t, e, rem, pos, chosen, inner, after[pos]):
-            return None
-        chosen.append(pos)
-        for u in nbrs[pos]:
-            inner[u] += 1
-        hit = dfs(pos + 1, rem - 1, e + inner[pos])
-        for u in nbrs[pos]:
-            inner[u] -= 1
-        chosen.pop()
-        if hit is not None:
-            return hit
-        return dfs(pos + 1, rem, e)
-
-    def search(size: int) -> tuple:
-        nonlocal explored, t
-        explored, t = 0, size
-        return dfs(0, size, 0), explored
-
-    return search
 
 
 def _nearly_regular_suffix(g: Graph, nbrs: list, c_num: int,

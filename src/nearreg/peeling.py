@@ -31,6 +31,7 @@ from .graph import (
     DegreeStats,
     ExtractionResult,
     Graph,
+    Real,
     Surd,
     as_fraction,
     check,
@@ -39,8 +40,6 @@ from .graph import (
     ledger_ratio,
     require_bounds,
 )
-
-Real = Union[int, float, Fraction]
 
 
 class PeelStep(NamedTuple):

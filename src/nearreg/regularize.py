@@ -28,15 +28,16 @@ from fractions import Fraction
 from itertools import chain, compress
 from math import comb
 from operator import add
-from typing import Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CapExceededError, PreconditionError
+from .errors import CapExceededError, PreconditionError, SizeCapError
 from .graph import (
     DegreeStats,
     ExtractionResult,
     Graph,
+    Real,
     Surd,
     as_fraction,
     check,
@@ -45,12 +46,11 @@ from .graph import (
     ledger_ratio,
     require_bounds,
 )
-from .oracle import subset_search
+from .oracle import _after_table
 from .peeling import peel_min
 
-Real = Union[int, float, Fraction]
-
 DEFAULT_EXACT_LIMIT = 24
+HARD_VERTEX_CAP = 64  # the exhaustive dense-subset search: refused above this
 # Fewest lost-edge entries of one Turan pick that are counted with numpy.
 _NUMPY_COUNT = 256
 
@@ -111,15 +111,73 @@ def _dense_cut(steps: list, start: int, m: int,
     return None
 
 
+def _dense_search(g: Graph, num: int, den: int) -> Callable:
+    """Exhaustive search of ``g`` for a dense set, at one size per call,
+    set up once. Returns ``search(t) -> (witness or None, explored)``, one
+    include-first DFS over ascending ids for a t-set spanning e edges with
+    e * den >= C(t, 2) * num, so the witness, a tuple of ascending ids, is
+    the lexicographically least such t-set, and ``explored`` counts that
+    DFS's nodes. Graphs above ``HARD_VERTEX_CAP`` vertices raise
+    ``SizeCapError`` here, before any size is searched.
+
+    At the node deciding id ``pos`` the DFS holds the ids picked so far,
+    the edges e they span and the count rem still to pick; ``inner[v]``,
+    the neighbours of v among the picked ids, kept up to date as it
+    includes and backtracks; and ``after[pos][v]``, the neighbours of v
+    among the ids pos..n-1 still to decide.
+    """
+    if g.n > HARD_VERTEX_CAP:
+        raise SizeCapError(f"exact search is capped at {HARD_VERTEX_CAP} vertices")
+    n, nbrs = g.n, g.neighbor_lists()
+    after = _after_table(n, nbrs)
+    inner = [0] * n
+    chosen: list = []
+    explored = need = 0
+
+    def dfs(pos: int, rem: int, e: int) -> Optional[tuple]:
+        nonlocal explored
+        explored += 1
+        if rem == 0:
+            return tuple(chosen) if e * den >= need else None
+        if n - pos < rem:
+            return None
+        # Two upper bounds on the edges any completion can add: every pool
+        # edge to the prefix plus a full clique on the rem vertices still
+        # to pick, or the rem largest degrees into prefix-plus-pool. The
+        # first is cheap, so the sort runs only when it does not prune.
+        if (e + sum(inner[pos:]) + comb(rem, 2)) * den < need:
+            return None
+        gains = sorted(map(add, inner[pos:], after[pos][pos:]), reverse=True)
+        if (e + sum(gains[:rem])) * den < need:
+            return None
+        chosen.append(pos)
+        for u in nbrs[pos]:
+            inner[u] += 1
+        hit = dfs(pos + 1, rem - 1, e + inner[pos])
+        for u in nbrs[pos]:
+            inner[u] -= 1
+        chosen.pop()
+        if hit is not None:
+            return hit
+        return dfs(pos + 1, rem, e)
+
+    def search(t: int) -> tuple:
+        nonlocal explored, need
+        explored, need = 0, comb(t, 2) * num
+        return dfs(0, t, 0), explored
+
+    return search
+
+
 def find_dense_subset(g: Graph, eps: Real) -> Optional[frozenset]:
     """Largest vertex set of at least an eps-fraction of the graph whose
     spanned edges beat C(|U|,2) * density * (1+eps); None when no such set.
 
-    The search is exhaustive (`oracle.subset_search`), so a None answer
-    certifies that no such set exists; graphs above 64 vertices raise
-    ``SizeCapError``. Sets of fewer than two vertices are never candidates
-    (their density is undefined, so they cannot witness a boost). Ties on
-    size resolve to the lexicographically least set.
+    The search is exhaustive (`_dense_search`), so a None answer certifies
+    that no such set exists; graphs above ``HARD_VERTEX_CAP`` vertices
+    raise ``SizeCapError``. Sets of fewer than two vertices are never
+    candidates (their density is undefined, so they cannot witness a
+    boost). Ties on size resolve to the lexicographically least set.
 
     The sizes holding a qualifying set form an interval [t_min, t*] (or
     none). A qualifying t-set with t >= 3 spanning e edges has a vertex of
@@ -146,25 +204,9 @@ def find_dense_subset(g: Graph, eps: Real) -> Optional[frozenset]:
     if bar is None:
         return None  # density cannot exceed 1: nothing to search
     num, den, t_min = bar
-
-    def short_of_edges(t: int, e: int, rem: int, pos: int, chosen: list,
-                       inner: list, after: list) -> bool:
-        # Two upper bounds on the edges any completion can add: every pool
-        # edge to the prefix plus a full clique on the rem vertices still
-        # to pick, or the rem largest degrees into prefix-plus-pool. The
-        # first is cheap, so the sort runs only when it does not prune.
-        need = comb(t, 2) * num
-        if (e + sum(inner[pos:]) + comb(rem, 2)) * den < need:
-            return True
-        gains = sorted(map(add, inner[pos:], after[pos:]), reverse=True)
-        return (e + sum(gains[:rem])) * den < need
-
-    def dense_enough(t: int, e: int, chosen: list, inner: list) -> bool:
-        return e * den >= comb(t, 2) * num
-
     # sizes at which even the whole graph is short of edges are skipped;
     # with none left the search set-up still refuses a graph above its cap
-    search = subset_search(g, short_of_edges, dense_enough)
+    search = _dense_search(g, num, den)
     sizes = [t for t in range(t_min, g.n + 1)
              if g.m * den >= comb(t, 2) * num]
     if not sizes:
@@ -202,8 +244,9 @@ def density_boost(g: Graph, eps: Real,
     one O(m log n) peel and one O(n) scan in all, and the subgraph is built
     once, when the graph is down to the limit or no cut qualifies. Such
     rounds certify nothing. The remaining rounds run `find_dense_subset`
-    exhaustively; that search is capped at 64 vertices, so a limit above 64
-    raises ``SizeCapError`` once an exhaustive round has more vertices.
+    exhaustively; that search is capped at ``HARD_VERTEX_CAP`` (64)
+    vertices, so a limit above it raises ``SizeCapError`` once an
+    exhaustive round has more vertices.
     """
     if not 0 < eps < 1:
         raise PreconditionError("epsilon must lie in (0, 1)")

@@ -26,15 +26,8 @@ from nearreg import (
 )
 from nearreg import oracle
 from nearreg.instances import p_bar
-from nearreg.oracle import subset_search
 
-from conftest import (
-    bitmask_rows,
-    count_edges_in,
-    exact_f_n,
-    has_edge,
-    nearly_regular_check,
-)
+from conftest import exact_f_n, nearly_regular_check
 from test_subset_search import exact_search, reference_exact_f
 
 
@@ -160,42 +153,6 @@ def small_graphs(draw):
 @settings(max_examples=300, deadline=None)
 def test_exact_f_answers_as_the_per_size_search(g, c):
     assert exact_search(g, c)[:2] == reference_exact_f(g, c)[:2]
-
-
-def test_subset_search_carries_the_prefix_edge_count():
-    g = sample_gnp_uniform(10, 0.4, 5)
-
-    def independent(t, e, chosen, inner):
-        mask = sum(1 << v for v in chosen)
-        assert e == count_edges_in(g, mask)
-        assert inner == [(row & mask).bit_count() for row in bitmask_rows(g)]
-        return e == 0
-
-    search = subset_search(g, lambda *args: False, independent)
-    t = g.n
-    while (hit := search(t)[0]) is None:
-        t -= 1
-    expected = next(combo for k in range(g.n, 0, -1)
-                    for combo in combinations(range(g.n), k)
-                    if not any(has_edge(g, u, v)
-                               for u, v in combinations(combo, 2)))
-    assert (t, hit) == (len(expected), expected)
-
-
-def test_subset_search_refuses_65_vertices_before_any_search():
-    calls = []
-
-    def record(*args):
-        calls.append(args)
-        return False
-
-    with pytest.raises(SizeCapError):
-        subset_search(Graph.empty(65), record, record)
-    assert calls == []
-    # 64 vertices are searched: one node per id, then the full set
-    search = subset_search(Graph.empty(64), lambda *args: False,
-                           lambda *args: True)
-    assert search(64) == (tuple(range(64)), 65)
 
 
 def test_exact_f_n_hand_values():

@@ -34,6 +34,7 @@ from nearreg.peeling import peel_min
 from nearreg.regularize import (
     _boost_target,
     _dense_cut,
+    _dense_search,
     _density,
     _inner_epsilon,
 )
@@ -321,10 +322,20 @@ def test_find_dense_subset_matches_brute_force(seed):
     assert found > 0
 
 
+def test_dense_search_refuses_65_vertices_before_any_search():
+    with pytest.raises(SizeCapError):
+        _dense_search(Graph.empty(65), 0, 1)
+    # 64 vertices are searched: one node per id, then the full set
+    search = _dense_search(Graph.empty(64), 0, 1)
+    assert search(64) == (tuple(range(64)), 65)
+
+
 def test_find_dense_subset_refuses_graphs_above_64_vertices():
     g = Graph.from_edges(65, [(v, v + 1) for v in range(64)])
-    with pytest.raises(SizeCapError):
-        find_dense_subset(g, 0.1)
+    # at eps 0.99 no size is admissible: the search set-up still refuses
+    for eps in (0.1, 0.99):
+        with pytest.raises(SizeCapError):
+            find_dense_subset(g, eps)
     with pytest.raises(SizeCapError):
         density_boost(sample_gnp_uniform(70, 0.1, 3), 0.1, exact_limit=100)
 

@@ -15,12 +15,13 @@ a popcount copy of the all-sizes search (`reference_all_sizes`). The
 viability bound is also dropped from that copy, leaving the spread test
 and the test on the id a node takes: the same answers, in no more nodes.
 
-`find_dense_subset` probes one size per search, all through one search
-set-up, in an order seeded by the smallest-last peel; its answer is
-checked against the reference's scan of every size from the top, and
-each probe's nodes against the reference run at that one size. A brute force over all vertex sets checks the lemma
-the probe order rests on: the sizes holding a qualifying set form an
-interval starting at the least admissible size.
+`find_dense_subset` probes one size per search, all through one set-up
+of its search (`regularize._dense_search`), in an order seeded by the
+smallest-last peel; its answer is checked against the reference's scan
+of every size from the top, and each probe's nodes against the reference
+run at that one size. A brute force over all vertex sets checks the
+lemma the probe order rests on: the sizes holding a qualifying set form
+an interval starting at the least admissible size.
 """
 
 from fractions import Fraction
@@ -38,8 +39,7 @@ from nearreg import (
 )
 from nearreg import regularize
 from nearreg.graph import as_fraction
-from nearreg.oracle import subset_search
-from nearreg.regularize import _boost_target
+from nearreg.regularize import _boost_target, _dense_search
 
 from conftest import bit_indices, bitmask_rows, count_edges_in, full_mask
 
@@ -234,8 +234,8 @@ def dense_search(g, eps, monkeypatch):
     witness of the probe at its size."""
     probes = []
 
-    def recording(g, prune, accept):
-        search = subset_search(g, prune, accept)
+    def recording(g, num, den):
+        search = _dense_search(g, num, den)
 
         def probe(t):
             hit, explored = search(t)
@@ -247,7 +247,7 @@ def dense_search(g, eps, monkeypatch):
         return probe
 
     with monkeypatch.context() as m:
-        m.setattr(regularize, "subset_search", recording)
+        m.setattr(regularize, "_dense_search", recording)
         subset = find_dense_subset(g, eps)
     if not probes:
         assert subset is None
@@ -351,11 +351,11 @@ def test_dense_search_matches_the_popcount_reference(name, eps, monkeypatch):
 def test_dense_search_sets_up_one_search_per_call(name, eps, monkeypatch):
     builds = []
 
-    def counting(g, prune, accept):
+    def counting(g, num, den):
         builds.append(g)
-        return subset_search(g, prune, accept)
+        return _dense_search(g, num, den)
 
-    monkeypatch.setattr(regularize, "subset_search", counting)
+    monkeypatch.setattr(regularize, "_dense_search", counting)
     find_dense_subset(DENSE_SHAPES[name], eps)
     assert builds == [DENSE_SHAPES[name]]
 
