@@ -46,9 +46,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,7 @@ from .graph import (
 from .peeling import peel_min, prop21_refine
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     """A two-sided split of a host graph's vertices, and ``graph``, the
     kept cross edges as a graph on the host's ids. From `bipartite_half`,
     side A is the larger side and every vertex keeps at least half of its
@@ -397,8 +396,7 @@ def _tight_round(rows: list, cand: list, ws: tuple) -> tuple:
     return frozenset(chosen), frozenset(neighbourhood), matching, mate
 
 
-@dataclass
-class CascadeState:
+class CascadeState(NamedTuple):
     """Rounds of the tight-set cascade: nested (A_i, B_i) pairs, pairwise
     edge-disjoint perfect matchings M_i, and ``residual_edges``, the number
     of kept edges in no M_i."""
@@ -538,7 +536,7 @@ def theorem41(g: Graph) -> tuple:
                                  True)
     checks = require_bounds("theorem41", [
         check("Thm4.1-ratio", result.ratio, "<=", Fraction(5)), edges_check])
-    return replace(result, bounds=checks), cascade
+    return result._replace(bounds=checks), cascade
 
 
 def matching_lower_bound(g: Graph) -> ExtractionResult:

@@ -1,5 +1,7 @@
 """Core graph representation and the shared result types, plain data that
-`nearreg.cli` writes into reports.
+`nearreg.cli` writes into reports. The result types are `NamedTuple`s;
+`Graph` and `Surd`, which must not act as tuples, are slotted classes
+that refuse assignment.
 
 Graphs are immutable simple undirected graphs over dense ids 0..n-1.
 Adjacency is stored once, as read-only numpy CSR arrays: the neighbours of
@@ -35,10 +37,9 @@ import math
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -67,16 +68,42 @@ def normalize_edge(u: int, v: int) -> tuple:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True, eq=False)
-class Graph:
+class _Frozen:
+    """Base of the two records that are not tuples: a subclass names its
+    fields in ``__slots__`` and sets them in ``__init__`` through
+    `object.__setattr__`; an instance refuses any later assignment."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return type(self).__name__ + "(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+
+
+class Graph(_Frozen):
     """Immutable simple graph: ``n`` vertices, ``m`` edges, and the
     ascending neighbours of v at ``indices[indptr[v]:indptr[v + 1]]``, two
-    read-only int64 arrays. Graphs compare equal by value."""
+    read-only int64 arrays: ``Graph(n, indptr, indices, m)``. Graphs compare
+    equal by value and are unhashable."""
 
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    m: int
+    __slots__ = ("n", "indptr", "indices", "m")
+
+    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
+                 m: int) -> None:
+        set_field = object.__setattr__
+        set_field(self, "n", n)
+        set_field(self, "indptr", indptr)
+        set_field(self, "indices", indices)
+        set_field(self, "m", m)
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -185,8 +212,7 @@ def _row_ids(g: Graph):
     return np.repeat(np.arange(g.n), np.diff(g.indptr))
 
 
-@dataclass(frozen=True)
-class DegreeStats:
+class DegreeStats(NamedTuple):
     """Max/min/average degree and density of a graph (exact rationals)."""
 
     max_deg: int
@@ -247,13 +273,25 @@ FLOAT_BOUNDS = frozenset({"Prop2.2-size", "Prop1.1-size", "Lem2.3-rounds",
                           "Lem2.3-size", "Thm1.2-size"})
 
 
-@dataclass(frozen=True)
-class Surd:
-    """The real number a + b*sqrt(e), for rationals a, b and e >= 0."""
+class Surd(_Frozen):
+    """The real number a + b*sqrt(e), for rationals a, b and e >= 0:
+    ``Surd(a, b, e)``. Surds compare equal, and hash, by (a, b, e)."""
 
-    a: Fraction
-    b: Fraction
-    e: Fraction
+    __slots__ = ("a", "b", "e")
+
+    def __init__(self, a: Fraction, b: Fraction, e: Fraction) -> None:
+        set_field = object.__setattr__
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "e", e)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Surd):
+            return NotImplemented
+        return (self.a, self.b, self.e) == (other.a, other.b, other.e)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.e))
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.e)
@@ -282,8 +320,7 @@ def _sign_of_difference(x, t) -> int:
     return sc * ((c * c > r2) - (c * c < r2))
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """One evaluated guarantee: an id, the required threshold, the achieved
     value, and whether it passed. ``kind`` is 'lower' when achieved must be
     >= threshold, 'upper' when it must be <=. Build entries with `check`."""
@@ -319,8 +356,7 @@ def require_bounds(op: str, checks: Iterable[BoundCheck]) -> tuple:
     return checks
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(NamedTuple):
     """A found subgraph plus its statistics and the guarantee it satisfies.
 
     ``edges`` is present only for non-induced (edge-version) results; when it
@@ -334,7 +370,7 @@ class ExtractionResult:
     edges: Optional[frozenset]
     stats: DegreeStats
     guarantee: str
-    bounds: tuple = field(default=())
+    bounds: tuple = ()
 
     @property
     def ratio(self) -> Union[Fraction, float]:

@@ -12,8 +12,7 @@ boost's dense-subset search (`regularize._dense_search`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,8 +32,7 @@ C0_CAP = 3.0
 C1_CAP = 16.0
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Exact optimum: its value, one witness achieving it (the
     lexicographically least of the largest sets), and how many nodes the
     search visited (0 when the whole graph is the answer)."""
@@ -256,9 +254,13 @@ def estimate_regular_prob(n: int, k: int, trials: int, seed: int) -> float:
     column[first, second] = column[second, first] = np.arange(len(probs))
     incident = column[~np.eye(k, dtype=bool)]
     del column, first, second
+    # a degree is at most k - 1: summed as bytes into the least unsigned
+    # type that holds k - 1, where a sum of bools would widen to int64
+    degree_type = np.min_scalar_type(k - 1)
 
     def regular(draws):
-        degrees = draws[:, incident].reshape(len(draws), k, k - 1).sum(axis=2)
+        degrees = draws[:, incident].view(np.uint8).reshape(
+            len(draws), k, k - 1).sum(axis=2, dtype=degree_type)
         return (degrees == degrees[:, :1]).all(axis=1)
 
     return _mc_fraction(probs, trials, seed, regular)

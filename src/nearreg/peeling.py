@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from typing import NamedTuple, Union
@@ -48,12 +47,11 @@ class PeelStep(NamedTuple):
     round_index: int
 
 
-@dataclass
-class PeelTrace:
+class PeelTrace(NamedTuple):
     """Ordered record of deletions plus the per-round thresholds used."""
 
-    steps: list = field(default_factory=list)
-    thresholds: list = field(default_factory=list)
+    steps: list
+    thresholds: list
 
 
 def _int_threshold(threshold: Union[Real, Surd]) -> Real:
@@ -148,7 +146,7 @@ def prop22_reduce(g: Graph, k: Real) -> tuple:
     kf = as_fraction(k)
     if not kf > 1:
         raise PreconditionError("k must be > 1")
-    trace = PeelTrace()
+    trace = PeelTrace([], [])
     alive = bytearray(b"\1") * g.n
     deg = g.degrees()
     nbrs = None  # built by the first round that peels

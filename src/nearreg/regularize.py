@@ -23,12 +23,11 @@ import heapq
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, compress
 from math import comb
 from operator import add
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -55,8 +54,7 @@ HARD_VERTEX_CAP = 64  # the exhaustive dense-subset search: refused above this
 _NUMPY_COUNT = 256
 
 
-@dataclass(frozen=True)
-class BoostOutcome:
+class BoostOutcome(NamedTuple):
     """Result of the density boost.
 
     ``certified`` is True iff every subset search en route was exhaustive, in
@@ -69,7 +67,7 @@ class BoostOutcome:
     certified: bool
     rounds: int
     vertices: frozenset
-    bounds: tuple = field(default=())
+    bounds: tuple = ()
 
 
 def _density(g: Graph) -> Fraction:
@@ -479,9 +477,9 @@ def theorem13_pipeline(g: Graph, eps: Real,
     if not g.n or float(_density(g)) < g.n ** (-a):
         turan = turan_independent_set(g)
         checks = require_bounds("theorem13_pipeline", [
-            replace(turan.bounds[0], bound_id="Thm1.3-turan-size")])
-        return replace(turan, guarantee="Thm1.3-turan" + suffix,
-                       bounds=checks)
+            turan.bounds[0]._replace(bound_id="Thm1.3-turan-size")])
+        return turan._replace(guarantee="Thm1.3-turan" + suffix,
+                              bounds=checks)
     boost, inner, host_vertices = _boost_then_extract(g, eps0, exact_limit)
     checks = [*inner.bounds,
               check("Thm1.3-ratio", inner.ratio, "<=", 1 + as_fraction(eps))]

@@ -3,10 +3,12 @@
 import faulthandler
 import itertools
 import os
+import pathlib
 import sys
 
 import pytest
 
+import nearreg
 from nearreg import PreconditionError, SizeCapError, degree_stats
 from nearreg.graph import as_fraction
 
@@ -40,6 +42,15 @@ def watchdog(request):
 # --- bitmask adjacency, for the tests' exhaustive references -------------
 # The package stores neighbour arrays only; these helpers rebuild the
 # n-bit rows a reference counts with, from the public neighbour lists.
+
+def child_env() -> dict:
+    """The environment of a child process that imports this nearreg,
+    whatever its working directory."""
+    package_root = str(pathlib.Path(nearreg.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": package_root
+            + (os.pathsep + path if path else "")}
+
 
 def bit_indices(mask: int):
     """Yield set-bit positions of ``mask`` in increasing order."""

@@ -6,6 +6,9 @@ import json
 import math
 import pathlib
 import re
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,8 @@ import pytest
 from nearreg import cli, errors, oracle, regularize
 from nearreg.cli import main
 from nearreg.graph import Surd, check
+
+from conftest import child_env
 
 
 def run_cli(argv, capsys):
@@ -258,6 +263,47 @@ def test_main_leaves_the_collector_as_it_found_it(caller_froze, tmp_path,
     assert len(seen) == 2 and all(count > 0 for count in seen)
     if caller_froze:
         assert seen == [before, before]
+
+
+# A child process that registers its own at-exit hook, then calls main
+# twice: to a file, and to stdout. Hooks run last in, first out, so its hook
+# runs after the freeze main registered and reports the freeze it sees.
+AT_EXIT_CHILD = textwrap.dedent("""
+    import atexit, gc, sys
+    from nearreg.cli import main
+
+    atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count(),
+                                  file=sys.stderr))
+    n = 3000
+    with open("path.el", "w") as fh:
+        fh.write(f"{n} {n - 1}\\n" + "".join(f"{v} {v + 1}\\n"
+                                            for v in range(n - 1)))
+    assert main(["extract", "turan", "path.el", "--out", "report.json"]) == 0
+    assert gc.get_freeze_count() == 0
+    assert main(["extract", "turan", "path.el"]) == 0
+    assert gc.get_freeze_count() == 0
+""")
+
+
+def test_main_freezes_the_heap_again_at_exit(tmp_path):
+    # the interpreter's collections at exit then skip the import heap; the
+    # report main wrote to a pipe, block-buffered and longer than its
+    # buffer, is still flushed whole
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    run = subprocess.run([sys.executable, "-c", AT_EXIT_CHILD], cwd=tmp_path,
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    frozen = re.fullmatch(r"frozen at exit: (\d+)\n", run.stderr)
+    assert frozen and int(frozen[1]) > 0, run.stderr
+    # the two reports differ in their wall time and in the --out the
+    # command line echoes
+    scrub = re.compile(r'"wall_time_s": [0-9.e-]+')
+    written = (tmp_path / "report.json").read_text()
+    out_option = ',\n    "--out",\n    "report.json"'
+    assert written.count(out_option) == 1 and len(run.stdout) > 8192
+    assert scrub.sub("T", run.stdout) == \
+        scrub.sub("T", written.replace(out_option, ""))
 
 
 def test_extract_report_determinism(tmp_path, capsys):

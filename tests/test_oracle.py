@@ -262,6 +262,46 @@ def test_regular_prob_matches_the_incidence_product(n, k, trials, seed):
         incidence_regular_prob(n, k, trials, seed)
 
 
+def int64_regular(draws, k):
+    """Which rows of ``draws``, one column per pair i < j in row-major
+    order, draw a regular graph on k vertices, each degree summed in int64."""
+    first, second = np.triu_indices(k, 1)
+    degrees = np.stack([
+        draws[:, (first == v) | (second == v)].sum(axis=1, dtype=np.int64)
+        for v in range(k)], axis=1)
+    return (degrees == degrees[:, :1]).all(axis=1)
+
+
+@pytest.mark.parametrize("k, trials", [(3, 20_000), (6, 20_000), (257, 300),
+                                      (258, 100)])
+def test_regular_prob_hits_are_those_of_int64_degrees(k, trials,
+                                                      monkeypatch):
+    # the kernel sums each degree as bytes into the least type that holds
+    # k - 1: uint8, and uint16 from k = 257, where 256 no longer fits; from
+    # k = 258 a clique on all but one vertex has degrees 256 and 0, which
+    # a uint8 sum would see as equal
+    seen, mc_fraction = [], oracle._mc_fraction
+
+    def noting_the_kernel(probs, trials, seed, hit):
+        seen.append((probs, hit))
+        return mc_fraction(probs, trials, seed, hit)
+
+    monkeypatch.setattr(oracle, "_mc_fraction", noting_the_kernel)
+    estimate = estimate_regular_prob(k + 3, k, trials, 7)
+    ((probs, hit),) = seen
+    assert estimate == mc_fraction(probs, trials, 7,
+                                   lambda draws: int64_regular(draws, k))
+    # the complete graph (every degree k - 1), one edge short of it, the
+    # empty graph, and a clique on every vertex but the last
+    complete = np.ones((1, len(probs)), bool)
+    short = complete.copy()
+    short[0, -1] = False
+    clique = complete & (np.triu_indices(k, 1)[1] != k - 1)
+    rows = np.vstack([complete, short, ~complete, clique])
+    assert hit(rows).tolist() == int64_regular(rows, k).tolist() \
+        == [True, False, True, False]
+
+
 def test_regular_prob_memory_grows_with_the_pairs_not_pairs_times_k():
     # C(300, 2) draws a row: an incidence matrix would hold 13 million cells
     tracemalloc.start()
