@@ -1,18 +1,22 @@
 """Command-line front door: generate instances, run extractions, and drive
 the experiments, emitting machine-readable JSON reports. Every report is
 built here: the library returns plain data. `OPTIONS` gives each command's
-options a type and default, and the `*_KINDS` tables each kind's function
-and the options it takes; `_options` refuses any other option (exit 2).
+options a type and default, the `*_KINDS` tables each kind's function and
+the options it takes, and `COMMANDS` each command's runner and positional
+arguments. `_read_argv` reads a command line against these tables, and
+`_options` refuses an option the kind does not take (exit 2).
 
-Exit codes: 0 all guarantee checks passed, 1 a guarantee failed
-(`BoundViolationError`), 2 an algorithm precondition failed
-(`PreconditionError`, `CapExceededError`) or argparse refused the command
-line (an unknown option, say), 3 a search-size cap was exceeded
-(`SizeCapError`) or the input is too large to hold in memory
-(`MemoryError`), 4 file or format trouble (`EdgeListError`, `OSError`), 5
-an internal error (any other exception; a bug, never an input condition).
-An exception ends the command with one line of stderr; a package error
-with its type's `label` and `exit_code` (see `errors`). Reports are
+Exit codes: 0 all guarantee checks passed (or --help printed the usage), 1
+a guarantee failed (`BoundViolationError`), 2 an algorithm precondition
+failed (`PreconditionError`, `CapExceededError`) or `_read_argv` refused the
+command line (an unknown option, say: the usage and one error line on
+stderr), 3 a search-size cap was exceeded (`SizeCapError`) or the input is
+too large to hold in memory (`MemoryError`), 4 file or format trouble
+(`EdgeListError`, `OSError`), 5 an internal error (any other exception; a
+bug, never an input condition). `--help` and a refused command line exit
+by raising `SystemExit`; every other way out is `main`'s return value. An
+exception ends the command with one line of stderr; a package error with
+its type's `label` and `exit_code` (see `errors`). Reports are
 byte-identical across runs of the same command and seed except for the
 wall_time_s field, which runs from the start of the command's work (for
 extract, the input read) to the report built: encoding and writing the
@@ -28,7 +32,6 @@ gnpbar-scan samples graph i at seed+i).
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import json
@@ -37,7 +40,7 @@ import statistics
 import sys
 import time
 from itertools import chain
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 import numpy as np
 
@@ -278,40 +281,39 @@ def _write_report(argv: list, out: Optional[str], body: Callable) -> int:
     return 0
 
 
-def _options(args, kind: str, names: tuple) -> dict:
-    """The values of the options ``names`` that ``kind`` takes, as given or
-    by default. Refused in turn: a missing option (one with no default), a
-    given option the kind does not take and a negative --seed."""
-    table = OPTIONS[args.command]
-    given = {name: getattr(args, name) for name in table
-             if getattr(args, name) is not None}
+def _options(command: str, kind: str, given: dict, names: tuple) -> dict:
+    """The values of the options ``names`` that ``kind`` takes, as
+    ``given`` (by name) or by default. Refused in turn, each in the order
+    of `OPTIONS`: a missing option (one with no default), a given option
+    the kind does not take and a negative --seed."""
+    table = OPTIONS[command]
     missing = [name for name in names
                if name not in given and table[name][1] is None]
-    extra = [name for name in given if name not in names]
+    extra = [name for name in table if name in given and name not in names]
     for verb, wrong in (("needs", missing), ("does not take", extra)):
         if wrong:
-            raise PreconditionError(f"{args.command} {kind} {verb} --"
+            raise PreconditionError(f"{command} {kind} {verb} --"
                                     + wrong[0].replace("_", "-"))
     if given.get("seed", 0) < 0:
         raise PreconditionError("--seed must be >= 0")
     return {name: given.get(name, table[name][1]) for name in names}
 
 
-def _cmd_gen(args, argv: list) -> int:
+def _cmd_gen(argv: list, out: str, given: dict, kind: str) -> int:
     """Run the kind's generator, looked up in `instances` at call time (so
     a rebinding of its names reaches it), on the options it takes."""
-    generator, names = GEN_KINDS[args.kind]
-    values = _options(args, args.kind, names)
+    generator, names = GEN_KINDS[kind]
+    values = _options("gen", kind, given, names)
     g = getattr(instances, generator)(*values.values())
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(out, "w", encoding="utf-8") as fh:
         fh.write(serialize_edge_list(g))
     sidecar = {
         "schema": "nearreg-gen/1",
-        "params": {"kind": args.kind.replace("-", "_"), **values},
+        "params": {"kind": kind.replace("-", "_"), **values},
         "n": g.n,
         "m": g.m,
     }
-    _emit(sidecar, args.out + ".json")
+    _emit(sidecar, out + ".json")
     return 0
 
 
@@ -320,25 +322,26 @@ def _load_graph(path: str) -> Graph:
         return parse_edge_list(fh.read())
 
 
-def _cmd_extract(args, argv: list) -> int:
+def _cmd_extract(argv: list, out: Optional[str], given: dict,
+                 algorithm: str, graph: str) -> int:
     """Run the algorithm's extractor, looked up in this module at call time
     (so that a rebinding of its names, as a tracer does, reaches every
     one), on the options it takes, and report what it returns."""
-    extractor, names, write = EXTRACT_KINDS[args.algorithm]
-    params = _options(args, args.algorithm, names)
+    extractor, names, write = EXTRACT_KINDS[algorithm]
+    params = _options("extract", algorithm, given, names)
 
     def body() -> dict:
-        g = _load_graph(args.graph)
+        g = _load_graph(graph)
         result, ledger = write(globals()[extractor](g, *params.values()))
         return {
-            "algorithm": args.algorithm,
+            "algorithm": algorithm,
             "params": params,
             "input": _graph_summary(g),
             "result": result,
             "bounds": ledger,
         }
 
-    return _write_report(argv, args.out, body)
+    return _write_report(argv, out, body)
 
 
 def _experiment_point_prob(t: int, trials: int, seed: int) -> dict:
@@ -405,35 +408,155 @@ EXPERIMENT_KINDS = {
 }
 
 
-def _cmd_experiment(args, argv: list) -> int:
-    run, names = EXPERIMENT_KINDS[args.name]
-    values = _options(args, args.name, names)
+def _cmd_experiment(argv: list, out: Optional[str], given: dict,
+                    name: str) -> int:
+    run, names = EXPERIMENT_KINDS[name]
+    values = _options("experiment", name, given, names)
     seed = values.pop("seed")
-    return _write_report(argv, args.out, lambda: {
-        "experiment": args.name, "seed": seed,
+    return _write_report(argv, out, lambda: {
+        "experiment": name, "seed": seed,
         "result": {**values, **run(**values, seed=seed)}})
 
 
-def _build_parser() -> tuple:
-    """The top-level parser, and each command's own parser by name: its
-    positional arguments, then every option `OPTIONS` gives it, and --out."""
-    parser = argparse.ArgumentParser(
-        prog="nearreg",
-        description="Nearly regular subgraph extraction toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("gen", help="generate an instance as an edge list") \
-        .add_argument("kind", choices=GEN_KINDS)
-    ext = sub.add_parser("extract", help="run one extraction on a graph file")
-    ext.add_argument("algorithm", choices=EXTRACT_KINDS)
-    ext.add_argument("graph", help="edge-list file")
-    sub.add_parser("experiment", help="run a statistical experiment") \
-        .add_argument("name", choices=EXPERIMENT_KINDS)
-    for command, options in OPTIONS.items():
-        add = sub.choices[command].add_argument
-        for name, (cast, _) in options.items():
-            add("--" + name.replace("_", "-"), type=cast)
-        add("--out", required=command == "gen")
-    return parser, sub.choices
+# every command, with its runner, its positional arguments (the first names
+# its kind, one of the keys of its kinds table) and what it does
+COMMANDS = {
+    "gen": (_cmd_gen, ("kind",), GEN_KINDS,
+            "generate an instance as an edge list"),
+    "extract": (_cmd_extract, ("algorithm", "graph"), EXTRACT_KINDS,
+                "run one extraction on a graph file"),
+    "experiment": (_cmd_experiment, ("name",), EXPERIMENT_KINDS,
+                   "run a statistical experiment"),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _usage(command: Optional[str]) -> str:
+    """The usage of ``command`` (of nearreg itself if None), laid out as
+    argparse lays it out at 80 columns: the options, then the positional
+    arguments from a line of their own, each part moved to a new line
+    where it would pass column 78."""
+    if command is None:
+        return "usage: nearreg [-h] {%s} ...\n" % ",".join(COMMANDS)
+    _, positionals, kinds, _ = COMMANDS[command]
+    options = ["[-h]"] + [f"[{_flag(name)} {name.upper()}]"
+                          for name in OPTIONS[command]]
+    options += ["--out", "OUT"] if command == "gen" else ["[--out OUT]"]
+    lines = [f"usage: nearreg {command}"]
+    pad = " " * len(lines[0])
+    for parts in (options, ["{%s}" % ",".join(kinds), *positionals[1:]]):
+        for part in parts:
+            if len(lines[-1]) + 1 + len(part) > 78 and lines[-1] != pad:
+                lines.append(pad)
+            lines[-1] += " " + part
+        lines.append(pad)
+    return "\n".join(lines[:-1]) + "\n"
+
+
+def _help(command: Optional[str]) -> str:
+    """The usage of ``command`` (of nearreg itself if None), what it does,
+    and its commands, or its kinds with the options each takes."""
+    if command is None:
+        head = "Nearly regular subgraph extraction toolkit\n\ncommands:"
+        rows = [f"{name:<12}{entry[3]}" for name, entry in COMMANDS.items()]
+    else:
+        _, positionals, kinds, summary = COMMANDS[command]
+        table = OPTIONS[command]
+        head = (f"{summary}\n\n{positionals[0]}s and the options each "
+                "takes (default):")
+        rows = [f"{kind:<20}" + (" ".join(
+            _flag(name) + ("" if table[name][1] is None
+                           else f" ({table[name][1]})")
+            for name in entry[1]) or "none") for kind, entry in kinds.items()]
+    return f"{_usage(command)}\n{head}\n" + "".join(f"  {row}\n"
+                                                     for row in rows)
+
+
+def _usage_error(command: Optional[str], message: str) -> NoReturn:
+    """Print the usage of ``command`` and ``message`` to stderr, and exit
+    2."""
+    prog = "nearreg" if command is None else "nearreg " + command
+    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _choices(table: dict) -> str:
+    return "(choose from %s)" % ", ".join(map(repr, table))
+
+
+def _read_argv(argv: list) -> tuple:
+    """Read a command line against the tables: its command, the command's
+    positional arguments (its kind first), the options given, by name and
+    cast to their `OPTIONS` type, and --out (None if not given).
+
+    An option is ``--name value`` or ``--name=value``, named in full, and
+    may come anywhere after the command; the token after ``--name`` is its
+    value, whatever it starts with, and a repeated option keeps its last
+    value. ``--`` ends the options, so a positional argument that starts
+    with ``-`` follows it. ``-h`` or ``--help`` prints the help of the
+    command read so far and exits 0. A command line this grammar refuses
+    prints the usage of its command and argparse's message for the fault
+    to stderr and exits 2, at the first of: an unknown command or kind, a
+    value its type refuses or an option with no value, in the order given;
+    then a missing positional argument (or gen's --out), then tokens left
+    over (an unknown option, say), all named at once.
+    """
+    command, words, given, extra = None, [], {}, []
+    flags, positionals, ended = {}, (), False
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--" and not ended:
+            ended = True
+        elif ended or token[:1] != "-" or token == "-":
+            if command is None:
+                if token not in COMMANDS:
+                    _usage_error(None, "argument command: invalid choice: "
+                                 f"{token!r} {_choices(COMMANDS)}")
+                command = token
+                _, positionals, kinds, _ = COMMANDS[command]
+                flags = {_flag(name): (name, cast)
+                         for name, (cast, _) in OPTIONS[command].items()}
+                flags["--out"] = ("out", str)
+            elif len(words) == len(positionals):
+                extra.append(token)
+            elif words or token in kinds:
+                words.append(token)
+            else:
+                _usage_error(command, f"argument {positionals[0]}: invalid "
+                             f"choice: {token!r} {_choices(kinds)}")
+        elif token in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        else:
+            flag, eq, value = token.partition("=")
+            if flag not in flags:
+                extra.append(token)
+                continue
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    _usage_error(command,
+                                 f"argument {flag}: expected one argument")
+            name, cast = flags[flag]
+            try:
+                given[name] = cast(value)
+            except ValueError:
+                _usage_error(command, f"argument {flag}: invalid "
+                             f"{cast.__name__} value: {value!r}")
+    if command is None:
+        _usage_error(None, "the following arguments are required: command")
+    missing = list(positionals[len(words):])
+    if command == "gen" and "out" not in given:
+        missing.append("--out")
+    if missing:
+        _usage_error(command, "the following arguments are required: "
+                     + ", ".join(missing))
+    if extra:
+        _usage_error(command, "unrecognized arguments: " + " ".join(extra))
+    return command, words, given, given.pop("out", None)
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -466,14 +589,9 @@ def main(argv: Optional[list] = None) -> int:
 
 def _run(argv: Optional[list]) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, commands = _build_parser()
-    args, extra = parser.parse_known_args(argv)
-    if extra:  # refused with the usage of the command they were given to
-        commands[args.command].error(
-            "unrecognized arguments: " + " ".join(extra))
+    command, words, given, out = _read_argv(argv)
     try:
-        return {"gen": _cmd_gen, "extract": _cmd_extract,
-                "experiment": _cmd_experiment}[args.command](args, argv)
+        return COMMANDS[command][0](argv, out, given, *words)
     except NearRegError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -423,6 +423,132 @@ def test_removed_options_are_refused_with_the_command_usage(argv, capsys):
                         f"{argv[-2]} {argv[-1]}\n")
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["extract", "--help"]])
+def test_help_prints_a_usage_and_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert out.startswith("usage: nearreg")
+
+
+def report_fields(out: str) -> dict:
+    """A report without the fields that differ between equivalent command
+    lines: the echoed command and the wall time."""
+    report = json.loads(out)
+    del report["command"], report["wall_time_s"]
+    return report
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "prop11", "G", "--c=3"],
+    ["extract", "--c", "3", "prop11", "G"],
+    ["extract", "prop11", "--c", "3", "G"],
+])
+def test_equivalent_command_lines_give_the_same_report(argv, tmp_path,
+                                                        capsys):
+    path = write_graph(tmp_path, "k4.el", K4)
+    code, out, _ = run_cli(["extract", "prop11", path, "--c", "3"], capsys)
+    assert code == 0
+    code, other, _ = run_cli([path if a == "G" else a for a in argv], capsys)
+    assert code == 0
+    assert report_fields(other) == report_fields(out)
+
+
+def test_a_repeated_option_keeps_its_last_value(tmp_path, capsys):
+    path = write_graph(tmp_path, "k4.el", K4)
+    code, out, _ = run_cli(["extract", "prop11", path, "--c", "4",
+                            "--c=3"], capsys)
+    assert code == 0
+    assert json.loads(out)["params"] == {"c": 3.0}
+
+
+@pytest.mark.parametrize("argv, prog, message", [
+    (["gen", "star", "--n", "x", "--out", "s.el"], "nearreg gen",
+     "argument --n: invalid int value: 'x'"),
+    (["extract", "turan"], "nearreg extract",
+     "the following arguments are required: graph"),
+    (["gen", "star", "--n", "5"], "nearreg gen",
+     "the following arguments are required: --out"),
+    (["extract", "turan", "g.el", "--out"], "nearreg extract",
+     "argument --out: expected one argument"),
+    ([], "nearreg", "the following arguments are required: command"),
+])
+def test_usage_errors_name_the_command_and_the_fault(argv, prog, message,
+                                                     capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith(f"usage: {prog} ")
+    assert err.endswith(f"\n{prog}: error: {message}\n")
+
+
+def test_an_unknown_command_is_refused_with_the_top_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mystery", "turan", "g.el"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: nearreg ")
+    last = err.splitlines()[-1]
+    assert last.startswith("nearreg: error: ")
+    assert "invalid choice: 'mystery'" in last
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a value that starts with "-" is the option's value, also where it
+    # does not look like a negative number
+    (["extract", "prop11", "G", "--c", "-inf"],
+     "expected a finite number, got -inf"),
+    (["gen", "gnp-uniform", "--n", "5", "--p", "-1e-3", "--seed", "0",
+      "--out", "O"], "p must lie in [0, 1]"),
+])
+def test_a_value_starting_with_a_dash_reaches_the_checks(argv, message,
+                                                         tmp_path, capsys):
+    path = write_graph(tmp_path, "k4.el", K4)
+    out = tmp_path / "x.el"
+    argv = [{"G": path, "O": str(out)}.get(a, a) for a in argv]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"precondition: {message}\n"
+    assert not out.exists()
+
+
+def test_an_option_is_named_in_full(tmp_path, capsys):
+    # no prefix of an option's name stands for it
+    path = write_graph(tmp_path, "k4.el", K4)
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", "boost", path, "--eps", "0.3"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: nearreg extract ")
+    assert err.endswith("nearreg extract: error: unrecognized arguments: "
+                        "--eps 0.3\n")
+
+
+# A child process that runs one extract call and names the modules of
+# argparse's import chain it finds loaded.
+PARSER_IMPORTS_CHILD = textwrap.dedent("""
+    import sys
+    from nearreg.cli import main
+
+    with open("k4.el", "w") as fh:
+        fh.write("4 6\\n0 1\\n0 2\\n0 3\\n1 2\\n1 3\\n2 3\\n")
+    assert main(["extract", "turan", "k4.el", "--out", "report.json"]) == 0
+    print(sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+""")
+
+
+def test_a_command_imports_no_argument_parser(tmp_path):
+    # argparse's first use imports gettext and locale, a fixed cost of
+    # every call that reads its command line through it
+    run = subprocess.run([sys.executable, "-c", PARSER_IMPORTS_CHILD],
+                         cwd=tmp_path, capture_output=True, text=True,
+                         env=child_env())
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
 def test_calibration_figures_come_from_the_constants(capsys):
     code, out, _ = run_cli(["experiment", "point-prob", "--t", "25",
                             "--trials", "100"], capsys)
