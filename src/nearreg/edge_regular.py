@@ -12,6 +12,15 @@ The searches of one driver (a maximum matching, or a whole cascade) share
 one workspace of search arrays; each search resets only the entries it
 touched, so a search that fails after two steps costs two steps.
 
+The maximum matching runs no search that must fail, and so gives the
+matching that a search from every free vertex gives. An augmenting path
+joins two free vertices of one connected component (Berge 1957), and no
+vertex whose own search failed ends one, so a root that is the last
+untried free vertex of its component has none. The tree of a failed
+search stays Hungarian through later augmentations, so no augmenting
+path enters it (Edmonds 1965), and a root whose neighbours all lie in
+such trees has none either: an isolated root never searches.
+
 A tight set is a subset S of the candidate side with |N(S)| <= |S| in the
 residual graph. Inclusion-minimal tight sets are what carry a perfect
 matching, and minimality is found through matching structure: saturate the
@@ -145,16 +154,73 @@ def _max_matching(nbrs: list) -> list:
     takes the lowest-id one, so most searches are a greedy step. A vertex
     with no augmenting path never gains one through later augmentations,
     so one pass over the roots leaves a maximum matching.
+
+    A root whose search must fail is skipped: that search would leave
+    ``mate`` as it was, so the matching is the one every search gives. Two
+    facts prove the failure. (a) An augmenting path joins two free
+    vertices of one connected component (Berge 1957), and neither end is a
+    vertex whose search failed or was skipped, so a root that is the last
+    live vertex of its component (free, and neither failed nor skipped)
+    has none. The live counts come from `_live_components`, built once,
+    after the first root that stays free; an augmentation takes two off
+    its component's count, a failure or a skip one. Until then every root
+    was matched, so a graph in which every root is matched builds no
+    table. (b) The tree of a failed search stays Hungarian through later
+    augmentations, so no augmenting path enters it (Edmonds 1965): a root
+    whose neighbours all lie in such trees has none, and neither has an
+    isolated root, which is skipped even before the table is built.
     """
     mate = [-1] * len(nbrs)
     ws = _workspace(len(nbrs))
-    for root in range(len(nbrs)):
-        if mate[root] < 0:
-            _augment_from(root, nbrs, mate, ws)
+    dead: set = set()  # every vertex labelled by a failed search
+    roots = iter(range(len(nbrs)))
+    for root in roots:  # until the first root that stays free
+        if mate[root] < 0 and not (
+                nbrs[root] and _augment_from(root, nbrs, mate, ws, dead)):
+            break
+    else:
+        return mate
+    comp, live = _live_components(nbrs, mate, root + 1)
+    for root in roots:
+        if mate[root] >= 0:
+            continue
+        c = comp[root]
+        if (live[c] > 1 and not dead.issuperset(nbrs[root])
+                and _augment_from(root, nbrs, mate, ws, dead)):
+            live[c] -= 2  # the root and the free end of its path
+        else:
+            live[c] -= 1
     return mate
 
 
-def _augment_from(root: int, nbrs: list, mate: list, ws: tuple) -> bool:
+def _live_components(nbrs: list, mate: list, first: int) -> tuple:
+    """``(comp, live)``: the connected components of the graph whose
+    neighbour lists are ``nbrs`` that hold a free vertex of id ``first``
+    or more, numbered in the order of their least such vertex; ``comp``
+    gives each of their vertices its component's number (-1 elsewhere) and
+    ``live`` each component's count of those free vertices. One
+    breadth-first search per component, over each arc once."""
+    comp = [-1] * len(nbrs)
+    live: list = []
+    for v in range(first, len(nbrs)):
+        if mate[v] >= 0:
+            continue
+        c = comp[v]
+        if c < 0:
+            c = comp[v] = len(live)
+            live.append(0)
+            queue = [v]
+            for u in queue:  # the list grows while it is walked
+                for w in nbrs[u]:
+                    if comp[w] < 0:
+                        comp[w] = c
+                        queue.append(w)
+        live[c] += 1
+    return comp, live
+
+
+def _augment_from(root: int, nbrs: list, mate: list, ws: tuple,
+                  dead: set | None = None) -> bool:
     """Edmonds' blossom search from the free vertex ``root``: a FIFO
     breadth-first search that scans neighbours in list order and shrinks
     each odd cycle it closes (a blossom) into the cycle's base. Flips the
@@ -170,6 +236,10 @@ def _augment_from(root: int, nbrs: list, mate: list, ws: tuple) -> bool:
     without touching ``ws``: the search scans that row before any queued
     vertex and labels no other free vertex before, so the first free
     neighbour is exactly the edge it would flip.
+
+    A search that fails adds every vertex it labelled to ``dead``, if
+    given, before it resets ``ws``: they form a Hungarian tree, which no
+    later augmenting path of the same matching enters (Edmonds 1965).
     """
     for u in nbrs[root]:
         if mate[u] < 0:
@@ -245,6 +315,8 @@ def _augment_from(root: int, nbrs: list, mate: list, ws: tuple) -> bool:
                     return True
                 label[w] = _OUTER
                 queue.append(w)
+        if dead is not None:
+            dead.update(queue, inner)
         return False
     finally:
         for v in chain(queue, inner):
@@ -546,7 +618,12 @@ def matching_lower_bound(g: Graph) -> ExtractionResult:
     checked ``Matching-size`` entry.
 
     Found exactly, for graphs of any size, by Edmonds' blossom algorithm;
-    the size check only guards against a bug in it.
+    the size check only guards against a bug in it. No search runs that
+    must fail (`_max_matching`): none from the last untried free vertex
+    of a connected component, which no augmenting path can end at (Berge
+    1957), nor from a vertex whose neighbours all lie in the Hungarian
+    tree of a failed search, which no later augmenting path enters
+    (Edmonds 1965).
     """
     best = frozenset()
     if g.m:

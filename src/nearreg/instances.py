@@ -16,9 +16,18 @@ import numpy as np
 from .errors import PreconditionError
 from .graph import Graph
 
-# the most edges `blocks` builds: its edge list costs about 200 bytes an
-# edge while it is built, so s = 10 (1,042,432 edges) is the largest s
-BLOCKS_EDGE_CAP = 1 << 20
+# the most edges `blocks`, `complete_bipartite` and `star` build: an edge
+# list costs about 200 bytes an edge while it is built, so s = 10
+# (1,042,432 edges) is the largest s of `blocks`
+EDGE_CAP = 1 << 20
+
+
+def _require_edge_cap(what: str, m: int) -> None:
+    """Refuse a graph of ``m`` edges above ``EDGE_CAP``, before any edge
+    is built; ``what`` names the graph in the message."""
+    if m > EDGE_CAP:
+        raise PreconditionError(
+            f"{what} has {m} edges, above the cap {EDGE_CAP}")
 
 
 def blocks_edge_count(s: int) -> int:
@@ -31,7 +40,7 @@ def blocks(s: int) -> Graph:
     """Layered clique blocks: parts V_0..V_s of 2^s vertices each, part V_i
     holding 2^(s-i) disjoint cliques of size 2^i, no edges anywhere else.
     Ids run part by part, clique by clique, ascending. Refused, before
-    anything is allocated, above ``BLOCKS_EDGE_CAP`` edges."""
+    anything is allocated, above ``EDGE_CAP`` edges."""
     if s < 0:
         raise PreconditionError("s must be >= 0")
     return _blocks_prefix(s, (s + 1) << s)
@@ -39,11 +48,8 @@ def blocks(s: int) -> Graph:
 
 def _blocks_prefix(s: int, n: int) -> Graph:
     """The first n ids of ``blocks(s)``: each clique cut at id n. Refused
-    when ``blocks(s)`` has more than ``BLOCKS_EDGE_CAP`` edges."""
-    if blocks_edge_count(s) > BLOCKS_EDGE_CAP:
-        raise PreconditionError(
-            f"blocks with s = {s} has {blocks_edge_count(s)} edges, above "
-            f"the cap {BLOCKS_EDGE_CAP}")
+    when ``blocks(s)`` has more than ``EDGE_CAP`` edges."""
+    _require_edge_cap(f"blocks with s = {s}", blocks_edge_count(s))
     part = 1 << s
     edges = []
     for i in range(s + 1):
@@ -110,16 +116,21 @@ def sample_gnp_uniform(n: int, p: float, seed: int) -> Graph:
 
 
 def complete_bipartite(k: int, n: int) -> Graph:
-    """K_{k,n-k}: side {0..k-1} fully joined to side {k..n-1}."""
+    """K_{k,n-k}: side {0..k-1} fully joined to side {k..n-1}. Refused,
+    before any edge is built, above ``EDGE_CAP`` edges."""
     if not 1 <= k <= n - 1:
         raise PreconditionError("need 1 <= k <= n-1")
+    _require_edge_cap(f"complete-bipartite with k = {k}, n = {n}",
+                      k * (n - k))
     edges = [(a, b) for a in range(k) for b in range(k, n)]
     return Graph.from_edges(n, edges)
 
 
 def star(n: int) -> Graph:
-    """K_{1,n-1} with the hub at id 0."""
+    """K_{1,n-1} with the hub at id 0. Refused, before any edge is built,
+    above ``EDGE_CAP`` edges."""
     if n < 2:
         raise PreconditionError("star needs n >= 2")
+    _require_edge_cap(f"star with n = {n}", n - 1)
     return Graph.from_edges(n, [(0, v) for v in range(1, n)])
 

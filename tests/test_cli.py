@@ -88,6 +88,11 @@ def test_gen_refuses_a_missing_option(argv, missing, tmp_path, capsys):
     # above the edge cap: about 10^12 edges, and s = 16 with 4.3e9
     ["blocks", "--s", "20"],
     ["blocks-padded", "--n", "1000000"],
+    # one edge above the cap, and far above it
+    ["star", "--n", "1048578"],
+    ["star", "--n", "99999999999999999999"],
+    ["complete-bipartite", "--k", "1024", "--n", "2049"],
+    ["complete-bipartite", "--k", "99999999999", "--n", "199999999999"],
 ])
 def test_gen_refuses_options_out_of_range(argv, tmp_path, capsys):
     out = tmp_path / "g.el"

@@ -27,6 +27,7 @@ from nearreg import (
 )
 from nearreg.cli import _cascade_json
 from nearreg.edge_regular import (
+    _augment_from,
     _max_matching,
     _sink_components,
     _workspace,
@@ -97,8 +98,8 @@ def test_half_matches_the_scan_reference(build):
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=0, max_value=24))
+def small_graphs(draw, max_n=24):
+    n = draw(st.integers(min_value=0, max_value=max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs),
                          max_size=len(pairs)))
@@ -452,16 +453,17 @@ def test_max_matching_grows_through_blossoms():
 
 
 def test_max_matching_roots_each_free_vertex_in_ascending_id(monkeypatch):
-    # Every free vertex roots the search, in ascending id; a root whose own
-    # row holds a free vertex takes the lowest-id one.
+    # Every free vertex whose search can succeed roots the search, in
+    # ascending id; a root whose own row holds a free vertex takes the
+    # lowest-id one.
     from nearreg import edge_regular
 
     roots = []
     search = edge_regular._augment_from
 
-    def recorded(root, rows, mate, ws):
+    def recorded(root, rows, mate, ws, *dead):
         roots.append(root)
-        return search(root, rows, mate, ws)
+        return search(root, rows, mate, ws, *dead)
 
     monkeypatch.setattr(edge_regular, "_augment_from", recorded)
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -472,20 +474,52 @@ def test_max_matching_roots_each_free_vertex_in_ascending_id(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_max_matching_matches_networkx(seed):
+    # random graphs, then unions whose odd parts each keep a free vertex,
+    # so that both skip rules of the matching fire
     import random
 
     nx = pytest.importorskip("networkx")
     rng = random.Random(seed)
+    graphs = []
     for _ in range(100):
         n = rng.randint(1, 30)
         p = rng.choice((0.05, 0.1, 0.2, 0.4))
-        g = sample_gnp_uniform(n, p, rng.randrange(2**32))
+        graphs.append(sample_gnp_uniform(n, p, rng.randrange(2**32)))
+    graphs += [relabelled_union(rng, rng.randint(1, 45)) for _ in range(60)]
+    for g in graphs:
         ref = nx.Graph()
-        ref.add_nodes_from(range(n))
+        ref.add_nodes_from(range(g.n))
         ref.add_edges_from(g.edges())
         expected = len(nx.max_weight_matching(ref, maxcardinality=True))
         assert max_matching_edges(g) == expected
         assert len(matching_lower_bound(g).edges) == expected
+
+
+def relabelled_union(rng, max_n):
+    """A disjoint union of odd cliques, stars, odd cycles and isolated
+    vertices, at most ``max_n`` vertices in all, under a random relabelling:
+    every odd part leaves a free vertex that no augmenting path reaches."""
+    edges, n = [], 0
+    while True:
+        kind = rng.choice(("clique", "star", "cycle", "isolated"))
+        size = {"clique": rng.choice((3, 5, 7)), "star": rng.randint(2, 8),
+                "cycle": rng.choice((3, 5, 7, 9)), "isolated": 1}[kind]
+        if n + size > max_n:
+            break
+        if kind == "clique":
+            part = list(combinations(range(size), 2))
+        elif kind == "star":
+            part = [(0, v) for v in range(1, size)]
+        elif kind == "cycle":
+            part = [(v, (v + 1) % size) for v in range(size)]
+        else:
+            part = []
+        edges += [(n + u, n + v) for u, v in part]
+        n += size
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph.from_edges(n, [normalize_edge(label[u], label[v])
+                                for u, v in edges])
 
 
 def path(n):
@@ -898,8 +932,8 @@ def test_workspace_is_reset_after_every_search(name, monkeypatch):
     used = []
     search = edge_regular._augment_from
 
-    def checked(root, rows, mate, ws):
-        found = search(root, rows, mate, ws)
+    def checked(root, rows, mate, ws, *dead):
+        found = search(root, rows, mate, ws, *dead)
         assert ws == _workspace(g.n)
         used.append(ws)
         return found
@@ -921,8 +955,8 @@ def test_shared_workspace_gives_the_fresh_workspace_matching(name,
     search = edge_regular._augment_from
     monkeypatch.setattr(
         edge_regular, "_augment_from",
-        lambda root, rows, mate, ws: search(root, rows, mate,
-                                            _workspace(len(rows))))
+        lambda root, rows, mate, ws, *dead: search(
+            root, rows, mate, _workspace(len(rows)), *dead))
     assert _max_matching(nbrs) == shared
 
 
@@ -937,8 +971,127 @@ def test_cascade_shared_workspace_gives_the_fresh_workspace_rounds(
     search = edge_regular._augment_from
     monkeypatch.setattr(
         edge_regular, "_augment_from",
-        lambda root, rows, mate, ws: search(root, rows, mate,
-                                            _workspace(len(rows))))
+        lambda root, rows, mate, ws, *dead: search(
+            root, rows, mate, _workspace(len(rows)), *dead))
     fresh = matching_cascade(bp, rounds)
     assert (fresh.sets, fresh.matchings, _cascade_json(fresh)) == (
         shared.sets, shared.matchings, _cascade_json(shared))
+
+
+# --- searches that must fail are never run ---------------------------------
+
+
+def reference_max_matching(nbrs):
+    """The maximum matching with no skips: one search from every free
+    vertex, in ascending id, all sharing one workspace. It calls the search
+    as imported, so a test's wrapper of the module's name does not reach
+    it."""
+    mate = [-1] * len(nbrs)
+    ws = _workspace(len(nbrs))
+    for root in range(len(nbrs)):
+        if mate[root] < 0:
+            _augment_from(root, nbrs, mate, ws)
+    return mate
+
+
+@given(small_graphs(max_n=20))
+@settings(max_examples=300, deadline=None)
+def test_max_matching_equals_the_reference_with_no_skips(g):
+    nbrs = rows_of(g)
+    assert _max_matching(nbrs) == reference_max_matching(nbrs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_max_matching_equals_the_reference_with_no_skips_on_odd_unions(seed):
+    import random
+
+    rng = random.Random(seed)
+    for _ in range(250):
+        nbrs = rows_of(relabelled_union(rng, rng.randint(1, 45)))
+        assert _max_matching(nbrs) == reference_max_matching(nbrs)
+
+
+@pytest.mark.parametrize("name", sorted(BLOSSOM_GRAPHS))
+def test_max_matching_equals_the_reference_with_no_skips_on_blossoms(name):
+    nbrs = rows_of(BLOSSOM_GRAPHS[name]())
+    assert _max_matching(nbrs) == reference_max_matching(nbrs)
+
+
+def count_searches(monkeypatch):
+    """Wrap ``_augment_from`` so that every search that gets past its
+    own-row step (the root has no free neighbour) is counted, as
+    ``searched`` if it augments and ``failed`` if not."""
+    from nearreg import edge_regular
+
+    counts = Counter()
+    search = edge_regular._augment_from
+
+    def counted(root, rows, mate, ws, *dead):
+        past_own_row = all(mate[u] >= 0 for u in rows[root])
+        found = search(root, rows, mate, ws, *dead)
+        if past_own_row:
+            counts["searched" if found else "failed"] += 1
+        return found
+
+    monkeypatch.setattr(edge_regular, "_augment_from", counted)
+    return counts
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda copies=copies: disjoint_cliques(copies, 25)
+      for copies in (10, 20, 40, 80)),
+    *(lambda n=n: star(n) for n in (250, 500, 1000, 2000)),
+])
+def test_max_matching_runs_at_most_one_failed_search(build, monkeypatch):
+    # without the skips each odd clique after the first and each leaf
+    # after the second fails one search: the count would grow with size
+    g = build()
+    expected = reference_max_matching(rows_of(g))
+    counts = count_searches(monkeypatch)
+    assert _max_matching(rows_of(g)) == expected
+    assert counts["failed"] <= 1 and counts["searched"] == 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: path(2000),
+    lambda: ladder(500),
+    lambda: sample_gnp_uniform(300, 0.23, 2),
+    lambda: complete_bipartite(11, 22),
+])
+def test_max_matching_builds_no_table_when_every_root_is_matched(
+        build, monkeypatch):
+    from nearreg import edge_regular
+
+    def refused(*args):
+        raise AssertionError("a component table was built")
+
+    g = build()
+    expected = reference_max_matching(rows_of(g))
+    counts = count_searches(monkeypatch)
+    monkeypatch.setattr(edge_regular, "_live_components", refused)
+    assert _max_matching(rows_of(g)) == expected
+    assert counts["failed"] == 0
+    assert len(matching_lower_bound(g).edges) == g.n // 2
+
+
+def test_no_search_fails_on_the_sparse_benchmark_graph(monkeypatch):
+    # G(2000, 6/n) at seed 1 has five isolated vertices, which rule (b)
+    # skips before any table, and an odd giant component, whose last free
+    # vertex rule (a) skips: the reference with no skips fails six searches
+    g = sample_gnp_uniform(2000, 6 / 2000, 1)
+    expected = reference_max_matching(rows_of(g))
+    counts = count_searches(monkeypatch)
+    assert _max_matching(rows_of(g)) == expected
+    assert counts["failed"] == 0
+
+
+def test_the_first_failed_root_leaves_its_component_count(monkeypatch):
+    # 0 takes 3, and 1's search fails with the tree {0, 1, 3}; 2 then takes
+    # 4, and 5 is the last live vertex of the component. Its neighbour 4
+    # lies in no failed tree, so only the count, which the failed root 1
+    # has already left, proves that its search must fail.
+    g = Graph.from_edges(6, [(0, 3), (1, 3), (2, 3), (2, 4), (4, 5)])
+    expected = reference_max_matching(rows_of(g))
+    counts = count_searches(monkeypatch)
+    assert _max_matching(rows_of(g)) == expected == [3, -1, 4, 0, 2, -1]
+    assert counts == {"failed": 1}

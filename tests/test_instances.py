@@ -17,8 +17,9 @@ from nearreg import (
     serialize_edge_list,
     star,
 )
+from nearreg import instances
 from nearreg.instances import (
-    BLOCKS_EDGE_CAP,
+    EDGE_CAP,
     blocks_edge_count,
     blocks_minimal_s,
     p_bar,
@@ -48,7 +49,7 @@ def test_blocks_edge_count_formula(s):
 
 def test_blocks_edge_cap_admits_s_up_to_ten():
     # s = 10 has 1,042,432 edges, s = 11 four times as many
-    assert blocks_edge_count(10) <= BLOCKS_EDGE_CAP < blocks_edge_count(11)
+    assert blocks_edge_count(10) <= EDGE_CAP < blocks_edge_count(11)
     with pytest.raises(PreconditionError, match="above the cap"):
         blocks(11)
     with pytest.raises(PreconditionError, match="s = 16 has 4294377472"):
@@ -218,3 +219,27 @@ def test_star_shape():
     with pytest.raises(PreconditionError):
         star(1)
 
+
+
+def test_star_and_complete_bipartite_refuse_above_the_edge_cap(monkeypatch):
+    # at a cap of 10 edges the last graph under it is built and the next
+    # refused, so the refusal comes before the edge list; only then are
+    # the huge sizes probed, at the real cap, where nothing is built
+    monkeypatch.setattr(instances, "EDGE_CAP", 10)
+    assert star(11).m == 10
+    assert complete_bipartite(2, 7).m == 10
+    with pytest.raises(PreconditionError,
+                       match="^star with n = 12 has 11 edges, above the cap"
+                             " 10$"):
+        star(12)
+    with pytest.raises(PreconditionError,
+                       match="^complete-bipartite with k = 3, n = 7 has 12 "
+                             "edges, above the cap 10$"):
+        complete_bipartite(3, 7)
+    monkeypatch.undo()
+    for build, args in ((star, (EDGE_CAP + 2,)),
+                        (star, (10**20,)),
+                        (complete_bipartite, (1 << 10, (1 << 11) + 1)),
+                        (complete_bipartite, (10**10, 2 * 10**10))):
+        with pytest.raises(PreconditionError, match="above the cap"):
+            build(*args)
