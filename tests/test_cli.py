@@ -227,8 +227,11 @@ def test_extract_missing_file_is_io_error(capsys):
 
 def test_extract_malformed_file(tmp_path, capsys):
     path = write_graph(tmp_path, "bad.el", "2 1\n0 0\n")
-    code, _, _ = run_cli(["extract", "turan", path], capsys)
-    assert code == 4
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(["extract", "turan", path, "--out", str(report)],
+                             capsys)
+    assert (code, out, err) == (4, "", "bad edge list: self-loop '0 0'\n")
+    assert not report.exists()
 
 
 def test_extract_file_that_is_not_utf8_is_a_format_error(tmp_path, capsys):
@@ -579,10 +582,12 @@ def test_extract_boost_above_the_search_cap_is_refused(tmp_path, capsys):
     path = str(tmp_path / "g.el")
     assert run_cli(["gen", "gnp-uniform", "--n", "70", "--p", "0.1",
                     "--seed", "3", "--out", path], capsys)[0] == 0
-    code, out, err = run_cli(["extract", "boost", path,
-                              "--exact-limit", "100"], capsys)
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(["extract", "boost", path, "--exact-limit",
+                              "100", "--out", str(report)], capsys)
     assert code == 3 and out == ""
-    assert "capped at 64 vertices" in err
+    assert err == "size cap: exact search is capped at 64 vertices\n"
+    assert not report.exists()
 
 
 def test_extract_lemma25_refuses_eps_from_a_quarter(tmp_path, capsys):
