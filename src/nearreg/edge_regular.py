@@ -75,7 +75,7 @@ from .graph import (
     normalize_edge,
     require_bounds,
 )
-from .peeling import peel_min, prop21_refine
+from .peeling import prop21_refine, threshold_core
 
 
 class Bipartition(NamedTuple):
@@ -552,10 +552,11 @@ def matching_cascade(bp: Bipartition, rounds: int) -> CascadeState:
 
 
 def theorem41(g: Graph) -> tuple:
-    """Full edge-version pipeline: peel below half the average degree, take
-    the bipartite half, cascade d'/4 matchings (d' the largest power of two
-    at most the average degree d), then either return the first matching or
-    refine the union of a geometric block of matchings.
+    """Full edge-version pipeline: keep the core at half the average degree
+    (`threshold_core`), take the bipartite half, cascade d'/4 matchings (d'
+    the largest power of two at most the average degree d), then either
+    return the first matching or refine the union of a geometric block of
+    matchings.
 
     Returns ``(result, cascade)``, the extraction and the cascade state. The
     output is 5-nearly regular; the ceil(d^2/4096) edge guarantee is
@@ -566,7 +567,8 @@ def theorem41(g: Graph) -> tuple:
     if d <= 0:
         raise PreconditionError("needs at least one edge")
     full_guarantee = d >= 64
-    g1, host_of = induced(g, compress(range(g.n), peel_min(g, d / 2)[0]))
+    g1, host_of = induced(g, compress(range(g.n),
+                                      threshold_core(g, d / 2)[0]))
     bp = bipartite_half(g1)
     dprime = 1 << max(int(d).bit_length() - 1, 0)  # at most d, or 1
     rounds = dprime // 4 if dprime >= 4 else 1

@@ -7,7 +7,8 @@ Graphs are immutable simple undirected graphs over dense ids 0..n-1.
 Adjacency is stored once, as read-only numpy CSR arrays: the neighbours of
 v, ascending, are ``indices[indptr[v]:indptr[v + 1]]``, so a graph takes
 O(n + m) memory at any n. Algorithms take every vertex's ascending
-neighbour list from `Graph.neighbor_lists` and track live sets as
+neighbour list from `Graph.neighbor_lists`, or read the few rows they need
+from the CSR slices (`peeling.threshold_core`), and track live sets as
 bytearrays; no module builds bitmask rows.
 Average degree and density are carried as exact `Fraction`s so that peel
 thresholds never flip on float rounding. Every ledger entry is evaluated by

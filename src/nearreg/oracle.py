@@ -11,7 +11,6 @@ boost's dense-subset search (`regularize._dense_search`).
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -59,7 +58,7 @@ def _nearly_regular_suffix(g: Graph, nbrs: list, c_num: int,
     reverse pass adds the vertices back, last deleted first, and keeps
     each suffix's maximum degree; its minimum is the degree its first
     vertex had when deleted. ``nbrs`` are the neighbour lists of ``g``."""
-    steps = peel_min(g, math.inf)[2]
+    steps = peel_min(g)
     deg = [0] * g.n
     placed = bytearray(g.n)
     top = size = 0

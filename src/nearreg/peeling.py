@@ -1,16 +1,18 @@
 """Degree-peeling extractors.
 
-One primitive, delete-while-below-threshold (`peel_min`, the min-degree
-peel), serves the refine and the callers in other modules; the reduce runs
-its own delete-while-at-or-above-threshold scan (the max-degree peel), and
-the pipeline composes the two. Thresholds are frozen when a round starts
-while degrees are recomputed after every single deletion. The min-degree
-peel takes the least degree first, the max-degree peel the eligible
-vertices by id; ties go to the lowest id, so traces are reproducible.
-`peel_min(g, threshold)` takes a graph and hands back its live set, a
-bytearray with 1 for live, with the degrees and the steps; the max-degree
-peel updates the reduce's live set in place. Both walk ascending neighbour
-lists (`Graph.neighbor_lists`) and keep the degree of every live vertex
+Three peels. `threshold_core(g, threshold)` deletes every vertex of
+degree below a fixed threshold, again and again, and hands back what is
+left, the threshold's core, which no deletion order changes (Seidman
+1983): the live set, a bytearray with 1 for live, with the degrees and the
+number deleted. It serves the refine, Lemma 2.5's extraction and Theorem
+4.1's first peel, and reads the rows of the vertices it deletes from the
+CSR arrays. `peel_min(g)` is the smallest-last order (least degree first,
+lowest id on ties) for the callers that need the order itself: the boost,
+the dense-subset search and `exact_f`'s seed. The reduce runs its own
+delete-while-at-or-above-threshold scan (the max-degree peel) over the
+eligible vertices by id, its threshold frozen when a round starts, and the
+pipeline composes the reduce and the refine. Degrees are recomputed after
+every single deletion, and each peel keeps the degree of every live vertex
 exact, so the extractors read their survivors' statistics from the degrees
 the peel tracked, with no second pass over the adjacency. A caller that
 needs the peeled subgraph takes `induced` of the live set, whose id map
@@ -24,6 +26,8 @@ import math
 from fractions import Fraction
 from itertools import compress
 from typing import NamedTuple, Union
+
+import numpy as np
 
 from .errors import PreconditionError
 from .graph import (
@@ -54,55 +58,76 @@ class PeelTrace(NamedTuple):
     thresholds: list
 
 
-def _int_threshold(threshold: Union[Real, Surd]) -> Real:
-    """The least integer at least ``threshold`` (``math.inf`` as it is):
-    an integer degree is >= threshold exactly when it is >= this, and
-    comparing two ints is cheaper than comparing with a `Fraction`."""
-    return threshold if threshold == math.inf else math.ceil(threshold)
+def peel_min(g: Graph) -> list:
+    """Smallest-last order of ``g``: delete the least-degree live vertex,
+    lowest id first on ties, until no vertex is left, in O(m log n) through
+    one lazy heap of integer keys ``degree * n + id``: as every id is below
+    n, they order as the (degree, id) pairs do. Returns one round-0
+    `PeelStep` per deletion, in order, with the degree at deletion.
 
-
-def peel_min(g: Graph, threshold: Union[Real, Surd]) -> tuple:
-    """Smallest-last peel of ``g``: delete the least-degree live vertex,
-    lowest id first on ties, until its degree is at least ``threshold`` or
-    no vertex is left, in O(m log n) through one lazy heap of integer keys
-    ``degree * n + id``: as every id is below n, they order as the
-    (degree, id) pairs do. Returns (alive, deg, steps): the live set, a
-    bytearray with 1 for live; the degrees, exact for every live vertex;
-    and one round-0 `PeelStep` per deletion.
-
-    The live set is the threshold-core, unique whatever the deletion order
-    (Seidman 1983), and the steps are the whole order's (``threshold`` =
-    ``math.inf``) up to its first degree >= threshold. Peeling the subgraph
-    induced on a suffix ``order[i:]`` gives that suffix with the same
-    degrees at removal, as ``induced`` keeps ids in order.
+    Peeling the subgraph induced on a suffix ``order[i:]`` gives that
+    suffix with the same degrees at removal, as ``induced`` keeps ids in
+    order. The vertices left once the degrees reach a threshold t are t's
+    core (`threshold_core`).
     """
     n = g.n
     nbrs, alive, deg = g.neighbor_lists(), bytearray(b"\1") * n, g.degrees()
     steps: list = []
-    stop = _int_threshold(threshold)
     heap = [d * n + v for v, d in enumerate(deg)]
     heapq.heapify(heap)
     while len(steps) < n:  # every live vertex has a current entry
         d, v = divmod(heapq.heappop(heap), n)
         if d != deg[v] or not alive[v]:
             continue  # stale: v was deleted or has lost degree since
-        if d >= stop:
-            break
         steps.append(PeelStep(v, d, 0))
         alive[v] = 0
         for u in nbrs[v]:
             if alive[u]:
                 deg[u] -= 1
                 heapq.heappush(heap, deg[u] * n + u)
-    return alive, deg, steps
+    return steps
+
+
+def threshold_core(g: Graph, threshold: Union[Real, Surd]) -> tuple:
+    """The core of ``g`` at ``threshold``: what is left once every vertex
+    of degree below ``threshold`` is deleted, again and again. It is the
+    same whatever the deletion order (Seidman 1983), so no order is kept.
+    Returns (alive, deg, deleted): the live set, a bytearray with 1 for
+    live; the degrees, exact for every live vertex; and the number of
+    vertices deleted.
+
+    An integer degree is below ``threshold`` exactly when it is below its
+    ceiling. One comparison of the degree array seeds a worklist with every
+    vertex below it, and a vertex joins the list once, when its degree
+    first falls below it. The row of each listed vertex is read from its
+    CSR slice (the offsets as one Python list, made once some vertex is
+    listed), so the cost is O(n + m) and no neighbour lists are built.
+    """
+    stop = math.ceil(threshold)
+    degrees = np.diff(g.indptr)
+    low = degrees < stop
+    alive = bytearray((~low).tobytes())
+    deg = degrees.tolist()
+    work = np.flatnonzero(low).tolist()
+    if work:
+        indptr, indices = g.indptr.tolist(), g.indices
+        for v in work:  # grows as it is walked
+            for u in indices[indptr[v]:indptr[v + 1]].tolist():
+                if alive[u]:
+                    deg[u] -= 1
+                    if deg[u] < stop:
+                        alive[u] = 0
+                        work.append(u)
+    return alive, deg, len(work)
 
 
 def prop21_refine(g: Graph, k: Real, alpha: Real) -> ExtractionResult:
-    """Min-degree peel at alpha*avg_deg, yielding a (k/alpha)-nearly regular
-    subgraph that keeps a guaranteed fraction of vertices and edges.
+    """The core at alpha*avg_deg (`threshold_core`), a (k/alpha)-nearly
+    regular subgraph that keeps a guaranteed fraction of vertices and
+    edges; its edge count is half the sum of its live degrees.
 
     Requires max_deg <= k * avg_deg (reduce first if not). On the edgeless
-    graph the threshold is 0, so the peel keeps everything, which satisfies
+    graph the threshold is 0, so the core is everything, which satisfies
     every posted bound.
     """
     kf, af = as_fraction(k), as_fraction(alpha)
@@ -116,10 +141,10 @@ def prop21_refine(g: Graph, k: Real, alpha: Real) -> ExtractionResult:
         raise PreconditionError(
             f"max degree {st.max_deg} exceeds k*avg = {float(kf * d0):.4g}; "
             "reduce first")
-    alive, deg, steps = peel_min(g, af * d0)
+    alive, deg, _ = threshold_core(g, af * d0)
     members = list(compress(range(g.n), alive))
-    kept_m = g.m - sum(s.degree for s in steps)
-    kept = DegreeStats.of(list(compress(deg, alive)))
+    live_deg = list(compress(deg, alive))
+    kept, kept_m = DegreeStats.of(live_deg), sum(live_deg) // 2
     checks = require_bounds("prop21_refine", [
         check("Prop2.1-ratio", ledger_ratio(kept.max_deg, kept.min_deg), "<=",
               kf / af),
@@ -162,7 +187,7 @@ def prop22_reduce(g: Graph, k: Real) -> tuple:
         trace.thresholds.append(thr)
         if nbrs is None:
             nbrs = g.neighbor_lists()
-        stop = _int_threshold(thr)
+        stop = math.ceil(thr)
         # degrees only drop, so one ascending scan meets every vertex that
         # could ever reach the threshold
         for v in compress(range(g.n), alive):

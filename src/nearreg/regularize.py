@@ -11,10 +11,10 @@ a factor of (1+eps), until no such subgraph exists. When every search along
 the way was exhaustive, the final graph provably has no overly dense large
 vertex set, which is exactly what the extraction step needs. Above the
 exhaustive size limit the candidates are the suffixes of one smallest-last
-order (`peeling.peel_min` with no threshold), which serves every round of
-the boost down to that limit. Below it, the first qualifying suffix of
-the same kind of order gives the exhaustive search a size known to
-qualify, from which it searches upward.
+order (`peeling.peel_min`), which serves every round of the boost down
+to that limit. Below it, the first qualifying suffix of the same kind of
+order gives the exhaustive search a size known to qualify, from which it
+searches upward.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from collections import Counter
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from math import comb
 from operator import add
 from typing import Callable, NamedTuple, Optional
@@ -46,7 +45,7 @@ from .graph import (
     require_bounds,
 )
 from .oracle import _after_table
-from .peeling import peel_min
+from .peeling import peel_min, threshold_core
 
 DEFAULT_EXACT_LIMIT = 24
 HARD_VERTEX_CAP = 64  # the exhaustive dense-subset search: refused above this
@@ -212,7 +211,7 @@ def find_dense_subset(g: Graph, eps: Real) -> Optional[frozenset]:
     top = sizes[-1]
     hit = search(top)[0]
     if hit is None:
-        steps = peel_min(g, math.inf)[2]
+        steps = peel_min(g)
         cut = _dense_cut(steps, 0, g.m, eps_f)
         t = t_min if cut is None else g.n - cut[0]
         while t < top and (found := search(t)[0]) is not None:
@@ -259,7 +258,7 @@ def density_boost(g: Graph, eps: Real,
     boosting = True
     cur, vmap = g, tuple(range(g.n))
     if not certified:
-        steps = peel_min(g, math.inf)[2]
+        steps = peel_min(g)
         start, m = 0, g.m
         while boosting and g.n - start > exact_limit:
             cut = _dense_cut(steps, start, m, eps_f)
@@ -295,12 +294,12 @@ def density_boost(g: Graph, eps: Real,
 
 def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:
     """Take `induced` of all but the floor(eps*n) highest-degree vertices
-    (ties to the lowest id) and peel it below n*p*(1 - 2*sqrt(eps)), n and
-    p fixed at the input values.
+    (ties to the lowest id) and keep its core at n*p*(1 - 2*sqrt(eps))
+    (`threshold_core`), n and p fixed at the input values.
 
-    More than floor(2*sqrt(eps)*n) deletions (a count fixed by the unique
-    core the peel leaves) raise CapExceededError: they certify the input
-    lacks the bounded-dense-subset property this extraction assumes.
+    More than floor(2*sqrt(eps)*n) vertices outside that core raise
+    CapExceededError: they certify the input lacks the bounded-dense-subset
+    property this extraction assumes.
     A peel that leaves no vertex within the cap (only for eps >= 3 -
     2*sqrt(2)) raises PreconditionError: no bound speaks of an empty set.
     Otherwise the output is checked to keep (1 - eps - 2*sqrt(eps)) * n
@@ -326,8 +325,8 @@ def lemma25_extract(g: Graph, eps: Real) -> ExtractionResult:
     rest, host_ids = induced(g, by_degree[math.floor(eps_f * n):].tolist())
     min_deg_thr = Surd(np_, -2 * np_, eps_f)
     cap = math.isqrt(math.floor(4 * n * n * eps_f))  # floor(2*sqrt(eps)*n)
-    alive, deg, steps = peel_min(rest, min_deg_thr)
-    if len(steps) > cap:
+    alive, deg, deleted = threshold_core(rest, min_deg_thr)
+    if deleted > cap:
         raise CapExceededError(
             f"peel wanted more than the cap of {cap} deletions; the "
             "input violates the bounded-dense-subset condition")
@@ -360,8 +359,10 @@ def turan_independent_set(g: Graph) -> ExtractionResult:
     push per such vertex, not one per edge.
     The lost edges are counted over the dropped vertices' neighbour lists:
     with numpy when they hold more than max(n, ``_NUMPY_COUNT``) entries,
-    so each O(n) count is paid for by the entries it reads, and in Python
-    otherwise, where numpy's fixed cost per call would dominate.
+    so each O(n) count is paid for by the entries it reads, and otherwise,
+    where numpy's fixed cost per call would dominate, in one Python pass
+    that decrements as it reads and marks each vertex it touches in a
+    scratch bytearray, so that each gets its push after its last decrement.
     """
     n = g.n
     nbrs = g.neighbor_lists()
@@ -369,6 +370,7 @@ def turan_independent_set(g: Graph) -> ExtractionResult:
     heap = [d * n + v for v, d in enumerate(deg)]
     heapq.heapify(heap)
     alive = bytearray(b"\1") * n
+    marked = bytearray(n)
     live = alive.__getitem__
     live_mask = np.frombuffer(alive, np.bool_)  # a view: follows ``alive``
     bulk = max(n, _NUMPY_COUNT)
@@ -390,12 +392,20 @@ def turan_independent_set(g: Graph) -> ExtractionResult:
                                     for u in closed])
             lost = np.bincount(heads[live_mask[heads]], minlength=n)
             near = np.flatnonzero(lost)
-            counts = zip(near.tolist(), lost[near].tolist())
+            touched = near.tolist()
+            for w, c in zip(touched, lost[near].tolist()):
+                deg[w] -= c
         else:
-            counts = Counter(chain.from_iterable(
-                filter(live, nbrs[u]) for u in closed)).items()
-        for w, c in counts:
-            deg[w] -= c
+            touched = []
+            for u in closed:
+                for w in nbrs[u]:
+                    if alive[w]:
+                        deg[w] -= 1
+                        if not marked[w]:
+                            marked[w] = 1
+                            touched.append(w)
+        for w in touched:
+            marked[w] = 0
             heapq.heappush(heap, deg[w] * n + w)
     members = frozenset(picked)
     assert not any(members.intersection(nbrs[v]) for v in picked), \

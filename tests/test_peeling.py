@@ -6,6 +6,9 @@ from itertools import compress
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from nearreg import (
     Graph,
     PreconditionError,
@@ -17,7 +20,8 @@ from nearreg import (
     sample_gnp_uniform,
     star,
 )
-from nearreg.peeling import peel_min
+from nearreg.graph import Surd, check
+from nearreg.peeling import peel_min, threshold_core
 
 from conftest import bitmask_rows, nearly_regular_check
 
@@ -27,30 +31,32 @@ def complete(n):
 
 
 def peel_below(g, threshold):
-    """The core above ``threshold`` as `theorem41` takes it: `peel_min`,
-    then `induced` of the live set. Returns (subgraph, id map, steps)."""
-    alive, _, steps = peel_min(g, threshold)
+    """The core above ``threshold`` as `theorem41` takes it:
+    `threshold_core`, then `induced` of the live set. Returns (subgraph,
+    id map, deleted)."""
+    alive, _, deleted = threshold_core(g, threshold)
     sub, id_map = induced(g, compress(range(g.n), alive))
-    return sub, id_map, steps
+    return sub, id_map, deleted
 
 
 def test_peel_below_removes_isolated_vertex():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
-    sub, id_map, steps = peel_below(g, 0.6)
+    sub, id_map, deleted = peel_below(g, 0.6)
     assert (sub.n, sub.m) == (3, 3) and id_map == (0, 1, 2)
-    assert [(s.vertex, s.degree, s.round_index) for s in steps] == [(3, 0, 0)]
+    assert deleted == 1
 
 
 def test_peel_below_zero_threshold_is_identity():
     g = star(6)
-    sub, id_map, steps = peel_below(g, 0)
+    sub, id_map, deleted = peel_below(g, 0)
     assert sub == g and id_map == tuple(range(g.n))
-    assert steps == []
+    assert deleted == 0
 
 
 def test_peel_below_can_empty_the_graph():
-    sub, id_map, steps = peel_below(complete(4), 4)
-    assert sub.n == 0 and id_map == ()
+    sub, id_map, deleted = peel_below(complete(4), 4)
+    assert sub.n == 0 and id_map == () and deleted == 4
+    steps = peel_min(complete(4))
     assert [s.vertex for s in steps] == [0, 1, 2, 3]
     assert [s.degree for s in steps] == [3, 2, 1, 0]
 
@@ -58,9 +64,9 @@ def test_peel_below_can_empty_the_graph():
 def test_peel_trace_degrees_below_threshold():
     g = sample_gnp_uniform(30, 0.2, 5)
     thr = degree_stats(g).avg_deg / 2
-    sub, id_map, steps = peel_below(g, thr)
-    assert all(s.degree < thr for s in steps)
-    assert sorted(id_map + tuple(s.vertex for s in steps)) == list(range(g.n))
+    sub, id_map, deleted = peel_below(g, thr)
+    assert all(s.degree < thr for s in peel_min(g)[:deleted])
+    assert sub.n + deleted == g.n
     if sub.n:
         assert degree_stats(sub).min_deg >= thr
 
@@ -84,9 +90,12 @@ def test_peel_below_matches_networkx_k_core(seed):
         ref.add_nodes_from(range(n))
         ref.add_edges_from(g.edges())
         for k in range(7):
-            sub, id_map, _ = peel_below(g, k)
+            alive, deg, deleted = threshold_core(g, k)
             core = nx.k_core(ref, k)
-            assert id_map == tuple(sorted(core))
+            assert [v for v in range(n) if alive[v]] == sorted(core)
+            assert all(deg[v] == d for v, d in core.degree())
+            assert deleted == n - core.number_of_nodes()
+            sub, _ = induced(g, compress(range(n), alive))
             assert sub.m == core.number_of_edges()
 
 
@@ -107,35 +116,80 @@ def _peel_shapes(seed):
                                  rng.randrange(2**32))
 
 
-def _smallest_last_steps(g):
-    return peel_min(g, math.inf)[2]
+def assert_core_is_the_prefix_cut(g, t):
+    """`threshold_core` at ``t`` against the smallest-last order: the cut
+    is its first step of degree at least ``t`` (decided by `check`, exact
+    for `Fraction` and `Surd` thresholds); the live set is what the order
+    keeps from there, ``deleted`` is the cut, and every live degree is the
+    vertex's count of live neighbours."""
+    order = peel_min(g)
+    cut = next((i for i, s in enumerate(order)
+                if check("core", s.degree, ">=", t).passed), len(order))
+    alive, deg, deleted = threshold_core(g, t)
+    kept = sorted(s.vertex for s in order[cut:])
+    assert [v for v in range(g.n) if alive[v]] == kept
+    assert deleted == cut
+    mask = sum(1 << v for v in kept)
+    rows = bitmask_rows(g)
+    assert all(deg[v] == (rows[v] & mask).bit_count() for v in kept)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_threshold_peel_is_a_prefix_of_the_smallest_last_order(seed):
+    # g.n, above every degree, stands for the whole order: the core takes
+    # finite thresholds only
     thresholds = (0, 1, Fraction(3, 2), 2, Fraction(7, 3), 3, Fraction(9, 2),
-                  6, math.inf)
+                  6)
     for g in _peel_shapes(seed):
-        order = _smallest_last_steps(g)
-        for t in thresholds:
-            cut = next((i for i, s in enumerate(order) if s.degree >= t),
-                       len(order))
-            alive, deg, steps = peel_min(g, t)
-            assert steps == order[:cut]
-            kept = sorted(s.vertex for s in order[cut:])
-            assert [v for v in range(g.n) if alive[v]] == kept
-            mask = sum(1 << v for v in kept)
-            rows = bitmask_rows(g)
-            assert all(deg[v] == (rows[v] & mask).bit_count() for v in kept)
+        for t in (*thresholds, g.n):
+            assert_core_is_the_prefix_cut(g, t)
+
+
+@st.composite
+def graphs_and_thresholds(draw):
+    """An edge set on 0-24 vertices, and a `Fraction` or `Surd` threshold
+    between -1 and the graph's largest degree plus 1."""
+    n = draw(st.integers(0, 24))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    g = Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True))
+                         if pairs else [])
+    top = max(g.degrees(), default=0) + 1
+    a = draw(st.fractions(-1, top, max_denominator=12))
+    if draw(st.booleans()):
+        return g, a
+    e = draw(st.fractions(0, 9, max_denominator=6))
+    b = draw(st.fractions(-2, 2, max_denominator=6))
+    return g, Surd(a, b, e)
+
+
+@given(graphs_and_thresholds())
+@settings(max_examples=300, deadline=None)
+def test_threshold_core_is_the_prefix_cut_of_the_order(g_t):
+    assert_core_is_the_prefix_cut(*g_t)
+
+
+@pytest.mark.parametrize("shape", ["path", "star"])
+@pytest.mark.parametrize("n", [2, 3, 50, 2000])
+def test_threshold_core_deletes_every_vertex_of_a_chain(shape, n):
+    # each deletion drops one neighbour below 2, so the worklist takes the
+    # vertices one at a time: a path from both ends, a star its leaves and
+    # then its centre
+    edges = ([(v, v + 1) for v in range(n - 1)] if shape == "path"
+             else [(0, v) for v in range(1, n)])
+    g = Graph.from_edges(n, edges)
+    alive, _, deleted = threshold_core(g, 2)
+    assert deleted == n and not any(alive)
+    if n <= 50:
+        assert_core_is_the_prefix_cut(g, 2)
 
 
 @pytest.mark.parametrize("seed", range(2))
 def test_peeling_a_suffix_of_the_order_gives_the_suffix_again(seed):
     for g in _peel_shapes(seed):
-        order = _smallest_last_steps(g)
+        order = peel_min(g)
         for i in range(0, g.n, 3):
             sub, idmap = induced(g, [s.vertex for s in order[i:]])
-            again = _smallest_last_steps(sub)
+            again = peel_min(sub)
             assert [(idmap[s.vertex], s.degree) for s in again] == \
                 [(s.vertex, s.degree) for s in order[i:]]
 

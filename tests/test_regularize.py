@@ -88,9 +88,9 @@ def test_find_dense_subset_requires_an_edge():
 
 
 def _smallest_last_steps(g):
-    """The steps of `peel_min` with no threshold: the whole smallest-last
-    order of g with the degrees at removal."""
-    return peel_min(g, math.inf)[2]
+    """The steps of `peel_min`: the whole smallest-last order of g with
+    the degrees at removal."""
+    return peel_min(g)
 
 
 def _smallest_last(g):
